@@ -1,0 +1,17 @@
+//! Records the compiler version for the benchmark's provenance line.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
