@@ -49,7 +49,9 @@ fn bench_tensor_assembly(c: &mut Criterion) {
 fn bench_contract_standard_vs_golden(c: &mut Criterion) {
     let mut group = c.benchmark_group("contract");
     for (label, golden) in [("standard_4_terms", false), ("golden_3_terms", true)] {
-        for width in [5usize, 7] {
+        // 15 and 19 qubits: the wide regime, where filling the `2^n`
+        // output buffer dominates the contraction.
+        for width in [5usize, 7, 15, 19] {
             let (frags, plan, _) = setup(width, golden);
             let up = exact_upstream_tensor(&frags.upstream, &plan);
             let down = exact_downstream_tensor(&frags.downstream, &plan);

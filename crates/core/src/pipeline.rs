@@ -559,12 +559,12 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             None => downstream_tensor(&fragments.downstream, &plan, &data),
             Some(sic) => sic_downstream_tensor(&fragments.downstream, &plan, sic),
         };
-        let raw = contract(&fragments, &plan, &up, &down);
-        let distribution = match options.postprocess {
-            PostProcess::Raw => raw,
-            PostProcess::ClipRenormalize => raw.clip_renormalize(),
-            PostProcess::SimplexProjection => raw.project_to_simplex(),
-        };
+        let mut distribution = contract(&fragments, &plan, &up, &down);
+        match options.postprocess {
+            PostProcess::Raw => {}
+            PostProcess::ClipRenormalize => distribution.clip_renormalize_in_place(),
+            PostProcess::SimplexProjection => distribution.project_to_simplex_in_place(),
+        }
         let reconstruct_seconds = recon_started.elapsed().as_secs_f64();
 
         // Accounting: engine numbers unify detection and gather.

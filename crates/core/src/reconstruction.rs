@@ -11,7 +11,17 @@
 //!   signed sum over the preparation pair of each cut.
 //!
 //! The distribution is then the contraction
-//! `p(b1 ⊕ b2) = 2^{-K} Σ_M A[M][b1] · D[M][b2]`, parallelised over `b1`.
+//! `p(b1 ⊕ b2) = 2^{-K} Σ_M A[M][b1] · D[M][b2]`. It is dense and
+//! output-chunked: the final `2^n` buffer is split into one contiguous
+//! chunk per thread, and every entry `x` is written once, its `b1(x)` and
+//! `b2(x)` read from two half-width lookup tables. No per-`b1` rows and no
+//! scatter are allocated.
+//!
+//! **Determinism.** Every sum runs in a fixed order: the joint statistics
+//! are dense arrays folded over `r` in ascending order, and each output
+//! entry sums its terms in plan string order. Reconstruction from the same
+//! data is bit-identical across calls, processes and thread counts.
+//!
 //! Exact (infinite-shot) tensors computed from the state-vector simulator
 //! are provided both for unit-testing the identity and for the exact
 //! golden-point detector.
@@ -67,8 +77,22 @@ impl CoefficientTensor {
     }
 }
 
-/// Joint outcome table of one upstream setting: `(b1, r_bits) → probability`.
-type Joint = HashMap<(u64, u64), f64>;
+/// Dense joint outcome table of one upstream setting: entry
+/// `(b1 << K) | r` is the probability of fragment outputs `b1` together
+/// with cut-qubit outcomes `r`.
+type Joint = Vec<f64>;
+
+/// Index of a raw upstream outcome in its [`Joint`] table.
+fn joint_index(fragment: &Fragment, bits: u64) -> usize {
+    let b1 = extract_bits(bits, &fragment.output_locals);
+    let r = extract_bits(bits, &fragment.cut_ports);
+    ((b1 << fragment.cut_ports.len()) | r) as usize
+}
+
+/// Length of a [`Joint`] table: `2^(n1 + K)`.
+fn joint_len(fragment: &Fragment) -> usize {
+    1 << (fragment.num_outputs() + fragment.cut_ports.len())
+}
 
 /// Builds the upstream tensor from measured counts.
 pub fn upstream_tensor(
@@ -87,11 +111,13 @@ pub fn upstream_tensor(
                 .get(&key)
                 .unwrap_or_else(|| panic!("missing upstream counts for setting {setting:?}"));
             let total = counts.total().max(1) as f64;
-            let joint: Joint = counts
-                .split(&fragment.output_locals, &fragment.cut_ports)
-                .into_iter()
-                .map(|(k, n)| (k, n as f64 / total))
-                .collect();
+            // Tally integer counts first, so outcomes that differ only in
+            // unread qubits merge exactly before the division.
+            let mut tally = vec![0u64; joint_len(fragment)];
+            for (bits, n) in counts.iter() {
+                tally[joint_index(fragment, bits)] += n;
+            }
+            let joint = tally.into_iter().map(|n| n as f64 / total).collect();
             (key, joint)
         })
         .collect();
@@ -107,14 +133,12 @@ pub fn exact_upstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> Coefficie
         .map(|setting| {
             let circuit = build_upstream_circuit(fragment, setting);
             let probs = StateVector::from_circuit(&circuit).probabilities();
-            let mut joint = Joint::new();
+            let mut joint = vec![0.0f64; joint_len(fragment)];
             for (idx, &p) in probs.iter().enumerate() {
                 if p <= 0.0 {
                     continue;
                 }
-                let b1 = extract_bits(idx as u64, &fragment.output_locals);
-                let r = extract_bits(idx as u64, &fragment.cut_ports);
-                *joint.entry((b1, r)).or_insert(0.0) += p;
+                joint[joint_index(fragment, idx as u64)] += p;
             }
             (encode_meas(setting), joint)
         })
@@ -128,21 +152,29 @@ fn assemble_upstream(
     joints: &HashMap<u64, Joint>,
 ) -> CoefficientTensor {
     let n1 = fragment.num_outputs();
-    let dim = 1usize << n1;
+    let row_len = 1usize << fragment.cut_ports.len();
     let mut entries = HashMap::new();
     for m in plan.all_recon_strings() {
         let setting = plan.setting_for(&m);
         let joint = &joints[&encode_meas(&setting)];
-        let mut vec = vec![0.0f64; dim];
-        for (&(b1, rbits), &p) in joint {
-            let mut sign = 1.0;
-            for (k, &pauli) in m.iter().enumerate() {
-                if pauli != Pauli::I && (rbits >> k) & 1 == 1 {
-                    sign = -sign;
-                }
-            }
-            vec[b1 as usize] += sign * p;
-        }
+        // Cut outcome bits whose eigenvalue enters the sign: `M_k ≠ I`.
+        let signed = m
+            .iter()
+            .enumerate()
+            .filter(|&(_, &pauli)| pauli != Pauli::I)
+            .fold(0usize, |mask, (k, _)| mask | (1 << k));
+        let vec = joint
+            .chunks_exact(row_len)
+            .map(|row| {
+                row.iter().enumerate().fold(0.0f64, |acc, (r, &p)| {
+                    if (r & signed).count_ones() % 2 == 1 {
+                        acc - p
+                    } else {
+                        acc + p
+                    }
+                })
+            })
+            .collect();
         entries.insert(encode_paulis(&m), vec);
     }
     CoefficientTensor {
@@ -231,9 +263,16 @@ fn assemble_downstream(
     }
 }
 
+/// Below this many outputs per thread, spawning the thread costs more than
+/// the contraction it would take over.
+const MIN_OUTPUTS_PER_THREAD: usize = 1 << 16;
+
 /// Contracts the two tensors into the reconstructed distribution over the
-/// full circuit's qubits: `p(b) = 2^{-K} Σ_M A[M][b1] D[M][b2]` with `b`
-/// assembled from the fragments' global output positions.
+/// full circuit's qubits: `p(b) = 2^{-K} Σ_M A[M][b1] D[M][b2]` with `b1`
+/// and `b2` read from `b`'s bits at the fragments' global output positions.
+///
+/// Each entry is written once, straight into the returned buffer; its
+/// terms are summed in plan string order, skipping `A[M][b1] == 0`.
 pub fn contract(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -247,48 +286,55 @@ pub fn contract(
     assert_eq!(downstream.num_outputs(), n2);
     assert_eq!(n1 + n2, n, "fragment outputs must cover the circuit");
 
-    // Assembly tables: local output bitstring → its global bit positions.
-    let t1 = assembly_table(n1, &fragments.upstream.output_globals);
-    let t2 = assembly_table(n2, &fragments.downstream.output_globals);
-
-    let strings = plan.all_recon_strings();
     let scale = 0.5f64.powi(plan.num_cuts() as i32);
     // Pre-resolve the tensor vectors in string order.
-    let a_vecs: Vec<&[f64]> = strings
+    let terms: Vec<(&[f64], &[f64])> = plan
+        .all_recon_strings()
         .iter()
-        .map(|m| upstream.get(m).expect("upstream tensor entry"))
-        .collect();
-    let d_vecs: Vec<&[f64]> = strings
-        .iter()
-        .map(|m| downstream.get(m).expect("downstream tensor entry"))
-        .collect();
-
-    let dim2 = 1usize << n2;
-    // Parallel over b1: each b1 writes a disjoint index set, collected as
-    // rows and merged.
-    let rows: Vec<(u64, Vec<f64>)> = (0..(1usize << n1))
-        .into_par_iter()
-        .map(|b1| {
-            let mut row = vec![0.0f64; dim2];
-            for (a, d) in a_vecs.iter().zip(&d_vecs) {
-                let coeff = a[b1];
-                if coeff == 0.0 {
-                    continue;
-                }
-                for (slot, &dv) in row.iter_mut().zip(*d) {
-                    *slot += coeff * dv;
-                }
-            }
-            (t1[b1], row)
+        .map(|m| {
+            (
+                upstream.get(m).expect("upstream tensor entry"),
+                downstream.get(m).expect("downstream tensor entry"),
+            )
         })
         .collect();
 
+    // `extract_bits` is an OR over bits, so `b(x) = b(x_lo) | b(x_hi)`:
+    // one table per half of `x` gives both local indices in two loads.
+    let low_bits = n / 2;
+    let block = 1usize << low_bits;
+    let (lo1, hi1) = half_tables(&fragments.upstream.output_globals, low_bits, n);
+    let (lo2, hi2) = half_tables(&fragments.downstream.output_globals, low_bits, n);
+
+    // One chunk per thread, each a whole number of low-half blocks.
+    let blocks = 1usize << (n - low_bits);
+    let threads = rayon::current_num_threads()
+        .min((1usize << n) / MIN_OUTPUTS_PER_THREAD)
+        .max(1);
+    let blocks_per_chunk = blocks.div_ceil(threads);
+
     let mut values = vec![0.0f64; 1 << n];
-    for (base, row) in rows {
-        for (b2, &v) in row.iter().enumerate() {
-            values[(base | t2[b2]) as usize] = v * scale;
-        }
-    }
+    values
+        .par_chunks_mut(blocks_per_chunk * block)
+        .enumerate()
+        .for_each(|(chunk_index, chunk)| {
+            for (j, out) in chunk.chunks_mut(block).enumerate() {
+                let hi = chunk_index * blocks_per_chunk + j;
+                let (h1, h2) = (hi1[hi], hi2[hi]);
+                for ((slot, &l1), &l2) in out.iter_mut().zip(&lo1).zip(&lo2) {
+                    let (b1, b2) = (h1 | l1, h2 | l2);
+                    let mut acc = 0.0f64;
+                    for (a, d) in &terms {
+                        let coeff = a[b1];
+                        if coeff == 0.0 {
+                            continue;
+                        }
+                        acc += coeff * d[b2];
+                    }
+                    *slot = acc * scale;
+                }
+            }
+        });
     Distribution::from_values(n, values)
 }
 
@@ -319,16 +365,17 @@ pub fn extract_bits(value: u64, positions: &[usize]) -> u64 {
     out
 }
 
-fn assembly_table(num_bits: usize, globals: &[usize]) -> Vec<u64> {
-    (0..(1u64 << num_bits))
-        .map(|b| {
-            let mut out = 0u64;
-            for (i, &g) in globals.iter().enumerate() {
-                out |= ((b >> i) & 1) << g;
-            }
-            out
-        })
-        .collect()
+/// Local-index lookup tables for the low `low_bits` bits of an `n`-bit
+/// global index and for its high bits: `extract_bits(x, globals)` equals
+/// `lo[x & mask] | hi[x >> low_bits]`.
+fn half_tables(globals: &[usize], low_bits: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
+    let lo = (0..1u64 << low_bits)
+        .map(|x| extract_bits(x, globals) as usize)
+        .collect();
+    let hi = (0..1u64 << (n - low_bits))
+        .map(|x| extract_bits(x << low_bits, globals) as usize)
+        .collect();
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -513,5 +560,130 @@ mod tests {
         let recon = exact_reconstruct(&frags, &plan);
         let d = total_variation_distance(&recon, &truth(&c));
         assert!(d < 1e-9, "double-neglect reconstruction off by {d}");
+    }
+
+    fn to_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Upstream assembly must not depend on hash-map iteration order: at
+    /// K = 3 each `b1` sums eight signed joint probabilities, and two
+    /// builds from the same counts agree bit for bit.
+    #[test]
+    fn upstream_tensor_is_bit_reproducible_at_three_cuts() {
+        use crate::execution::gather;
+        use crate::tomography::ExperimentPlan;
+        use qcut_device::ideal::IdealBackend;
+
+        let (circuit, spec) = MultiCutAnsatz::new(3, 4).build();
+        let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
+        let plan = BasisPlan::standard(3);
+        let experiment = ExperimentPlan::build(&frags, &plan);
+        let data = gather(&IdealBackend::new(9), &experiment, 2000, true).unwrap();
+        let first = upstream_tensor(&frags.upstream, &plan, &data);
+        for _ in 0..8 {
+            let again = upstream_tensor(&frags.upstream, &plan, &data);
+            for m in plan.all_recon_strings() {
+                assert_eq!(
+                    to_bits(first.get(&m).unwrap()),
+                    to_bits(again.get(&m).unwrap()),
+                    "string {m:?}"
+                );
+            }
+        }
+    }
+
+    /// The contraction formula evaluated one output at a time, in string
+    /// order: the definition `contract` must reproduce bit for bit.
+    fn naive_contract(
+        frags: &Fragments,
+        plan: &BasisPlan,
+        up: &CoefficientTensor,
+        down: &CoefficientTensor,
+    ) -> Vec<f64> {
+        let scale = 0.5f64.powi(plan.num_cuts() as i32);
+        let strings = plan.all_recon_strings();
+        let a: Vec<&[f64]> = strings.iter().map(|m| up.get(m).unwrap()).collect();
+        let d: Vec<&[f64]> = strings.iter().map(|m| down.get(m).unwrap()).collect();
+        (0..1u64 << frags.total_qubits)
+            .map(|x| {
+                let b1 = extract_bits(x, &frags.upstream.output_globals) as usize;
+                let b2 = extract_bits(x, &frags.downstream.output_globals) as usize;
+                let mut acc = 0.0;
+                for t in 0..strings.len() {
+                    let coeff = a[t][b1];
+                    if coeff == 0.0 {
+                        continue;
+                    }
+                    acc += coeff * d[t][b2];
+                }
+                acc * scale
+            })
+            .collect()
+    }
+
+    /// Pins `contract` to [`naive_contract`] bit for bit on sampled
+    /// upstream data (exact zeros exercise the skip), eigenstate and SIC
+    /// downstream tensors, standard and all-Y-golden plans, contiguous
+    /// (`GoldenAnsatz`) and interleaved (`MultiCutAnsatz`) output globals.
+    /// The in-place post-processing maps must equal the copying ones.
+    #[test]
+    fn contract_matches_naive_reference_bit_for_bit() {
+        use crate::execution::gather;
+        use crate::sic::exact_sic_downstream_tensor;
+        use crate::tomography::ExperimentPlan;
+        use qcut_device::ideal::IdealBackend;
+
+        let mut cases: Vec<(String, Circuit, CutSpec)> = Vec::new();
+        for width in [5usize, 11, 19] {
+            let (circuit, spec) = GoldenAnsatz::new(width, 3).build();
+            cases.push((format!("golden ansatz {width}q"), circuit, spec));
+        }
+        for k in 1..=3usize {
+            let (circuit, spec) = MultiCutAnsatz::new(k, 5).build();
+            cases.push((format!("multi-cut K={k}"), circuit, spec));
+        }
+        for (name, circuit, spec) in cases {
+            let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
+            let k = frags.num_cuts;
+            for plan in [
+                BasisPlan::standard(k),
+                BasisPlan::with_neglected(vec![Some(Pauli::Y); k]),
+            ] {
+                let experiment = ExperimentPlan::build(&frags, &plan);
+                let data = gather(&IdealBackend::new(11), &experiment, 500, true).unwrap();
+                let up = upstream_tensor(&frags.upstream, &plan, &data);
+                let downs = [
+                    (
+                        "eigenstate",
+                        downstream_tensor(&frags.downstream, &plan, &data),
+                    ),
+                    ("sic", exact_sic_downstream_tensor(&frags.downstream, &plan)),
+                ];
+                for (method, down) in downs {
+                    let ctx = format!("{name}, {:?}, {method}", plan.neglected());
+                    let got = contract(&frags, &plan, &up, &down);
+                    let want = naive_contract(&frags, &plan, &up, &down);
+                    assert_eq!(to_bits(got.values()), to_bits(&want), "{ctx}");
+
+                    let mut clipped = got.clone();
+                    clipped.clip_renormalize_in_place();
+                    let want = got.clip_renormalize();
+                    assert_eq!(
+                        to_bits(clipped.values()),
+                        to_bits(want.values()),
+                        "{ctx}: clip"
+                    );
+                    let mut projected = got.clone();
+                    projected.project_to_simplex_in_place();
+                    let want = got.project_to_simplex();
+                    assert_eq!(
+                        to_bits(projected.values()),
+                        to_bits(want.values()),
+                        "{ctx}: simplex"
+                    );
+                }
+            }
+        }
     }
 }

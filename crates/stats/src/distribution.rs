@@ -130,17 +130,24 @@ impl Distribution {
     /// Clip negative entries to zero and renormalise. Returns the uniform
     /// distribution if everything clipped to zero.
     pub fn clip_renormalize(&self) -> Distribution {
-        let mut values: Vec<f64> = self.values.iter().map(|v| v.max(0.0)).collect();
-        let mass: f64 = values.iter().sum();
+        let mut out = self.clone();
+        out.clip_renormalize_in_place();
+        out
+    }
+
+    /// [`clip_renormalize`](Self::clip_renormalize) without a copy: the
+    /// entries are overwritten.
+    pub fn clip_renormalize_in_place(&mut self) {
+        for v in &mut self.values {
+            *v = v.max(0.0);
+        }
+        let mass: f64 = self.values.iter().sum();
         if mass <= 0.0 {
-            return Distribution::uniform(self.num_bits);
+            self.fill_uniform();
+            return;
         }
-        for v in &mut values {
+        for v in &mut self.values {
             *v /= mass;
-        }
-        Distribution {
-            num_bits: self.num_bits,
-            values,
         }
     }
 
@@ -148,6 +155,14 @@ impl Distribution {
     /// maximum-likelihood-flavoured post-processing of Perlin et al.,
     /// algorithm of Held et al. / Duchi et al.).
     pub fn project_to_simplex(&self) -> Distribution {
+        let mut out = self.clone();
+        out.project_to_simplex_in_place();
+        out
+    }
+
+    /// [`project_to_simplex`](Self::project_to_simplex) that overwrites the
+    /// entries; only the sorted copy that finds the threshold is allocated.
+    pub fn project_to_simplex_in_place(&mut self) {
         let n = self.values.len();
         let mut sorted = self.values.clone();
         sorted.sort_by(|a, b| b.total_cmp(a));
@@ -168,13 +183,18 @@ impl Distribution {
         }
         if !found {
             // All mass clipped (pathological input): fall back to uniform.
-            return Distribution::uniform(self.num_bits);
+            self.fill_uniform();
+            return;
         }
-        let values = self.values.iter().map(|v| (v - theta).max(0.0)).collect();
-        Distribution {
-            num_bits: self.num_bits,
-            values,
+        for v in &mut self.values {
+            *v = (*v - theta).max(0.0);
         }
+    }
+
+    /// Overwrites every entry with `1 / dim`, as [`uniform`](Self::uniform).
+    fn fill_uniform(&mut self) {
+        let p = 1.0 / self.values.len() as f64;
+        self.values.fill(p);
     }
 
     /// Marginal distribution over the given bit positions (in the order
