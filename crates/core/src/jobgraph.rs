@@ -9,26 +9,32 @@
 //! hash](qcut_circuit::circuit::Circuit::structural_hash) so that
 //! structurally identical subcircuits — across tomography settings, across
 //! pipeline stages (online detection feeding the main gather), or across
-//! reconstruction terms — become a single node. Execution is then one
-//! batched [`Backend::run_batch`] submission, and each node's counts are
-//! fanned back out to every consumer that asked for them.
+//! reconstruction terms — become a single node. Execution then submits
+//! one batch per backend member per retry round, and each node's counts
+//! are fanned back out to every consumer that asked for them.
 //!
 //! ```text
 //! add_job(c, consumer, shots)  ──┐
 //! add_job(c', consumer', shots) ─┼─▶ nodes (unique circuits, hash-keyed)
 //! seed_counts(c, counts)  ───────┘        │
-//!                                         ▼ execute(backend, parallel)
-//!                     one run_batch over `max(shots) − cached` per node
-//!                                         │
+//!                                         ▼ assign_members: node → member
+//!                                           (a bare backend is member 0)
+//!                                         ▼ execute_with, per retry round:
+//!                     one batch per member over `max(shots) − cached`,
+//!                     then transient failures fail over to a sibling
 //!                                         ▼ fan-out
-//!                    GraphRun: counts per consumer + dedup accounting
+//!                    GraphRun: counts per consumer, delivering member
+//!                    per node, dedup + per-member accounting
 //! ```
 //!
-//! Determinism contract: nodes execute in insertion order, so on a
-//! seed-deterministic backend a parallel `execute` is bit-identical to a
-//! sequential one, and (absent duplicates) to the pre-engine per-job
-//! submission order. The equivalence tests in `tests/integration_jobgraph.rs`
-//! pin this down.
+//! Determinism contract: nodes execute in insertion order within each
+//! member, so on a seed-deterministic backend a single-member pool is
+//! bit-identical to its bare backend, a parallel `execute` (each batch
+//! through [`Backend::run_batch_stats`]) to a sequential one (job by job
+//! through [`Backend::run`]), and (absent duplicates) both to the
+//! pre-engine per-job submission order. The equivalence tests in
+//! `tests/integration_jobgraph.rs` and `tests/integration_pool.rs` pin
+//! this down.
 //!
 //! # Example
 //!
@@ -57,7 +63,7 @@
 
 use crate::retry::RetryPolicy;
 use qcut_circuit::circuit::Circuit;
-use qcut_device::backend::{Backend, BackendError, BatchStats, JobSpec};
+use qcut_device::backend::{Backend, BackendError, BatchRun, BatchStats, JobSpec};
 use qcut_device::pool::BackendPool;
 use qcut_sim::counts::Counts;
 use qcut_sim::prefix::{PrefixForest, PrefixProfile};
@@ -222,30 +228,19 @@ impl GraphStats {
         // Per-member vectors add element-wise; runs against pools of
         // different sizes (or a pooled gather absorbed into a pool-less
         // detection round) widen to the larger member set.
-        if self.jobs_per_member.len() < other.jobs_per_member.len() {
-            self.jobs_per_member.resize(other.jobs_per_member.len(), 0);
-        }
-        for (a, b) in self.jobs_per_member.iter_mut().zip(&other.jobs_per_member) {
-            *a += b;
-        }
-        if self.shots_per_member.len() < other.shots_per_member.len() {
-            self.shots_per_member
-                .resize(other.shots_per_member.len(), 0);
-        }
-        for (a, b) in self
-            .shots_per_member
-            .iter_mut()
-            .zip(&other.shots_per_member)
-        {
-            *a += b;
-        }
-        if self.member_makespan.len() < other.member_makespan.len() {
-            self.member_makespan
-                .resize(other.member_makespan.len(), Duration::ZERO);
-        }
-        for (a, b) in self.member_makespan.iter_mut().zip(&other.member_makespan) {
-            *a += *b;
-        }
+        add_widening(&mut self.jobs_per_member, &other.jobs_per_member);
+        add_widening(&mut self.shots_per_member, &other.shots_per_member);
+        add_widening(&mut self.member_makespan, &other.member_makespan);
+    }
+}
+
+/// Adds `from` into `into` element-wise, widening `into` with zeros.
+fn add_widening<T: Copy + Default + std::ops::AddAssign>(into: &mut Vec<T>, from: &[T]) {
+    if into.len() < from.len() {
+        into.resize(from.len(), T::default());
+    }
+    for (a, &b) in into.iter_mut().zip(from) {
+        *a += b;
     }
 }
 
@@ -325,6 +320,7 @@ impl std::error::Error for GraphFailure {
 #[derive(Debug)]
 pub struct GraphRun {
     counts: HashMap<ConsumerKey, Counts>,
+    delivered_by: Vec<Option<usize>>,
     /// Batching/dedup accounting.
     pub stats: GraphStats,
 }
@@ -335,6 +331,15 @@ impl GraphRun {
         self.counts.get(key)
     }
 
+    /// The member that delivered node `node`'s fresh shots (node index in
+    /// graph insertion order; member 0 is a bare backend itself). A node
+    /// that failed over reports the sibling that measured it, not its
+    /// assigned member. `None` when the node executed nothing — fully
+    /// served by seeded counts — or failed permanently.
+    pub fn delivered_by(&self, node: usize) -> Option<usize> {
+        self.delivered_by.get(node).copied().flatten()
+    }
+
     /// Drains every consumer of `channel` into a key → counts map. The
     /// delivered histogram totals are the *realized* per-setting shots —
     /// ≥ a consumer's requested budget when deduplicated nodes merged to a
@@ -342,14 +347,9 @@ impl GraphRun {
     /// ([`crate::execution::FragmentData::from_counts`] derives the
     /// realized schedule from exactly these totals).
     pub fn take_channel(&mut self, channel: Channel) -> HashMap<u64, Counts> {
-        let keys: Vec<ConsumerKey> = self
-            .counts
-            .keys()
-            .filter(|(c, _)| *c == channel)
-            .copied()
-            .collect();
-        keys.into_iter()
-            .map(|k| (k.1, self.counts.remove(&k).expect("key just listed")))
+        self.counts
+            .extract_if(|&(c, _), _| c == channel)
+            .map(|((_, key), counts)| (key, counts))
             .collect()
     }
 }
@@ -425,17 +425,22 @@ impl JobGraph {
             .find(|&i| self.nodes[i].circuit == *circuit)
     }
 
-    /// Locates a node holding this exact `(circuit, consumer)` pair (used
-    /// to keep the no-double-count contract even with dedup disabled).
-    fn find_consumer_node(
+    /// Locates this exact `(circuit, consumer)` pair as (node index,
+    /// consumer slot) — used to keep the no-double-count contract even
+    /// with dedup disabled.
+    fn find_consumer(
         &self,
         circuit: &Circuit,
         hash: u64,
         consumer: ConsumerKey,
-    ) -> Option<usize> {
-        self.index.get(&hash)?.iter().copied().find(|&i| {
-            self.nodes[i].circuit == *circuit
-                && self.nodes[i].consumers.iter().any(|&(k, _)| k == consumer)
+    ) -> Option<(usize, usize)> {
+        self.index.get(&hash)?.iter().find_map(|&i| {
+            let node = &self.nodes[i];
+            if node.circuit != *circuit {
+                return None;
+            }
+            let j = node.consumers.iter().position(|&(k, _)| k == consumer)?;
+            Some((i, j))
         })
     }
 
@@ -449,12 +454,8 @@ impl JobGraph {
     pub fn add_job(&mut self, circuit: Circuit, consumer: ConsumerKey, shots: u64) {
         self.jobs_planned += 1;
         let hash = circuit.structural_hash();
-        if let Some(i) = self.find_consumer_node(&circuit, hash, consumer) {
-            let (_, demand) = self.nodes[i]
-                .consumers
-                .iter_mut()
-                .find(|(k, _)| *k == consumer)
-                .expect("find_consumer_node matched this key");
+        if let Some((i, j)) = self.find_consumer(&circuit, hash, consumer) {
+            let demand = &mut self.nodes[i].consumers[j].1;
             *demand = (*demand).max(shots);
             return;
         }
@@ -507,20 +508,7 @@ impl JobGraph {
     /// backend must still execute for it. Returns `true` when a node
     /// matched. No-op (always `false`) when dedup is disabled.
     pub fn seed_counts(&mut self, circuit: &Circuit, counts: &Counts) -> bool {
-        if !self.dedup {
-            return false;
-        }
-        let hash = circuit.structural_hash();
-        match self.find_node(circuit, hash) {
-            Some(i) => {
-                match &mut self.nodes[i].cached {
-                    Some(c) => c.merge(counts),
-                    slot @ None => *slot = Some(counts.clone()),
-                }
-                true
-            }
-            None => false,
-        }
+        self.seed(circuit, counts, false)
     }
 
     /// Like [`Self::seed_counts`], but for counts recovered from the
@@ -532,21 +520,27 @@ impl JobGraph {
     /// is disabled (cache keys are structural, so serving them without the
     /// dedup equality confirmation would be unsound).
     pub fn seed_counts_from_cache(&mut self, circuit: &Circuit, counts: &Counts) -> bool {
+        self.seed(circuit, counts, true)
+    }
+
+    /// Merges `counts` into the node holding `circuit`, counting them as
+    /// warm-cache shots when `from_cache`.
+    fn seed(&mut self, circuit: &Circuit, counts: &Counts, from_cache: bool) -> bool {
         if !self.dedup {
             return false;
         }
-        let hash = circuit.structural_hash();
-        match self.find_node(circuit, hash) {
-            Some(i) => {
-                match &mut self.nodes[i].cached {
-                    Some(c) => c.merge(counts),
-                    slot @ None => *slot = Some(counts.clone()),
-                }
-                self.nodes[i].cache_seeded += counts.total();
-                true
-            }
-            None => false,
+        let Some(i) = self.find_node(circuit, circuit.structural_hash()) else {
+            return false;
+        };
+        let node = &mut self.nodes[i];
+        match &mut node.cached {
+            Some(c) => c.merge(counts),
+            slot @ None => *slot = Some(counts.clone()),
         }
+        if from_cache {
+            node.cache_seeded += counts.total();
+        }
+        true
     }
 
     /// Executes the graph as one batched backend submission and fans the
@@ -570,164 +564,64 @@ impl JobGraph {
         self.execute_with(backend, parallel, &RetryPolicy::default())
     }
 
+    /// Which member serves each node, in insertion order. A bare backend
+    /// is a pool of one: every node maps to member 0. A
+    /// [`BackendPool`] places all nodes at their full required budgets
+    /// under its [`PlacementPolicy`](qcut_device::pool::PlacementPolicy) —
+    /// deliberately independent of cache seeding, so a caller that keys
+    /// warm-cache lookups by this assignment before seeding sees exactly
+    /// the assignment [`Self::execute_with`] executes. `None` marks a node
+    /// no member can fit.
+    pub fn assign_members<B: Backend + ?Sized>(&self, backend: &B) -> Vec<Option<usize>> {
+        match backend.as_pool() {
+            None => vec![Some(0); self.nodes.len()],
+            Some(pool) => {
+                let specs: Vec<JobSpec<'_>> = self
+                    .nodes
+                    .iter()
+                    .map(|n| JobSpec::new(&n.circuit, n.required_shots()))
+                    .collect();
+                pool.place(&specs).assignment
+            }
+        }
+    }
+
     /// [`Self::execute`] under an explicit [`RetryPolicy`].
     ///
-    /// Each attempt submits only the still-pending nodes as one batch:
-    /// successful siblings are salvaged immediately and never re-run, and
-    /// counts already seeded into a node keep offsetting its retry, so no
-    /// delivered shot is ever re-bought. A job whose result arrives with
-    /// `simulated_duration` over `per_job_timeout` counts as a
-    /// [`BackendError::Timeout`] — its device time is accrued as waste,
-    /// its counts are discarded, and it retries like any transient fault.
-    /// Backoff between attempts is deterministic accounting
-    /// ([`GraphStats::backoff_wait`]), never an actual sleep. With the
-    /// default policy this is structurally the single-submission engine
-    /// of previous revisions — the fault-free path is bit-identical.
+    /// Every backend runs as a pool; a bare backend is a pool of one.
+    /// Nodes are assigned once by [`Self::assign_members`]. Each retry
+    /// round submits only the still-pending nodes, one batch per member in
+    /// member order, each in graph insertion order; `parallel` picks
+    /// [`Backend::run_batch_stats`] or a per-job [`Backend::run`] loop on
+    /// every member. Delivered nodes are never re-run, and seeded counts
+    /// keep offsetting a retry, so no shot is ever re-bought.
+    ///
+    /// * A result over `per_job_timeout` is a [`BackendError::Timeout`]:
+    ///   its device time is spent, its counts are discarded, and it
+    ///   retries like any transient fault.
+    /// * A transient failure is re-submitted *within the same round* to
+    ///   the next feasible sibling member, if there is one; otherwise, or
+    ///   if the sibling fails too, it waits for the next round on its
+    ///   assigned member. A sibling's delivery counts toward
+    ///   [`GraphStats::jobs_failed_over`] and the sibling's member
+    ///   accounting, and [`GraphRun::delivered_by`] names the sibling.
+    /// * A node no pool member can fit fails before submission, with
+    ///   [`NodeFailure::attempts`] 0; a bare backend rejects it itself.
+    /// * Backoff is accounting ([`GraphStats::backoff_wait`]), never a
+    ///   sleep.
+    ///
+    /// With the default policy the fault-free path is the single
+    /// submission of previous revisions, bit for bit. Bare runs report
+    /// empty per-member vectors.
     pub fn execute_with<B: Backend + ?Sized>(
         &self,
         backend: &B,
         parallel: bool,
         retry: &RetryPolicy,
     ) -> Result<GraphRun, Box<GraphFailure>> {
-        if let Some(pool) = backend.as_pool() {
-            // Pool-aware path: per-member sharding, per-member accounting,
-            // and same-round sibling failover. The `parallel` flag is
-            // moot here — each member batch is one native submission.
-            return self.execute_pool(pool, retry);
-        }
-        let mut pending: Vec<(usize, u64)> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let missing = node.required_shots().saturating_sub(node.cached_shots());
-            if missing > 0 {
-                pending.push((i, missing));
-            }
-        }
-
-        let mut stats = GraphStats {
-            jobs_planned: self.jobs_planned,
-            jobs_executed: pending.len(),
-            shots_requested: self
-                .nodes
-                .iter()
-                .flat_map(|n| n.consumers.iter().map(|&(_, s)| s))
-                .sum(),
-            ..GraphStats::default()
-        };
-        let mut delivered: HashMap<usize, Counts> = HashMap::with_capacity(pending.len());
-        let mut permanent: Vec<NodeFailure> = Vec::new();
-
-        let max_attempts = retry.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            if pending.is_empty() {
-                break;
-            }
-            if attempt > 1 {
-                stats.jobs_retried += pending.len() as u64;
-                stats.backoff_wait += retry.backoff.delay(attempt - 1);
-            }
-            stats.attempts += pending.len() as u64;
-            let specs: Vec<JobSpec<'_>> = pending
-                .iter()
-                .map(|&(i, shots)| JobSpec::new(&self.nodes[i].circuit, shots))
-                .collect();
-            let (results, batch_stats) = if parallel {
-                let run = backend.run_batch_stats(&specs);
-                (run.results, run.stats)
-            } else {
-                let results: Vec<_> = specs
-                    .iter()
-                    .map(|j| backend.run(j.circuit, j.shots))
-                    .collect();
-                let batch_stats = BatchStats::unshared(&specs, &results);
-                (results, batch_stats)
-            };
-            stats.gates_applied += batch_stats.gates_applied;
-            stats.gates_saved += batch_stats.gates_saved();
-            stats.states_reused += batch_stats.states_reused;
-
-            let last_round = attempt == max_attempts;
-            let mut still_pending: Vec<(usize, u64)> = Vec::new();
-            for (&(i, shots), result) in pending.iter().zip(results) {
-                match result {
-                    Ok(r) => {
-                        stats.simulated_device_time += r.simulated_duration;
-                        stats.host_time += r.host_duration;
-                        match retry.per_job_timeout {
-                            Some(deadline) if r.simulated_duration > deadline => {
-                                // The deadline passed before the data
-                                // arrived: device time spent, counts lost.
-                                if last_round {
-                                    permanent.push(self.node_failure(
-                                        i,
-                                        BackendError::Timeout {
-                                            elapsed: r.simulated_duration,
-                                        },
-                                        attempt,
-                                    ));
-                                } else {
-                                    still_pending.push((i, shots));
-                                }
-                            }
-                            _ => {
-                                stats.shots_executed += shots;
-                                delivered.insert(i, r.counts);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if e.is_transient() && !last_round {
-                            still_pending.push((i, shots));
-                        } else {
-                            permanent.push(self.node_failure(i, e, attempt));
-                        }
-                    }
-                }
-            }
-            pending = still_pending;
-        }
-        self.finalize(stats, &delivered, permanent)
-    }
-
-    /// Pool-aware execution: shards the still-pending nodes across the
-    /// members of `pool` under its
-    /// [`PlacementPolicy`](qcut_device::pool::PlacementPolicy), executes
-    /// one batch per member per retry round
-    /// (nodes in graph insertion order within each member — so on
-    /// seed-deterministic members a single-member pool is bit-identical to
-    /// the bare backend), and merges the fan-out into one [`GraphRun`]
-    /// with per-member accounting.
-    ///
-    /// Differences from the single-backend path:
-    ///
-    /// * **Placement** is computed once, over *all* nodes at their full
-    ///   required budgets — deliberately independent of cache seeding, so
-    ///   the pipeline's per-member warm-cache keying (which places before
-    ///   seeding) sees the identical assignment.
-    /// * **Infeasible nodes** — ones no member's capacity fits — fail
-    ///   before anything is submitted ([`NodeFailure::attempts`] is 0) and
-    ///   are carried as salvageable [`GraphFailure`] entries like any
-    ///   other permanent failure.
-    /// * **Failover**: a node whose assigned member raises a transient
-    ///   fault (or trips the per-job timeout) is re-submitted *within the
-    ///   same retry round* to the next feasible sibling before the round
-    ///   counts as lost; only if the sibling also fails does the node wait
-    ///   for the next [`RetryPolicy`] round (back on its assigned member).
-    ///   Each failover submission counts toward [`GraphStats::attempts`];
-    ///   deliveries by a sibling count toward
-    ///   [`GraphStats::jobs_failed_over`] and the *sibling's* member
-    ///   accounting.
-    pub fn execute_pool(
-        &self,
-        pool: &BackendPool,
-        retry: &RetryPolicy,
-    ) -> Result<GraphRun, Box<GraphFailure>> {
-        let members = pool.len();
-        let placement_specs: Vec<JobSpec<'_>> = self
-            .nodes
-            .iter()
-            .map(|n| JobSpec::new(&n.circuit, n.required_shots()))
-            .collect();
-        let placement = pool.place(&placement_specs);
+        let pool = backend.as_pool();
+        let members = pool.map_or(1, BackendPool::len);
+        let assignment = self.assign_members(backend);
 
         let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut permanent: Vec<NodeFailure> = Vec::new();
@@ -736,35 +630,36 @@ impl JobGraph {
             if missing == 0 {
                 continue;
             }
-            if placement.assignment[i].is_some() {
-                pending.push((i, missing));
-            } else {
-                let error = if members == 0 {
-                    BackendError::Unavailable
-                } else {
-                    BackendError::CircuitTooWide {
-                        circuit: node.circuit.num_qubits(),
-                        device: pool.num_qubits(),
-                    }
-                };
-                permanent.push(self.node_failure(i, error, 0));
+            match (assignment[i], pool) {
+                (None, Some(pool)) => {
+                    let error = pool.infeasible_error(&node.circuit);
+                    permanent.push(self.node_failure(i, error, 0));
+                }
+                _ => pending.push((i, missing)),
             }
         }
 
-        let mut stats = GraphStats {
-            jobs_planned: self.jobs_planned,
-            jobs_executed: pending.len(),
-            shots_requested: self
-                .nodes
-                .iter()
-                .flat_map(|n| n.consumers.iter().map(|&(_, s)| s))
-                .sum(),
-            jobs_per_member: vec![0; members],
-            shots_per_member: vec![0; members],
-            member_makespan: vec![Duration::ZERO; members],
-            ..GraphStats::default()
+        let mut run = Execution {
+            graph: self,
+            backend,
+            pool,
+            parallel,
+            per_job_timeout: retry.per_job_timeout,
+            stats: GraphStats {
+                jobs_planned: self.jobs_planned,
+                jobs_executed: pending.len(),
+                shots_requested: self
+                    .nodes
+                    .iter()
+                    .flat_map(|n| n.consumers.iter().map(|&(_, s)| s))
+                    .sum(),
+                jobs_per_member: vec![0; members],
+                shots_per_member: vec![0; members],
+                member_makespan: vec![Duration::ZERO; members],
+                ..GraphStats::default()
+            },
+            fresh: vec![None; self.nodes.len()],
         };
-        let mut delivered: HashMap<usize, Counts> = HashMap::with_capacity(pending.len());
 
         let max_attempts = retry.max_attempts.max(1);
         for attempt in 1..=max_attempts {
@@ -772,193 +667,102 @@ impl JobGraph {
                 break;
             }
             if attempt > 1 {
-                stats.jobs_retried += pending.len() as u64;
-                stats.backoff_wait += retry.backoff.delay(attempt - 1);
+                run.stats.jobs_retried += pending.len() as u64;
+                run.stats.backoff_wait += retry.backoff.delay(attempt - 1);
             }
-            stats.attempts += pending.len() as u64;
             let last_round = attempt == max_attempts;
 
-            // Primary phase: one batch per member, in member-index order,
-            // each preserving graph insertion order.
-            let mut failover: Vec<(usize, u64, usize, BackendError)> = Vec::new();
+            // Primary phase: each member's share of the pending nodes.
+            // Failover phase, same round: each transient failure goes once
+            // to its next feasible sibling. Without a sibling (always so
+            // on a bare backend) it waits for the next round.
+            let mut batches: Vec<Vec<(usize, u64)>> = (0..members)
+                .map(|m| {
+                    let mine = pending.iter().copied();
+                    mine.filter(|&(i, _)| assignment[i] == Some(m)).collect()
+                })
+                .collect();
             let mut still_pending: Vec<(usize, u64)> = Vec::new();
-            for m in 0..members {
-                let mine: Vec<(usize, u64)> = pending
-                    .iter()
-                    .copied()
-                    .filter(|&(i, _)| placement.assignment[i] == Some(m))
-                    .collect();
-                if mine.is_empty() {
-                    continue;
-                }
-                let specs: Vec<JobSpec<'_>> = mine
-                    .iter()
-                    .map(|&(i, shots)| JobSpec::new(&self.nodes[i].circuit, shots))
-                    .collect();
-                let run = pool.member(m).run_batch_stats(&specs);
-                stats.gates_applied += run.stats.gates_applied;
-                stats.gates_saved += run.stats.gates_saved();
-                stats.states_reused += run.stats.states_reused;
-                for (&(i, shots), result) in mine.iter().zip(run.results) {
-                    match result {
-                        Ok(r) => {
-                            stats.simulated_device_time += r.simulated_duration;
-                            stats.host_time += r.host_duration;
-                            stats.member_makespan[m] += r.simulated_duration;
-                            match retry.per_job_timeout {
-                                Some(deadline) if r.simulated_duration > deadline => {
-                                    failover.push((
-                                        i,
-                                        shots,
-                                        m,
-                                        BackendError::Timeout {
-                                            elapsed: r.simulated_duration,
-                                        },
-                                    ));
-                                }
-                                _ => {
-                                    stats.shots_executed += shots;
-                                    stats.jobs_per_member[m] += 1;
-                                    stats.shots_per_member[m] += shots;
-                                    delivered.insert(i, r.counts);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            if e.is_transient() {
-                                failover.push((i, shots, m, e));
-                            } else {
-                                permanent.push(self.node_failure(i, e, attempt));
-                            }
-                        }
+            for failover in [false, true] {
+                let mut to_sibling: Vec<Vec<(usize, u64)>> = vec![Vec::new(); members];
+                for (m, batch) in batches.iter().enumerate() {
+                    run.stats.attempts += batch.len() as u64;
+                    let failed = run.submit(m, batch);
+                    if failover {
+                        run.stats.jobs_failed_over += (batch.len() - failed.len()) as u64;
                     }
-                }
-            }
-
-            // Failover phase, same round: each transiently failed node
-            // goes once to its next feasible sibling. Grouped per sibling
-            // (graph order preserved) so the sibling sees one batch.
-            let mut by_sibling: Vec<Vec<(usize, u64, BackendError)>> = vec![Vec::new(); members];
-            for (i, shots, m, error) in failover {
-                match pool.failover_sibling(m, self.nodes[i].circuit.num_qubits()) {
-                    Some(s) => by_sibling[s].push((i, shots, error)),
-                    None if last_round => {
-                        permanent.push(self.node_failure(i, error, attempt));
-                    }
-                    None => still_pending.push((i, shots)),
-                }
-            }
-            for (s, batch) in by_sibling.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                stats.attempts += batch.len() as u64;
-                let specs: Vec<JobSpec<'_>> = batch
-                    .iter()
-                    .map(|&(i, shots, _)| JobSpec::new(&self.nodes[i].circuit, shots))
-                    .collect();
-                let run = pool.member(s).run_batch_stats(&specs);
-                stats.gates_applied += run.stats.gates_applied;
-                stats.gates_saved += run.stats.gates_saved();
-                stats.states_reused += run.stats.states_reused;
-                for (&(i, shots, _), result) in batch.iter().zip(run.results) {
-                    match result {
-                        Ok(r) => {
-                            stats.simulated_device_time += r.simulated_duration;
-                            stats.host_time += r.host_duration;
-                            stats.member_makespan[s] += r.simulated_duration;
-                            match retry.per_job_timeout {
-                                Some(deadline) if r.simulated_duration > deadline => {
-                                    if last_round {
-                                        permanent.push(self.node_failure(
-                                            i,
-                                            BackendError::Timeout {
-                                                elapsed: r.simulated_duration,
-                                            },
-                                            attempt,
-                                        ));
-                                    } else {
-                                        still_pending.push((i, shots));
-                                    }
-                                }
-                                _ => {
-                                    stats.shots_executed += shots;
-                                    stats.jobs_per_member[s] += 1;
-                                    stats.shots_per_member[s] += shots;
-                                    stats.jobs_failed_over += 1;
-                                    delivered.insert(i, r.counts);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            if e.is_transient() && !last_round {
+                    for (i, shots, error) in failed {
+                        let width = self.nodes[i].circuit.num_qubits();
+                        let sibling = pool
+                            .filter(|_| !failover && error.is_transient())
+                            .and_then(|p| p.failover_sibling(m, width));
+                        match sibling {
+                            Some(s) => to_sibling[s].push((i, shots)),
+                            None if error.is_transient() && !last_round => {
                                 still_pending.push((i, shots));
-                            } else {
-                                permanent.push(self.node_failure(i, e, attempt));
                             }
+                            None => permanent.push(self.node_failure(i, error, attempt)),
                         }
                     }
                 }
+                batches = to_sibling;
             }
             // The next round re-submits in graph order, back on the
             // assigned members.
             still_pending.sort_by_key(|&(i, _)| i);
             pending = still_pending;
         }
-        self.finalize(stats, &delivered, permanent)
+        let Execution {
+            mut stats, fresh, ..
+        } = run;
+        if pool.is_none() {
+            stats.jobs_per_member.clear();
+            stats.shots_per_member.clear();
+            stats.member_makespan.clear();
+        }
+        self.finalize(stats, &fresh, permanent)
     }
 
-    /// The shared tail of every execute path: sorts the permanent
-    /// failures, splits the non-executed shots between in-process reuse
-    /// and warm-cache reuse, fans the merged histograms out to consumers,
-    /// and wraps failures (with their salvage) into a [`GraphFailure`].
+    /// The tail of execution: accounts reuse, fans the merged histograms
+    /// out to consumers, and wraps failures (with their salvage) into a
+    /// [`GraphFailure`].
     fn finalize(
         &self,
         mut stats: GraphStats,
-        delivered: &HashMap<usize, Counts>,
+        fresh: &[Option<(usize, Counts)>],
         mut permanent: Vec<NodeFailure>,
     ) -> Result<GraphRun, Box<GraphFailure>> {
         permanent.sort_by_key(|f| f.node);
         let failed: Vec<usize> = permanent.iter().map(|f| f.node).collect();
         stats.shots_lost = permanent.iter().map(|f| f.shots_lost).sum();
-        // Split the non-executed shots between in-process reuse
+        // Per node: split the non-executed shots between in-process reuse
         // (`shots_saved`: dedup + same-run seeding) and cross-run reuse
-        // (`cache_shots_reused`). Per node the cache can only claim what
-        // was actually *served* (required − executed), capped by how much
-        // of the cached histogram came from the warm-start cache. Failed
-        // nodes served nothing — their whole demand is `shots_lost`.
-        for (i, node) in self.nodes.iter().enumerate() {
+        // (`cache_shots_reused`) — the cache can only claim what was
+        // actually *served*, capped by how much of the cached histogram
+        // came from the warm-start cache — then fan out. Failed nodes
+        // deliver nothing, not even partial cached counts: their whole
+        // demand is `shots_lost`, and a consumer either receives its full
+        // merged histogram or is named in a failure record.
+        let mut counts: HashMap<ConsumerKey, Counts> = HashMap::new();
+        let mut delivered_by = Vec::with_capacity(fresh.len());
+        // `fresh` is borrowed, not drained: freeing each fresh histogram
+        // between the consumer clones raises the allocator's peak.
+        for (i, (node, fresh)) in self.nodes.iter().zip(fresh).enumerate() {
+            delivered_by.push(fresh.as_ref().map(|&(m, _)| m));
             if failed.binary_search(&i).is_ok() {
                 continue;
             }
-            let required = node.required_shots();
-            let executed = required.saturating_sub(node.cached_shots());
-            let served = required - executed;
+            let served = node.required_shots().min(node.cached_shots());
             let from_cache = node.cache_seeded.min(served);
             if from_cache > 0 {
                 stats.cache_hits += 1;
                 stats.cache_shots_reused += from_cache;
             }
-        }
-        stats.shots_saved = stats
-            .shots_requested
-            .saturating_sub(stats.shots_executed)
-            .saturating_sub(stats.cache_shots_reused)
-            .saturating_sub(stats.shots_lost);
-
-        // Fan-out. Failed nodes deliver nothing — not even partial cached
-        // counts — so a consumer either receives its full merged histogram
-        // or is named in a failure record, never a silent under-delivery.
-        let mut counts: HashMap<ConsumerKey, Counts> = HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if failed.binary_search(&i).is_ok() {
-                continue;
-            }
             let mut merged = match &node.cached {
                 Some(c) => c.clone(),
                 None => Counts::new(node.circuit.num_qubits()),
             };
-            if let Some(fresh) = delivered.get(&i) {
+            if let Some((_, fresh)) = fresh {
                 merged.merge(fresh);
             }
             for &(key, _) in &node.consumers {
@@ -968,7 +772,16 @@ impl JobGraph {
                     .or_insert_with(|| merged.clone());
             }
         }
-        let run = GraphRun { counts, stats };
+        stats.shots_saved = stats
+            .shots_requested
+            .saturating_sub(stats.shots_executed)
+            .saturating_sub(stats.cache_shots_reused)
+            .saturating_sub(stats.shots_lost);
+        let run = GraphRun {
+            counts,
+            delivered_by,
+            stats,
+        };
         if permanent.is_empty() {
             Ok(run)
         } else {
@@ -991,6 +804,91 @@ impl JobGraph {
             attempts,
             shots_lost: self.nodes[node].consumers.iter().map(|&(_, s)| s).sum(),
         }
+    }
+}
+
+/// One [`JobGraph::execute_with`] call in flight: the backend it runs on,
+/// how it submits, and what has been delivered so far.
+struct Execution<'a, B: ?Sized> {
+    graph: &'a JobGraph,
+    backend: &'a B,
+    /// The backend's members when it is a pool; `None` runs the backend
+    /// itself as member 0.
+    pool: Option<&'a BackendPool>,
+    parallel: bool,
+    per_job_timeout: Option<Duration>,
+    stats: GraphStats,
+    /// Per node: the member that delivered its fresh shots, and those
+    /// counts.
+    fresh: Vec<Option<(usize, Counts)>>,
+}
+
+impl<B: Backend + ?Sized> Execution<'_, B> {
+    /// Submits `batch` — `(node, shots)` pairs in order — to member `m`
+    /// and sorts every result. A delivered job is booked to `m`. A result
+    /// over the per-job deadline becomes a [`BackendError::Timeout`]: its
+    /// device time is spent, its counts are discarded. Every undelivered
+    /// node is handed back with its error, which
+    /// [`BackendError::is_transient`] splits into retryable (transient or
+    /// timeout) and permanent.
+    fn submit(&mut self, m: usize, batch: &[(usize, u64)]) -> Vec<(usize, u64, BackendError)> {
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        let specs: Vec<JobSpec<'_>> = batch
+            .iter()
+            .map(|&(i, shots)| JobSpec::new(&self.graph.nodes[i].circuit, shots))
+            .collect();
+        let run = match self.pool {
+            Some(pool) => run_batch(pool.member(m), &specs, self.parallel),
+            None => run_batch(self.backend, &specs, self.parallel),
+        };
+        let stats = &mut self.stats;
+        stats.gates_applied += run.stats.gates_applied;
+        stats.gates_saved += run.stats.gates_saved();
+        stats.states_reused += run.stats.states_reused;
+        let mut failed = Vec::new();
+        for (&(i, shots), result) in batch.iter().zip(run.results) {
+            let delivered = result.and_then(|r| {
+                stats.simulated_device_time += r.simulated_duration;
+                stats.host_time += r.host_duration;
+                stats.member_makespan[m] += r.simulated_duration;
+                match self.per_job_timeout {
+                    Some(deadline) if r.simulated_duration > deadline => {
+                        Err(BackendError::Timeout {
+                            elapsed: r.simulated_duration,
+                        })
+                    }
+                    _ => Ok(r.counts),
+                }
+            });
+            match delivered {
+                Ok(counts) => {
+                    stats.shots_executed += shots;
+                    stats.jobs_per_member[m] += 1;
+                    stats.shots_per_member[m] += shots;
+                    self.fresh[i] = Some((m, counts));
+                }
+                Err(error) => failed.push((i, shots, error)),
+            }
+        }
+        failed
+    }
+}
+
+/// Submits one member's batch: natively batched when `parallel`, job by
+/// job through [`Backend::run`] otherwise.
+fn run_batch<M: Backend + ?Sized>(member: &M, specs: &[JobSpec<'_>], parallel: bool) -> BatchRun {
+    if parallel {
+        return member.run_batch_stats(specs);
+    }
+    let results: Vec<_> = specs
+        .iter()
+        .map(|j| member.run(j.circuit, j.shots))
+        .collect();
+    BatchRun {
+        stats: BatchStats::unshared(specs, &results),
+        results,
     }
 }
 
@@ -1222,15 +1120,26 @@ mod tests {
         };
         let par = build().execute(&IdealBackend::new(33), true).unwrap();
         let seq = build().execute(&IdealBackend::new(33), false).unwrap();
-        for i in 0..5 {
-            assert_eq!(
-                par.counts(&(Channel::UpstreamMeas, i)),
-                seq.counts(&(Channel::UpstreamMeas, i))
-            );
-            assert_eq!(
-                par.counts(&(Channel::DownstreamPrep, i)),
-                seq.counts(&(Channel::DownstreamPrep, i))
-            );
+        // `parallel` means the same on a pool's members: a single-member
+        // pool replays the bare backend either way.
+        let pool = || {
+            use qcut_device::pool::{BackendPool, PlacementPolicy};
+            BackendPool::new(PlacementPolicy::RoundRobin).with_backend(IdealBackend::new(33))
+        };
+        let pool_par = build().execute(&pool(), true).unwrap();
+        let pool_seq = build().execute(&pool(), false).unwrap();
+        assert_eq!(pool_seq.stats.gates_saved, 0, "sequential runs job by job");
+        for run in [&seq, &pool_par, &pool_seq] {
+            for i in 0..5 {
+                assert_eq!(
+                    par.counts(&(Channel::UpstreamMeas, i)),
+                    run.counts(&(Channel::UpstreamMeas, i))
+                );
+                assert_eq!(
+                    par.counts(&(Channel::DownstreamPrep, i)),
+                    run.counts(&(Channel::DownstreamPrep, i))
+                );
+            }
         }
     }
 
@@ -1599,6 +1508,11 @@ mod tests {
         assert_eq!(run.stats.shots_per_member, vec![300, 400]);
         assert_eq!(run.stats.attempts, 3); // 2 primary + 1 failover
         assert_eq!(run.stats.shots_lost, 0);
+        // The record names who measured each node: the sibling for the
+        // failed-over bell node, the assigned member for the rest.
+        assert_eq!(g.assign_members(&pool), vec![Some(0), Some(0)]);
+        assert_eq!(run.delivered_by(0), Some(1));
+        assert_eq!(run.delivered_by(1), Some(0));
 
         // Equivalence: the failover run is bit-identical to a fault-free
         // pool that pinned the bell node to member 1 outright — the

@@ -14,8 +14,8 @@
 //!   │    from the pilot's measurements
 //!   ├─ per round, plan the JobGraph (eigenstate or SIC builders;
 //!   │    identical subcircuits dedup into one node, detection/pilot
-//!   │    counts seed the cache) and execute it as one batched backend
-//!   │    submission with fan-out
+//!   │    counts seed the cache) and execute it as one batch per
+//!   │    backend member with fan-out
 //!   ├─ reconstruct (tensor contraction, Eq. 14)
 //!   └─ post-process the quasi-distribution
 //! ```
@@ -48,7 +48,7 @@ use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
-use qcut_device::backend::{Backend, BackendError, JobSpec};
+use qcut_device::backend::{Backend, BackendError};
 use qcut_sim::counts::Counts;
 use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
@@ -99,7 +99,11 @@ pub struct ExecutionOptions {
     pub method: ReconstructionMethod,
     /// Post-processing step.
     pub postprocess: PostProcess,
-    /// Fan subcircuits out over the rayon pool.
+    /// Submit each backend member's batch natively
+    /// ([`Backend::run_batch_stats`]: prefix sharing, rayon fan-out)
+    /// rather than job by job through [`Backend::run`]. Holds for a bare
+    /// backend and for every member of a pool alike; both settings give
+    /// bit-identical counts on the workspace backends.
     pub parallel: bool,
     /// Deduplicate structurally identical subcircuits on the JobGraph
     /// engine and reuse online-detection data for the main gather. Off is
@@ -204,12 +208,11 @@ struct GatherRound {
     downstream: HashMap<u64, Counts>,
     sic_counts: HashMap<u64, Counts>,
     stats: GraphStats,
-    /// Structural hash → cache fingerprint of the pool member the round's
-    /// placement assigned each node to (empty on single-backend runs).
-    /// Store-back keys each delivered histogram by the member that
-    /// measured it, never the pool aggregate — histograms must not cross
-    /// member fingerprints.
-    member_fingerprints: HashMap<u64, u64>,
+    /// Structural hash → the fingerprint each delivered histogram is
+    /// stored under in the warm cache: the member that measured it (empty
+    /// when no cache is configured). A histogram that mixes two members'
+    /// shots has no entry and is never stored.
+    store_keys: HashMap<u64, u64>,
 }
 
 /// Records one round's delivered histogram into a structural-hash-keyed
@@ -377,21 +380,19 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // under FailurePolicy::Degrade — the Fail policy aborts at the
         // first failed engine submission).
         let mut failures: Vec<NodeFailure> = Vec::new();
-        let plan = match resolve_static_policy(&policy, &fragments.upstream, fragments.num_cuts) {
-            Some(plan) => plan,
-            None => {
-                let GoldenPolicy::DetectOnline(config) = &policy else {
-                    unreachable!("only the online policy resolves dynamically");
-                };
-                self.detect_online(
-                    &fragments,
-                    *config,
-                    options,
-                    &mut detection_cache,
-                    &mut detection_stats,
-                    &mut failures,
-                )?
-            }
+        let plan = match &policy {
+            GoldenPolicy::DetectOnline(config) => self.detect_online(
+                &fragments,
+                *config,
+                options,
+                &mut detection_cache,
+                &mut detection_stats,
+                &mut failures,
+            )?,
+            // Every other policy resolves statically; the standard plan
+            // (nothing neglected) is the safe verdict regardless.
+            _ => resolve_static_policy(&policy, &fragments.upstream, fragments.num_cuts)
+                .unwrap_or_else(|| BasisPlan::standard(fragments.num_cuts)),
         };
         let detection_seconds = detect_started.elapsed().as_secs_f64();
         let detection_shots = detection_stats.shots_executed;
@@ -442,7 +443,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             downstream,
             sic_counts,
             stats: gather_stats,
-            member_fingerprints,
+            store_keys,
         } = gather;
         let gather_seconds = gather_started.elapsed().as_secs_f64();
 
@@ -460,7 +461,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 &upstream,
                 &downstream,
                 &sic_counts,
-                &member_fingerprints,
+                &store_keys,
             );
             if cache.config().path.is_some() {
                 if let Err(e) = cache.persist() {
@@ -633,15 +634,15 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     }
 
     /// Stores each delivered setting histogram back into the warm cache,
-    /// keyed by `(structural hash, backend fingerprint, discipline)`.
-    /// First delivery wins per structural hash: deduplicated settings hand
-    /// back the *same* merged node histogram, which must be stored once.
+    /// keyed by `(structural hash, fingerprint, discipline)` with the
+    /// fingerprint from `store_keys`. First delivery wins per structural
+    /// hash: deduplicated settings hand back the *same* merged node
+    /// histogram, which must be stored once.
     ///
     /// On a [`qcut_device::pool::BackendPool`] backend the fingerprint is
-    /// the *assigned member's* (`member_fingerprints`), never the pool
-    /// aggregate — so a later run against any one member (or a re-shuffled
-    /// pool) only ever warm-starts from histograms that member's
-    /// fingerprint actually measured.
+    /// the *delivering member's*, never the pool aggregate — so a later
+    /// run against any one member (or a re-shuffled pool) only ever
+    /// warm-starts from histograms that member actually measured.
     #[allow(clippy::too_many_arguments)]
     fn store_back(
         &self,
@@ -652,19 +653,16 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         upstream: &HashMap<u64, Counts>,
         downstream: &HashMap<u64, Counts>,
         sic_counts: &HashMap<u64, Counts>,
-        member_fingerprints: &HashMap<u64, u64>,
+        store_keys: &HashMap<u64, u64>,
     ) {
-        let fingerprint = self.backend.cache_fingerprint();
         let mut stored: HashSet<u64> = HashSet::new();
         let mut store = |circuit: Circuit, counts: &Counts| {
             let hash = circuit.structural_hash();
-            if stored.insert(hash) {
-                let member = member_fingerprints
-                    .get(&hash)
-                    .copied()
-                    .unwrap_or(fingerprint);
-                let key = CacheKey::new(hash, member, ShotDiscipline::Multinomial);
-                cache.store(&key, &circuit, counts);
+            if let Some(&fingerprint) = store_keys.get(&hash) {
+                if stored.insert(hash) {
+                    let key = CacheKey::new(hash, fingerprint, ShotDiscipline::Multinomial);
+                    cache.store(&key, &circuit, counts);
+                }
             }
         };
         for setting in plan.all_meas_settings() {
@@ -708,6 +706,14 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     /// round's budget as `shots_saved` and warm-cache seeds as
     /// `cache_shots_reused`.
     ///
+    /// Warm-cache keys are per engine member: each node is looked up under
+    /// the fingerprint of the member [`JobGraph::assign_members`] assigns
+    /// it, and [`GatherRound::store_keys`] keys it by the member that
+    /// delivered its fresh shots (`GraphRun::delivered_by`). A node that
+    /// executed nothing keeps its lookup key; a cache-seeded node that
+    /// failed over to a sibling is not stored, because its histogram
+    /// mixes two devices.
+    ///
     /// The engine honors [`ExecutionOptions::retry`]; what still fails
     /// permanently either aborts the round
     /// ([`FailurePolicy::Fail`]) or is pushed onto `failures` while the
@@ -749,25 +755,24 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         for (circuit, counts) in seeds.values() {
             graph.seed_counts(circuit, counts);
         }
-        // On a pool backend, cache keys are per *member*: reproduce the
-        // placement `execute_pool` will compute (same node order, same
-        // max-consumer-demand shots, so the assignment is identical) and
-        // key each node by its assigned member's fingerprint. Seeding is
-        // shot-accounting only, so the placement the engine computes at
-        // execute time is unaffected by what the cache serves here.
-        let member_fingerprints = self.member_fingerprints(&graph);
+        let caching = self.warm_cache(options).is_some();
+        let assigned = if caching {
+            graph.assign_members(self.backend)
+        } else {
+            Vec::new()
+        };
+        let mut cache_seeded = vec![false; graph.num_nodes()];
         if let Some(cache) = warm {
-            let fingerprint = self.backend.cache_fingerprint();
-            let node_circuits: Vec<Circuit> = graph.node_jobs().map(|(c, _)| c.clone()).collect();
-            for circuit in node_circuits {
-                let hash = circuit.structural_hash();
-                let member = member_fingerprints
-                    .get(&hash)
-                    .copied()
-                    .unwrap_or(fingerprint);
-                let key = CacheKey::new(hash, member, ShotDiscipline::Multinomial);
-                if let Some(counts) = cache.lookup(&key, &circuit) {
-                    graph.seed_counts_from_cache(&circuit, &counts);
+            let node_circuits: Vec<Circuit> = graph.node_circuits().cloned().collect();
+            for (i, circuit) in node_circuits.iter().enumerate() {
+                let fingerprint = self.member_fingerprint(assigned[i]);
+                let key = CacheKey::new(
+                    circuit.structural_hash(),
+                    fingerprint,
+                    ShotDiscipline::Multinomial,
+                );
+                if let Some(counts) = cache.lookup(&key, circuit) {
+                    cache_seeded[i] = graph.seed_counts_from_cache(circuit, &counts);
                 }
             }
         }
@@ -785,50 +790,37 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 }
             },
         };
+        let mut store_keys: HashMap<u64, u64> = HashMap::new();
+        if caching {
+            for (i, circuit) in graph.node_circuits().enumerate() {
+                let member = match grun.delivered_by(i) {
+                    None => assigned[i],
+                    Some(m) if cache_seeded[i] && assigned[i] != Some(m) => continue,
+                    Some(m) => Some(m),
+                };
+                store_keys
+                    .entry(circuit.structural_hash())
+                    .or_insert_with(|| self.member_fingerprint(member));
+            }
+        }
         Ok(GatherRound {
             upstream: grun.take_channel(Channel::UpstreamMeas),
             downstream: grun.take_channel(Channel::DownstreamPrep),
             sic_counts: grun.take_channel(Channel::SicPrep),
             stats: grun.stats,
-            member_fingerprints,
+            store_keys,
         })
     }
 
-    /// Structural hash → member cache fingerprint for every node of a
-    /// planned graph when the bound backend is a
-    /// [`qcut_device::pool::BackendPool`] (empty map otherwise). Runs the
-    /// pool's placement over the same specs `JobGraph::execute_pool` will
-    /// build — every node at its maximum consumer demand, in insertion
-    /// order — so the assignment here and the one at execute time agree
-    /// exactly. Nodes the placement cannot seat (over-capacity) fall back
-    /// to the pool's aggregate fingerprint; they fail before submission
-    /// anyway, so no histogram is ever stored under it.
-    fn member_fingerprints(&self, graph: &JobGraph) -> HashMap<u64, u64> {
-        let Some(pool) = self.backend.as_pool() else {
-            return HashMap::new();
-        };
-        let jobs: Vec<(&Circuit, u64)> = graph
-            .node_jobs()
-            .map(|(circuit, consumers)| {
-                let required = consumers.iter().map(|&(_, shots)| shots).max().unwrap_or(0);
-                (circuit, required)
-            })
-            .collect();
-        let specs: Vec<JobSpec<'_>> = jobs
-            .iter()
-            .map(|&(circuit, shots)| JobSpec::new(circuit, shots))
-            .collect();
-        let placement = pool.place(&specs);
-        jobs.iter()
-            .zip(&placement.assignment)
-            .map(|(&(circuit, _), &member)| {
-                let fingerprint = match member {
-                    Some(m) => pool.member(m).cache_fingerprint(),
-                    None => pool.cache_fingerprint(),
-                };
-                (circuit.structural_hash(), fingerprint)
-            })
-            .collect()
+    /// The warm-cache fingerprint of engine member `member`: that member
+    /// of a pool, the backend itself otherwise. A node no pool member can
+    /// fit (`None`) falls back to the pool's aggregate fingerprint; it
+    /// fails before submission, so nothing is ever stored under it.
+    fn member_fingerprint(&self, member: Option<usize>) -> u64 {
+        match (self.backend.as_pool(), member) {
+            (Some(pool), Some(m)) => pool.member(m).cache_fingerprint(),
+            _ => self.backend.cache_fingerprint(),
+        }
     }
 
     /// The two-round adaptive gather (`ShotAllocation::Adaptive` with an
@@ -1019,6 +1011,13 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let mut stats = pilot_run.stats;
         stats.absorb(&refine_run.stats);
         refine_run.stats = stats;
+        // The final histograms hold both rounds' shots: store one only
+        // when both rounds key it to the same member (conservative — a
+        // node the refine round left alone is skipped when the two
+        // rounds' placements differ).
+        refine_run
+            .store_keys
+            .retain(|hash, fingerprint| pilot_run.store_keys.get(hash) == Some(fingerprint));
         Ok((refine_run, pilot_shots, 2))
     }
 
@@ -1044,7 +1043,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let counts = run
             .take_channel(Channel::Uncut)
             .remove(&0)
-            .expect("uncut graph delivers one consumer");
+            .ok_or(PipelineError::Backend(BackendError::Unavailable))?;
         Ok(UncutRun {
             distribution: counts.to_distribution(),
             report: UncutReport {
@@ -1134,7 +1133,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                         for (setting, circuit) in settings.iter().zip(circuits) {
                             let counts = batch
                                 .remove(&encode_meas(setting))
-                                .expect("detection counts per required setting");
+                                .ok_or(PipelineError::Backend(BackendError::Unavailable))?;
                             detector.feed(setting, &counts);
                             match cache.entry(circuit.structural_hash()) {
                                 Entry::Occupied(mut e) => {

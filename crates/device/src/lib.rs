@@ -17,9 +17,7 @@
 //!   members behind one `Backend` facade, with capacity- and noise-aware
 //!   placement policies (round-robin, least-loaded makespan balancing,
 //!   noise-aware tiering) and failover-sibling lookup for the retry engine;
-//! * [`presets`] — ready-made `ibm_5q` / `ibm_7q` / `aer_like` devices;
-//! * [`executor`] — parallel fan-out of tomography jobs (rayon) and a
-//!   crossbeam worker-pool dispatch queue.
+//! * [`presets`] — ready-made `ibm_5q` / `ibm_7q` / `aer_like` devices.
 //!
 //! ```
 //! use qcut_device::prelude::*;
@@ -35,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod executor;
 pub mod fault;
 pub mod ideal;
 pub mod noisy;
@@ -49,7 +46,6 @@ pub mod prelude {
         Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
         TransientKind,
     };
-    pub use crate::executor::{run_parallel, run_sequential, BatchResult, Job, JobQueue};
     pub use crate::fault::FaultInjectingBackend;
     pub use crate::ideal::IdealBackend;
     pub use crate::noisy::NoisyBackend;

@@ -20,12 +20,15 @@
 //!
 //! The pool implements [`Backend`] itself, so it slots into every
 //! existing seam: `CutExecutor::new(&pool)` shards a whole cutting run.
-//! The JobGraph engine detects pools via [`Backend::as_pool`] and routes
-//! execution through its pool-aware path, which adds per-member
-//! accounting, per-member warm-cache fingerprints, and sibling failover
-//! for transient faults (see `qcut_core::jobgraph`). Calling the pool's
-//! own [`Backend::run_batch_stats`] directly gives the single-attempt
-//! sharded semantics without failover.
+//! The JobGraph engine runs every backend as a pool — a bare backend is
+//! a pool of one — and reaches a real pool's members via
+//! [`Backend::as_pool`]. It places nodes with [`BackendPool::place`],
+//! submits each member's batch itself, fails transient faults over to a
+//! sibling, keeps per-member accounting, and records which member
+//! delivered each node; the pipeline keys warm-cache entries by that
+//! delivering member (see `qcut_core::jobgraph`). Calling the pool's own
+//! [`Backend::run_batch_stats`] directly gives the single-attempt sharded
+//! semantics without failover.
 
 use crate::backend::{
     Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
@@ -228,7 +231,7 @@ impl BackendPool {
 
     /// The next member after `from` (cyclically, excluding `from` itself)
     /// that fits a `width`-qubit circuit — the failover sibling order the
-    /// pool-aware retry engine uses.
+    /// JobGraph retry engine uses.
     pub fn failover_sibling(&self, from: usize, width: usize) -> Option<usize> {
         let n = self.members.len();
         (1..n)
@@ -374,7 +377,7 @@ impl BackendPool {
 
     /// The error an unplaceable job reports: capacity-infeasible on a
     /// non-empty pool, [`BackendError::Unavailable`] on an empty one.
-    fn infeasible_error(&self, circuit: &Circuit) -> BackendError {
+    pub fn infeasible_error(&self, circuit: &Circuit) -> BackendError {
         if self.members.is_empty() {
             BackendError::Unavailable
         } else {
@@ -403,7 +406,7 @@ impl Backend for BackendPool {
 
     /// A representative timing model: member 0's (instantaneous when the
     /// pool is empty). Per-member makespans are accounted exactly by the
-    /// pool-aware engine path; this model only feeds coarse pre-run
+    /// JobGraph engine; this model only feeds coarse pre-run
     /// estimates (e.g. the `QA502` timeout lint).
     fn timing(&self) -> &TimingModel {
         self.members
@@ -435,9 +438,11 @@ impl Backend for BackendPool {
     /// The *pool identity* fingerprint: every member's fingerprint folded
     /// in member order, plus a policy tag. This is deliberately not any
     /// single member's fingerprint — histograms gathered by a pool are a
-    /// member mixture. The pipeline's pool-aware warm-cache path never
-    /// uses it: it keys each node by the fingerprint of the member the
-    /// placement assigns it to (see `qcut_core::pipeline`).
+    /// member mixture. The pipeline's warm cache never stores under it:
+    /// it looks each node up under the fingerprint of the member the
+    /// placement assigns it to, and stores each histogram under the
+    /// fingerprint of the member that *delivered* it (see
+    /// `qcut_core::pipeline`).
     fn cache_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |v: u64| {

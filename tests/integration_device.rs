@@ -94,31 +94,6 @@ fn sic_runs_on_noisy_device() {
 }
 
 #[test]
-fn job_queue_and_rayon_agree() {
-    use qcut::device::executor::{run_parallel, Job, JobQueue};
-    let backend = IdealBackend::new(55);
-    let jobs: Vec<Job> = (0..6)
-        .map(|i| {
-            let (c, _) = GoldenAnsatz::new(5, i).build();
-            Job {
-                circuit: c,
-                shots: 500,
-                tag: i as usize,
-            }
-        })
-        .collect();
-    let a = run_parallel(&backend, &jobs);
-    let q = JobQueue::new(&backend).with_workers(2).run(jobs);
-    assert_eq!(a.results.len(), q.results.len());
-    for (x, y) in a.results.iter().zip(&q.results) {
-        assert_eq!(
-            x.as_ref().unwrap().counts.total(),
-            y.as_ref().unwrap().counts.total()
-        );
-    }
-}
-
-#[test]
 fn backend_trait_object_works_with_pipeline() {
     // The executor is generic over `?Sized` backends, so `&dyn Backend`
     // composes with the rest of the stack.

@@ -196,6 +196,89 @@ fn transient_member_fault_fails_over_to_a_sibling() {
     assert!(d < 0.1, "failed-over reconstruction off by {d}");
 }
 
+/// A failed-over node's histogram is cached under the fingerprint of the
+/// member that measured it, never the member placement assigned it to:
+/// noisy counts from the sibling must not later warm-start an ideal run.
+#[test]
+fn failover_delivery_is_cached_under_the_delivering_member() {
+    let (circuit, cut) = GoldenAnsatz::new(5, 1).build();
+    let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+    let y_circuit = build_upstream_circuit(&frags.upstream, &[MeasBasis::Y]);
+    let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+    let opts = ExecutionOptions {
+        shots_per_setting: 2000,
+        cache: Some(cache.clone()),
+        ..Default::default()
+    };
+
+    let pool = BackendPool::new(PlacementPolicy::Pinned(vec![0]))
+        .with_backend(FaultInjectingBackend::new(IdealBackend::new(3)).fail_circuit(&y_circuit, 1))
+        .with_backend(presets::very_noisy(17));
+    let run = CutExecutor::new(&pool)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &opts)
+        .unwrap();
+    assert_eq!(run.report.jobs_failed_over, 1);
+
+    let key = |member: usize| {
+        CacheKey::new(
+            y_circuit.structural_hash(),
+            pool.member(member).cache_fingerprint(),
+            ShotDiscipline::Multinomial,
+        )
+    };
+    assert!(
+        cache.lookup(&key(0), &y_circuit).is_none(),
+        "the assigned member never measured the Y subcircuit"
+    );
+    assert!(
+        cache.lookup(&key(1), &y_circuit).is_some(),
+        "the delivering member's histogram must be cached under its own fingerprint"
+    );
+}
+
+/// An adaptive run's final histograms merge both rounds' shots. When the
+/// pilot's Y node failed over to the sibling and the refine round ran it
+/// on its assigned member, the merged histogram belongs to neither
+/// member and is not cached; every other node is cached under member 0.
+#[test]
+fn adaptive_histogram_mixing_two_members_is_not_cached() {
+    let (circuit, cut) = GoldenAnsatz::new(5, 1).build();
+    let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+    let y_circuit = build_upstream_circuit(&frags.upstream, &[MeasBasis::Y]);
+    let z_circuit = build_upstream_circuit(&frags.upstream, &[MeasBasis::Z]);
+    let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+    let opts = ExecutionOptions {
+        allocation: Some(ShotAllocation::Adaptive {
+            pilot_fraction: 0.25,
+            total: 18_000,
+        }),
+        cache: Some(cache.clone()),
+        ..Default::default()
+    };
+
+    let pool = BackendPool::new(PlacementPolicy::Pinned(vec![0]))
+        .with_backend(FaultInjectingBackend::new(IdealBackend::new(3)).fail_circuit(&y_circuit, 1))
+        .with_backend(presets::very_noisy(17));
+    let run = CutExecutor::new(&pool)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &opts)
+        .unwrap();
+    assert_eq!(run.report.rounds, 2);
+    assert_eq!(run.report.jobs_failed_over, 1);
+
+    let lookup = |c: &Circuit, member: usize| {
+        let fingerprint = pool.member(member).cache_fingerprint();
+        let key = CacheKey::new(
+            c.structural_hash(),
+            fingerprint,
+            ShotDiscipline::Multinomial,
+        );
+        cache.lookup(&key, c)
+    };
+    assert!(lookup(&y_circuit, 0).is_none());
+    assert!(lookup(&y_circuit, 1).is_none());
+    assert!(lookup(&z_circuit, 0).is_some());
+}
+
 /// Warm-start reruns work through a pool: the cold run stores every
 /// node under the fingerprint of the member that executed it, and the
 /// warm rerun — with deterministic placement assigning the same members
