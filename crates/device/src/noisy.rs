@@ -173,6 +173,10 @@ impl ForkState for NoisyEvolution<'_> {
     fn apply(&mut self, inst: &Instruction) {
         self.backend.apply_noisy_instruction(&mut self.dm, inst);
     }
+
+    fn gate_cost(num_qubits: usize) -> u64 {
+        <DensityMatrix as ForkState>::gate_cost(num_qubits)
+    }
 }
 
 impl Backend for NoisyBackend {

@@ -21,10 +21,19 @@
 //! with equality confirmation on every matched instruction, so a 64-bit
 //! collision can never merge different circuits. Simulation walks the trie
 //! once: each node's instruction segment is applied to a single state,
-//! which is cloned ("forked") only at branch points; subtrees fan out over
-//! the rayon pool. Every node that terminates at least one circuit hands
-//! its final state to the caller *once* — all jobs ending there share the
-//! state (and, in the backends, one CDF sampling table).
+//! which is cloned ("forked") only at branch points. Every node that
+//! terminates at least one circuit hands its final state to the caller
+//! *once* — all jobs ending there share the state (and, in the backends,
+//! one CDF sampling table).
+//!
+//! Parallelism is a cost decision. Sibling subtrees get threads of their
+//! own only when at least two of them carry an estimated work (the
+//! subtree's gate count, stored per node at build time, times the state's
+//! [`ForkState::gate_cost`]) of at least one thread spawn. Otherwise they
+//! run in order on the current thread, and the cores stay with the
+//! simulator's own parallel kernels (state vectors at ≥ 14 qubits). Inside
+//! a fanned-out subtree those kernels run sequentially: the rayon stub
+//! never nests.
 //!
 //! Determinism: forking is a bit-exact clone and every instruction is
 //! applied in the same order as a per-circuit simulation, so leaf states
@@ -46,6 +55,23 @@ use std::sync::Mutex;
 pub trait ForkState: Clone + Send + Sync {
     /// Applies one instruction in place.
     fn apply(&mut self, inst: &Instruction);
+
+    /// Estimated cost of one [`ForkState::apply`] on a `num_qubits`-wide
+    /// state, in amplitude updates: `2^n` for a pure state. Mixed-state
+    /// implementations return `4^n`. The walk multiplies it by a subtree's
+    /// gate count to decide whether the subtree is worth a thread.
+    fn gate_cost(num_qubits: usize) -> u64 {
+        pow2(num_qubits)
+    }
+}
+
+/// `2^exp`, saturating at `u64::MAX`.
+fn pow2(exp: usize) -> u64 {
+    if exp < 64 {
+        1 << exp
+    } else {
+        u64::MAX
+    }
 }
 
 impl ForkState for crate::statevector::StateVector {
@@ -58,7 +84,19 @@ impl ForkState for crate::density::DensityMatrix {
     fn apply(&mut self, inst: &Instruction) {
         self.apply_instruction(inst);
     }
+
+    fn gate_cost(num_qubits: usize) -> u64 {
+        pow2(2 * num_qubits)
+    }
 }
+
+/// Estimated work (in [`ForkState::gate_cost`] units) a subtree must carry
+/// before it gets a thread of its own. A two-way split through the rayon
+/// stub spawns one scoped thread; on a 2-vCPU x86-64 VM that costs about
+/// 50 µs, while one amplitude update costs about 4 ns (state vector, 8–12
+/// qubits) to 9 ns (density matrix, 3–7 qubits). 16K updates is 65–150 µs
+/// of work: at least one spawn's worth.
+const SPAWN_WORK: u64 = 1 << 14;
 
 /// One trie node: a maximal shared instruction segment.
 ///
@@ -83,6 +121,9 @@ struct Node {
     /// Circuits (by forest index) whose instruction list ends exactly at
     /// this node.
     jobs: Vec<usize>,
+    /// Gate applications of this node's segment plus all its descendants'
+    /// (set once the forest is built).
+    subtree_gates: u64,
 }
 
 /// Summary of a forest's sharing economics — the planner-side prefix
@@ -145,7 +186,30 @@ impl<'c> PrefixForest<'c> {
         for j in 0..forest.circuits.len() {
             forest.insert(j);
         }
+        // Children follow their parent in pre-order, so the reverse visits
+        // every child before its parent.
+        for n in forest.preorder().into_iter().rev() {
+            let node = &forest.nodes[n];
+            let below: u64 = node
+                .children
+                .iter()
+                .map(|&c| forest.nodes[c].subtree_gates)
+                .sum();
+            forest.nodes[n].subtree_gates = (node.end - node.start) as u64 + below;
+        }
         forest
+    }
+
+    /// Node indices in trie DFS pre-order, roots in first-appearance order
+    /// and children in first-insertion order.
+    fn preorder(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack: Vec<usize> = self.roots.iter().rev().copied().collect();
+        while let Some(n) = stack.pop() {
+            order.push(n);
+            stack.extend(self.nodes[n].children.iter().rev().copied());
+        }
+        order
     }
 
     /// Inserts circuit `j`, splitting edges at divergence points.
@@ -243,6 +307,7 @@ impl<'c> PrefixForest<'c> {
             end,
             children: Vec::new(),
             jobs: Vec::new(),
+            subtree_gates: 0,
         });
         self.nodes.len() - 1
     }
@@ -297,14 +362,10 @@ impl<'c> PrefixForest<'c> {
     /// and input that is already trie-local comes back unchanged (children
     /// and jobs keep first-insertion order).
     pub fn dfs_job_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.circuits.len());
-        let mut stack: Vec<usize> = self.roots.iter().rev().copied().collect();
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            order.extend(node.jobs.iter().copied());
-            stack.extend(node.children.iter().rev().copied());
-        }
-        order
+        self.preorder()
+            .into_iter()
+            .flat_map(|n| self.nodes[n].jobs.iter().copied())
+            .collect()
     }
 
     /// Simulates every circuit with one shared walk.
@@ -314,9 +375,13 @@ impl<'c> PrefixForest<'c> {
     /// circuit terminates, `visit(&state, members)` is called exactly once
     /// with the node's final state and the indices of all circuits ending
     /// there; it returns one value per member (same order). The walk forks
-    /// the state at branch points and recurses over subtrees in parallel
-    /// on the rayon pool; the per-circuit results are returned in input
-    /// order. Thread scheduling cannot affect any value handed to `visit`.
+    /// the state at branch points. Sibling subtrees (or width groups) run
+    /// on threads of their own only when at least two of them carry an
+    /// estimated work (subtree gates × [`ForkState::gate_cost`]) worth a
+    /// thread spawn; otherwise they run in order on the current thread,
+    /// which leaves the cores to the simulator's own parallel kernels. The
+    /// per-circuit results are returned in input order. Thread scheduling
+    /// cannot affect any value handed to `visit`.
     pub fn simulate_with<S, I, V, T>(&self, init: I, visit: V) -> Vec<T>
     where
         S: ForkState,
@@ -324,49 +389,12 @@ impl<'c> PrefixForest<'c> {
         V: Fn(&S, &[usize]) -> Vec<T> + Sync,
         T: Send,
     {
-        let sink: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(self.circuits.len()));
-        self.roots.par_iter().for_each(|&r| {
-            self.walk(r, init(self.nodes[r].width), &visit, &sink);
-        });
-        let mut slots: Vec<Option<T>> = (0..self.circuits.len()).map(|_| None).collect();
-        for (j, v) in sink.into_inner().expect("forest sink poisoned") {
-            debug_assert!(slots[j].is_none(), "circuit delivered twice");
-            slots[j] = Some(v);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every circuit terminates at exactly one node"))
-            .collect()
-    }
-
-    fn walk<S, V, T>(&self, idx: usize, mut state: S, visit: &V, sink: &Mutex<Vec<(usize, T)>>)
-    where
-        S: ForkState,
-        V: Fn(&S, &[usize]) -> Vec<T> + Sync,
-        T: Send,
-    {
-        let node = &self.nodes[idx];
-        for inst in &self.circuits[node.exemplar].instructions()[node.start..node.end] {
-            state.apply(inst);
-        }
-        if !node.jobs.is_empty() {
-            let values = visit(&state, &node.jobs);
-            assert_eq!(
-                values.len(),
-                node.jobs.len(),
-                "visit must return one value per terminating circuit"
-            );
-            let mut sink = sink.lock().expect("forest sink poisoned");
-            sink.extend(node.jobs.iter().copied().zip(values));
-        }
-        match node.children.len() {
-            0 => {}
-            // Single child: hand the state over without a fork.
-            1 => self.walk(node.children[0], state, visit, sink),
-            _ => node.children.par_iter().for_each(|&c| {
-                self.walk(c, state.clone(), visit, sink);
-            }),
-        }
+        let walk = Walk {
+            forest: self,
+            visit,
+            reuse: None,
+        };
+        self.in_job_order(walk.roots(&init))
     }
 
     /// [`PrefixForest::simulate_with`] with cross-batch fork-state reuse —
@@ -397,84 +425,174 @@ impl<'c> PrefixForest<'c> {
         V: Fn(&S, &[usize]) -> Vec<T> + Sync,
         T: Send,
     {
-        let sink: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(self.circuits.len()));
         let stats = AtomicReuseStats::default();
-        self.roots.par_iter().for_each(|&r| {
-            self.walk_reuse(r, init(self.nodes[r].width), &visit, &sink, cache, &stats);
-        });
-        let mut slots: Vec<Option<T>> = (0..self.circuits.len()).map(|_| None).collect();
-        for (j, v) in sink.into_inner().expect("forest sink poisoned") {
-            debug_assert!(slots[j].is_none(), "circuit delivered twice");
-            slots[j] = Some(v);
-        }
-        let values = slots
-            .into_iter()
-            .map(|s| s.expect("every circuit terminates at exactly one node"))
-            .collect();
+        let walk = Walk {
+            forest: self,
+            visit,
+            reuse: Some((cache, &stats)),
+        };
+        let values = self.in_job_order(walk.roots(&init));
         (values, stats.snapshot())
     }
 
-    fn walk_reuse<S, V, T>(
-        &self,
-        idx: usize,
-        mut state: S,
-        visit: &V,
-        sink: &Mutex<Vec<(usize, T)>>,
-        cache: &Mutex<ForkStateCache<S>>,
-        stats: &AtomicReuseStats,
-    ) where
-        S: ForkState,
+    /// Orders the walk's `(circuit, value)` pairs by circuit index. Every
+    /// circuit terminates at exactly one node, so the indices are exactly
+    /// `0..num_circuits`.
+    fn in_job_order<T>(&self, mut pairs: Vec<(usize, T)>) -> Vec<T> {
+        assert_eq!(
+            pairs.len(),
+            self.circuits.len(),
+            "every circuit terminates at exactly one node"
+        );
+        pairs.sort_unstable_by_key(|&(j, _)| j);
+        debug_assert!(pairs.iter().enumerate().all(|(i, &(j, _))| i == j));
+        pairs.into_iter().map(|(_, v)| v).collect()
+    }
+
+    /// Estimated work of the subtree under node `idx`.
+    fn subtree_work<S: ForkState>(&self, idx: usize) -> u64 {
+        let node = &self.nodes[idx];
+        node.subtree_gates.saturating_mul(S::gate_cost(node.width))
+    }
+
+    /// Whether sibling subtrees `nodes` are worth spreading over threads:
+    /// at least two of them carry a spawn's worth of work.
+    fn worth_fanning_out<S: ForkState>(&self, nodes: &[usize]) -> bool {
+        nodes
+            .iter()
+            .filter(|&&n| self.subtree_work::<S>(n) >= SPAWN_WORK)
+            .take(2)
+            .count()
+            == 2
+    }
+}
+
+/// One simulation walk over a forest: the visitor and, for
+/// [`PrefixForest::simulate_with_reuse`], the fork-state cache and its
+/// counters.
+struct Walk<'f, 'c, S, V> {
+    forest: &'f PrefixForest<'c>,
+    visit: V,
+    reuse: Option<(&'f Mutex<ForkStateCache<S>>, &'f AtomicReuseStats)>,
+}
+
+impl<S, V> Walk<'_, '_, S, V>
+where
+    S: ForkState,
+{
+    /// Walks every width group from its `init` state, returning the
+    /// `(circuit, value)` pairs in trie DFS order.
+    fn roots<I, T>(&self, init: &I) -> Vec<(usize, T)>
+    where
+        I: Fn(usize) -> S + Sync,
         V: Fn(&S, &[usize]) -> Vec<T> + Sync,
         T: Send,
     {
-        let node = &self.nodes[idx];
-        // Width-group roots have empty segments; there is nothing to reuse
-        // or export there.
-        if node.end > node.start {
-            let link = self.chains[node.exemplar][node.end];
-            let prefix = &self.circuits[node.exemplar].instructions()[..node.end];
-            let hit = cache
-                .lock()
-                .expect("fork-state cache poisoned")
-                .lookup(node.width, link, prefix);
-            match hit {
-                Some(cached) => {
-                    state = cached;
-                    stats.states_reused.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .gates_skipped
-                        .fetch_add((node.end - node.start) as u64, Ordering::Relaxed);
-                }
-                None => {
-                    for inst in &self.circuits[node.exemplar].instructions()[node.start..node.end] {
-                        state.apply(inst);
+        let forest = self.forest;
+        let mut out = Vec::with_capacity(forest.circuits.len());
+        if forest.worth_fanning_out::<S>(&forest.roots) {
+            self.fan_out(&forest.roots, |r| init(forest.nodes[r].width), &mut out);
+        } else {
+            for &r in &forest.roots {
+                self.node(r, init(forest.nodes[r].width), &mut out);
+            }
+        }
+        out
+    }
+
+    /// Evolves `state` through node `idx`'s segment, visits the circuits
+    /// ending there, and walks its children, appending `(circuit, value)`
+    /// pairs to `out` in DFS order.
+    fn node<T>(&self, idx: usize, mut state: S, out: &mut Vec<(usize, T)>)
+    where
+        V: Fn(&S, &[usize]) -> Vec<T> + Sync,
+        T: Send,
+    {
+        let forest = self.forest;
+        let node = &forest.nodes[idx];
+        let segment = &forest.circuits[node.exemplar].instructions()[node.start..node.end];
+        match self.reuse {
+            // Width-group roots have empty segments; there is nothing to
+            // reuse or export there.
+            Some((cache, stats)) if !segment.is_empty() => {
+                let link = forest.chains[node.exemplar][node.end];
+                let prefix = &forest.circuits[node.exemplar].instructions()[..node.end];
+                let hit = cache
+                    .lock()
+                    .expect("fork-state cache poisoned")
+                    .lookup(node.width, link, prefix);
+                match hit {
+                    Some(cached) => {
+                        state = cached;
+                        stats.states_reused.fetch_add(1, Ordering::Relaxed);
+                        stats
+                            .gates_skipped
+                            .fetch_add(segment.len() as u64, Ordering::Relaxed);
                     }
-                    cache.lock().expect("fork-state cache poisoned").store(
-                        node.width,
-                        link,
-                        prefix,
-                        state.clone(),
-                    );
+                    None => {
+                        for inst in segment {
+                            state.apply(inst);
+                        }
+                        cache.lock().expect("fork-state cache poisoned").store(
+                            node.width,
+                            link,
+                            prefix,
+                            state.clone(),
+                        );
+                    }
+                }
+            }
+            _ => {
+                for inst in segment {
+                    state.apply(inst);
                 }
             }
         }
         if !node.jobs.is_empty() {
-            let values = visit(&state, &node.jobs);
+            let values = (self.visit)(&state, &node.jobs);
             assert_eq!(
                 values.len(),
                 node.jobs.len(),
                 "visit must return one value per terminating circuit"
             );
-            let mut sink = sink.lock().expect("forest sink poisoned");
-            sink.extend(node.jobs.iter().copied().zip(values));
+            out.extend(node.jobs.iter().copied().zip(values));
         }
-        match node.children.len() {
-            0 => {}
-            1 => self.walk_reuse(node.children[0], state, visit, sink, cache, stats),
-            _ => node.children.par_iter().for_each(|&c| {
-                self.walk_reuse(c, state.clone(), visit, sink, cache, stats);
-            }),
+        match node.children.as_slice() {
+            [] => {}
+            children if forest.worth_fanning_out::<S>(children) => {
+                self.fan_out(children, |_| state.clone(), out);
+            }
+            // In order on this thread: fork for all but the last child,
+            // which takes the state over.
+            [forks @ .., last] => {
+                for &c in forks {
+                    self.node(c, state.clone(), out);
+                }
+                self.node(*last, state, out);
+            }
         }
+    }
+
+    /// Walks sibling subtrees `nodes` on threads of their own, each from
+    /// `start(node)`, appending their pairs to `out` in sibling order.
+    fn fan_out<T>(
+        &self,
+        nodes: &[usize],
+        start: impl Fn(usize) -> S + Sync,
+        out: &mut Vec<(usize, T)>,
+    ) where
+        V: Fn(&S, &[usize]) -> Vec<T> + Sync,
+        T: Send,
+    {
+        let parts: Vec<Vec<(usize, T)>> = nodes
+            .par_iter()
+            .map(|&n| {
+                let mut part = Vec::new();
+                self.node(n, start(n), &mut part);
+                part
+            })
+            .collect();
+        out.extend(parts.into_iter().flatten());
     }
 }
 
@@ -739,6 +857,85 @@ mod tests {
                 "circuit {i} diverged from its per-circuit simulation"
             );
         }
+    }
+
+    /// A shared random fragment plus three branches of 1, 2 and 3 gates.
+    fn branched_batch(width: usize) -> Vec<Circuit> {
+        use qcut_circuit::random::{random_circuit, RandomCircuitConfig};
+        let base = random_circuit(width, RandomCircuitConfig::default(), 11);
+        let last = width - 1;
+        let mut x = base.clone();
+        x.h(last);
+        let mut y = base.clone();
+        y.sdg(last).h(last);
+        let mut deeper = base.clone();
+        deeper.x(0).cx(0, last).h(0);
+        vec![base, x, y, deeper]
+    }
+
+    /// The children of the batch's one branch point (the shared fragment).
+    fn branch_children<'f>(forest: &'f PrefixForest<'_>) -> &'f [usize] {
+        let fragment = forest.nodes[forest.roots[0]].children[0];
+        &forest.nodes[fragment].children
+    }
+
+    #[test]
+    fn heavy_branches_fan_out_and_stay_bit_identical() {
+        let batch = branched_batch(15);
+        let refs: Vec<&Circuit> = batch.iter().collect();
+        let forest = PrefixForest::build(&refs);
+        assert!(forest.worth_fanning_out::<StateVector>(branch_children(&forest)));
+        assert_eq!(forest.gates_shared(), batch[0].len() as u64 + 1 + 2 + 3);
+        assert_eq!(
+            forest.nodes[forest.roots[0]].subtree_gates,
+            forest.gates_shared()
+        );
+        let states = simulate_all(&batch);
+        let cache = Mutex::new(ForkStateCache::new(16));
+        let (reused, _) = forest.simulate_with_reuse(
+            StateVector::zero_state,
+            |state, members| members.iter().map(|_| state.clone()).collect(),
+            &cache,
+        );
+        for (i, c) in batch.iter().enumerate() {
+            let reference = StateVector::from_circuit(c);
+            assert_eq!(
+                states[i].amplitudes(),
+                reference.amplitudes(),
+                "circuit {i}"
+            );
+            assert_eq!(
+                reused[i].amplitudes(),
+                reference.amplitudes(),
+                "circuit {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn light_branches_walk_in_order_and_stay_bit_identical() {
+        use crate::density::DensityMatrix;
+        let batch = branched_batch(4);
+        let refs: Vec<&Circuit> = batch.iter().collect();
+        let forest = PrefixForest::build(&refs);
+        assert!(!forest.worth_fanning_out::<DensityMatrix>(branch_children(&forest)));
+        assert_eq!(forest.gates_shared(), batch[0].len() as u64 + 1 + 2 + 3);
+        let states = forest.simulate_with(DensityMatrix::zero_state, |state, members| {
+            members.iter().map(|_| state.clone()).collect()
+        });
+        for (i, c) in batch.iter().enumerate() {
+            let mut reference = DensityMatrix::zero_state(4);
+            reference.apply_circuit(c);
+            assert_eq!(states[i], reference, "circuit {i}");
+        }
+    }
+
+    #[test]
+    fn density_matrices_cost_the_square_of_state_vectors() {
+        use crate::density::DensityMatrix;
+        assert_eq!(StateVector::gate_cost(7), 1 << 7);
+        assert_eq!(DensityMatrix::gate_cost(7), 1 << 14);
+        assert_eq!(DensityMatrix::gate_cost(40), u64::MAX);
     }
 
     #[test]

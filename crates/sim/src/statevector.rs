@@ -2,9 +2,11 @@
 //!
 //! This is the workspace's stand-in for the Qiskit Aer simulator the paper
 //! uses \[27\]. Gates are applied with bit-twiddling kernels over the
-//! amplitude array; above a size threshold the kernels switch to
-//! rayon-parallel chunked execution (the guide's advice: parallelise only
-//! when the data is big enough to amortise the overhead).
+//! amplitude array; at 14 qubits and above the kernels split the array
+//! into one chunk per core (parallelise only when the data is big enough
+//! to amortise a thread spawn). A kernel called from inside another
+//! parallel operation — a `PrefixForest` subtree that got its own thread —
+//! runs sequentially, because the rayon stub does not nest.
 
 use crate::counts::{sample_counts, Counts};
 use qcut_circuit::circuit::{Circuit, Instruction};
