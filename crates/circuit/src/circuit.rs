@@ -110,15 +110,47 @@ impl Circuit {
 
     /// Builds a circuit from raw instructions **without** operand
     /// validation — the import seam for externally produced IR (QASM
-    /// bridges, fuzzers) where malformed operands must surface as analyzer
-    /// diagnostics (`qcut_core::analysis`, lint `QA001`) instead of a
-    /// panic. [`Circuit::push`] remains the validating builder; circuits
-    /// assembled here should be analyzed before execution.
+    /// bridges, fuzzers) where malformed operands must surface as typed
+    /// errors or analyzer diagnostics (`qcut_core::analysis`, lint
+    /// `QA001`) instead of a panic. [`Circuit::push`] remains the
+    /// validating builder; [`Circuit::malformed_instructions`] is the check
+    /// for circuits assembled here.
     pub fn from_instructions_unchecked(num_qubits: usize, instructions: Vec<Instruction>) -> Self {
         Circuit {
             num_qubits,
             instructions,
         }
+    }
+
+    /// Structural problems of the instruction stream: `(index,
+    /// description)` per malformed instruction — wrong arity, an operand
+    /// outside the register, or a two-qubit gate on one qubit twice — in
+    /// program order. Empty for every circuit built through the validating
+    /// [`Circuit::push`] API; only [`Circuit::from_instructions_unchecked`]
+    /// can produce findings. Lazy, so a caller that needs only the first
+    /// problem stops there.
+    pub fn malformed_instructions(&self) -> impl Iterator<Item = (usize, String)> + '_ {
+        let n = self.num_qubits;
+        self.instructions
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, inst)| {
+                let arity = inst.gate.arity();
+                let problem = if inst.qubits.len() != arity {
+                    format!(
+                        "gate {} has {} operands, expects {arity}",
+                        inst.gate,
+                        inst.qubits.len()
+                    )
+                } else if let Some(&q) = inst.qubits.iter().find(|&&q| q >= n) {
+                    format!("operand qubit {q} outside the {n}-qubit register")
+                } else if inst.qubits.len() == 2 && inst.qubits[0] == inst.qubits[1] {
+                    format!("two-qubit gate {} applied to one qubit twice", inst.gate)
+                } else {
+                    return None;
+                };
+                Some((i, problem))
+            })
     }
 
     // ------------------------------------------------------------------

@@ -1,16 +1,18 @@
 //! Static analysis of cutting workloads: coded lints over the circuit,
-//! the cut, the predicted shot schedule, and the planned job graph.
+//! the cut, and the run's [`RunPlan`] — its basis plan, shot schedule and
+//! unexecuted job graph.
 //!
 //! The paper trades a provably-bounded bias for shot savings, which makes
 //! correctness rest on a web of invariants — budget exactness, dedup
 //! soundness, consumer-stream uniqueness, neglect coverage — that the rest
-//! of the workspace only checks *during* execution. [`analyze`] checks
-//! them **before any shot is spent**: it is pure (no backend calls), runs
+//! of the workspace only checks *during* execution. The lints check them
+//! **before any shot is spent**: analysis is pure (no backend calls), runs
 //! the registered [`Lint`]s layer by layer, and returns typed
-//! [`Diagnostics`]. [`crate::pipeline::CutExecutor::run`] gates on it —
-//! deny-level findings become [`crate::error::PipelineError::Analysis`]
-//! and warnings ride along in
-//! [`crate::report::RunReport::diagnostics`].
+//! [`Diagnostics`]. [`crate::pipeline::CutExecutor::run`] gates on them,
+//! linting the very plan it then executes — deny-level findings become
+//! [`crate::error::PipelineError::Analysis`] and warnings ride along in
+//! [`crate::report::RunReport::diagnostics`]. [`analyze`] lints the
+//! standard (nothing-neglected) plan of a workload on its own.
 //!
 //! Severity semantics:
 //!
@@ -34,12 +36,14 @@
 //! assert!(diags.is_clean(), "example workloads lint clean: {diags}");
 //! ```
 
-use crate::allocation::{schedule_for_plan, schedule_sic, AllocationError, ShotAllocation};
+use crate::allocation::{ShotAllocation, ShotSchedule};
 use crate::basis::BasisPlan;
-use crate::fragment::{Fragmenter, Fragments};
+use crate::error::PipelineError;
+use crate::fragment::{FragmentError, Fragments};
+use crate::golden::GoldenPolicy;
 use crate::jobgraph::JobGraph;
 use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
-use crate::planner::{add_downstream_jobs, add_sic_jobs, add_upstream_jobs};
+use crate::planner::{schedule, RunPlan};
 use crate::retry::{FailurePolicy, RetryPolicy};
 use qcut_cache::CacheConfig;
 use qcut_circuit::circuit::Circuit;
@@ -168,12 +172,6 @@ pub enum LintCode {
     /// member's qubit capacity: no placement can seat it and it fails
     /// before a single shot is submitted.
     PoolCapacityInfeasible,
-    /// `QA702` — a warm-start cache is attached to a pool whose members
-    /// carry distinct cache fingerprints: the reconstruction merges
-    /// histograms measured under different fingerprints, and a failed-over
-    /// node's histogram is stored under its *assigned* member's key even
-    /// though a sibling measured it.
-    PoolFingerprintMixing,
     /// `QA703` — the pool has more members than the planned graph has
     /// unique nodes, so some members necessarily sit idle every round.
     PoolIdleMember,
@@ -181,7 +179,7 @@ pub enum LintCode {
 
 impl LintCode {
     /// Every registered code, in code order.
-    pub const ALL: [LintCode; 27] = [
+    pub const ALL: [LintCode; 26] = [
         LintCode::OutOfRangeOperand,
         LintCode::IdleQubit,
         LintCode::IdentityGate,
@@ -207,7 +205,6 @@ impl LintCode {
         LintCode::OutOfConeDeadGate,
         LintCode::ProvableGoldenUndetected,
         LintCode::PoolCapacityInfeasible,
-        LintCode::PoolFingerprintMixing,
         LintCode::PoolIdleMember,
     ];
 
@@ -239,7 +236,6 @@ impl LintCode {
             LintCode::OutOfConeDeadGate => "QA602",
             LintCode::ProvableGoldenUndetected => "QA603",
             LintCode::PoolCapacityInfeasible => "QA701",
-            LintCode::PoolFingerprintMixing => "QA702",
             LintCode::PoolIdleMember => "QA703",
         }
     }
@@ -265,8 +261,7 @@ impl LintCode {
             | LintCode::CacheDegraded
             | LintCode::FaultProneNoRetry
             | LintCode::TimeoutBelowJobDuration
-            | LintCode::DegradeUnsalvageable
-            | LintCode::PoolFingerprintMixing => Severity::Warn,
+            | LintCode::DegradeUnsalvageable => Severity::Warn,
             LintCode::FusibleAdjacent
             | LintCode::GoldenStructure
             | LintCode::NeglectCoverage
@@ -375,16 +370,18 @@ impl fmt::Display for Diagnostics {
 /// [`ExecutionOptions::analysis`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
-    /// Run [`analyze`] inside [`crate::pipeline::CutExecutor::run`]
-    /// (default `true`). Off skips the gate entirely — no diagnostics are
-    /// computed or reported.
+    /// Lint each run's own plan inside
+    /// [`crate::pipeline::CutExecutor::run`] before it executes (default
+    /// `true`). Off skips the gate entirely — no diagnostics are computed
+    /// or reported.
     pub enabled: bool,
     /// [`LintCode::SamplingOverhead`] fires when the `4^K` wire-cut
     /// sampling overhead exceeds this bound (default `4^6 = 4096`).
     pub max_sampling_overhead: f64,
     /// Schedule and graph lints are skipped when the standard plan's
-    /// setting count exceeds this bound, keeping [`analyze`] cheap at
-    /// large `K` (default `10_000`).
+    /// setting count exceeds this bound (default `10_000`). [`analyze`]
+    /// then also skips planning the schedule and graph, so it stays cheap
+    /// at large `K`; a run still plans what it executes.
     pub max_planned_jobs: usize,
     /// Per-code severity overrides, later entries winning. Demote a noisy
     /// warn to [`Severity::Allow`] or promote an informational lint to
@@ -438,7 +435,7 @@ pub enum Layer {
     Circuit,
     /// The cut specification against the circuit.
     Cut,
-    /// The predicted shot schedule for the standard plan.
+    /// The shot schedule of the plan that runs.
     Schedule,
     /// The planned (unexecuted) job graph.
     Graph,
@@ -464,15 +461,21 @@ pub struct AnalysisContext<'a> {
     pub cut: Option<&'a CutSpec>,
     /// The fragments (present once the cut validated).
     pub fragments: Option<&'a Fragments>,
-    /// The standard (pre-detection) basis plan.
+    /// Why the workload does not fragment, when it does not.
+    pub fragment_error: Option<&'a FragmentError>,
+    /// The basis plan that runs (before online detection, the standard
+    /// plan).
     pub plan: Option<&'a BasisPlan>,
+    /// The stabilizer prover's per-cut proofs, when planning already ran
+    /// the prover.
+    pub proofs: Option<&'a [Vec<Pauli>]>,
     /// The resolved, normalized shot-allocation policy.
     pub allocation: Option<ShotAllocation>,
+    /// The plan's shot schedule, when the budget can fund it.
+    pub schedule: Option<&'a ShotSchedule>,
     /// The downstream preparation scheme.
     pub method: ReconstructionMethod,
-    /// Whether the engine will deduplicate structurally identical jobs.
-    pub dedup: bool,
-    /// The planned job graph (never executed by analysis).
+    /// The plan's job graph (never executed by analysis).
     pub graph: Option<&'a JobGraph>,
     /// The warm-start cache configuration, when one is enabled.
     pub cache: Option<&'a CacheConfig>,
@@ -508,10 +511,12 @@ impl<'a> AnalysisContext<'a> {
             circuit: None,
             cut: None,
             fragments: None,
+            fragment_error: None,
             plan: None,
+            proofs: None,
             allocation: None,
+            schedule: None,
             method: ReconstructionMethod::Eigenstate,
-            dedup: graph.dedup_enabled(),
             graph: Some(graph),
             cache: None,
             backend_deterministic: None,
@@ -600,7 +605,6 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(OutOfConeDeadGateLint),
         Box::new(ProvableGoldenUndetectedLint),
         Box::new(PoolCapacityInfeasibleLint),
-        Box::new(PoolFingerprintMixingLint),
         Box::new(PoolIdleMemberLint),
     ]
 }
@@ -608,43 +612,6 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
 // ---------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------
-
-/// Structural problems of an instruction stream: `(index, description)`
-/// per malformed instruction. Empty for every circuit built through the
-/// validating [`Circuit::push`] API; non-empty only for circuits imported
-/// via [`Circuit::from_instructions_unchecked`].
-fn invalid_instructions(circuit: &Circuit) -> Vec<(usize, String)> {
-    let n = circuit.num_qubits();
-    let mut bad = Vec::new();
-    for (i, inst) in circuit.instructions().iter().enumerate() {
-        if inst.qubits.len() != inst.gate.arity() {
-            bad.push((
-                i,
-                format!(
-                    "gate {} has {} operands, expects {}",
-                    inst.gate,
-                    inst.qubits.len(),
-                    inst.gate.arity()
-                ),
-            ));
-            continue;
-        }
-        if let Some(&q) = inst.qubits.iter().find(|&&q| q >= n) {
-            bad.push((
-                i,
-                format!("operand qubit {q} outside the {n}-qubit register"),
-            ));
-            continue;
-        }
-        if inst.qubits.len() == 2 && inst.qubits[0] == inst.qubits[1] {
-            bad.push((
-                i,
-                format!("two-qubit gate {} applied to one qubit twice", inst.gate),
-            ));
-        }
-    }
-    bad
-}
 
 /// The fully-golden floor: the smallest plan any detection outcome could
 /// shrink the standard plan to — two neglected bases per cut, leaving one
@@ -657,19 +624,6 @@ pub fn minimal_golden_plan(num_cuts: usize) -> BasisPlan {
         plan.neglect(k, Pauli::Y);
     }
     plan
-}
-
-/// Predicted schedule of `plan` under `allocation` — the same typed
-/// scheduling functions the pipeline runs, called statically.
-fn predicted_schedule(
-    plan: &BasisPlan,
-    method: ReconstructionMethod,
-    allocation: ShotAllocation,
-) -> Result<crate::allocation::ShotSchedule, AllocationError> {
-    match method {
-        ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
-        ReconstructionMethod::Sic => schedule_sic(plan, allocation),
-    }
 }
 
 /// Setting count of `plan` without enumerating the cartesian products
@@ -723,7 +677,7 @@ impl Lint for OutOfRangeOperandLint {
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
         let Some(circuit) = ctx.circuit else { return };
-        for (i, what) in invalid_instructions(circuit) {
+        for (i, what) in circuit.malformed_instructions() {
             sink.report(self.code(), format!("instruction #{i}: {what}"));
         }
     }
@@ -844,10 +798,7 @@ impl Lint for InvalidCutLint {
         Layer::Cut
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(circuit), Some(cut)) = (ctx.circuit, ctx.cut) else {
-            return;
-        };
-        if let Err(e) = Fragmenter::fragment(circuit, cut) {
+        if let Some(e) = ctx.fragment_error {
             sink.report(self.code(), format!("cut does not fragment: {e}"));
         }
     }
@@ -936,7 +887,7 @@ impl Lint for BudgetBelowFloorLint {
             return;
         };
         let floor = minimal_golden_plan(plan.num_cuts());
-        if let Err(e) = predicted_schedule(&floor, ctx.method, allocation) {
+        if let Err(e) = schedule(&floor, ctx.method, allocation) {
             sink.report(
                 self.code(),
                 format!(
@@ -962,7 +913,7 @@ impl Lint for ZeroShotSettingLint {
         Layer::Schedule
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(plan), Some(allocation)) = (ctx.plan, ctx.allocation) else {
+        let Some(allocation) = ctx.allocation else {
             return;
         };
         if let ShotAllocation::Uniform {
@@ -977,11 +928,11 @@ impl Lint for ZeroShotSettingLint {
             );
             return;
         }
-        if let Ok(sched) = predicted_schedule(plan, ctx.method, allocation) {
+        if let Some(sched) = ctx.schedule {
             if sched.num_settings() > 0 && sched.min_shots() == 0 {
                 sink.report(
                     self.code(),
-                    "the predicted schedule leaves at least one setting at \
+                    "the planned schedule leaves at least one setting at \
                      zero shots; its empty histogram would poison the \
                      contraction"
                         .to_string(),
@@ -1007,7 +958,7 @@ impl Lint for NeglectCoverageLint {
         let (Some(plan), Some(fragments)) = (ctx.plan, ctx.fragments) else {
             return;
         };
-        let standard = estimated_settings(plan, ctx.method);
+        let standard = estimated_settings(&BasisPlan::standard(plan.num_cuts()), ctx.method);
         let floor = estimated_settings(&minimal_golden_plan(plan.num_cuts()), ctx.method);
         let golden = if fragments.upstream.circuit.is_real() {
             "static golden-Y structure present"
@@ -1044,10 +995,11 @@ impl Lint for StandardPlanStarvedLint {
         // Only meaningful when some plan fits (otherwise QA201 already
         // denies the workload outright).
         let floor = minimal_golden_plan(plan.num_cuts());
-        if predicted_schedule(&floor, ctx.method, allocation).is_err() {
+        if schedule(&floor, ctx.method, allocation).is_err() {
             return;
         }
-        if let Err(e) = predicted_schedule(plan, ctx.method, allocation) {
+        let standard = BasisPlan::standard(plan.num_cuts());
+        if let Err(e) = schedule(&standard, ctx.method, allocation) {
             sink.report(
                 self.code(),
                 format!(
@@ -1527,11 +1479,6 @@ impl Lint for DominatedCutPlacementLint {
         Layer::Dataflow
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        // Scoring every wire edge fragments the circuit per edge — too much
-        // work for a finding the default (allow) severity would drop anyway.
-        if ctx.config.severity(self.code()) == Severity::Allow {
-            return;
-        }
         let (Some(circuit), Some(cut)) = (ctx.circuit, ctx.cut) else {
             return;
         };
@@ -1594,9 +1541,6 @@ impl Lint for OutOfConeDeadGateLint {
         Layer::Dataflow
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        if ctx.config.severity(self.code()) == Severity::Allow {
-            return;
-        }
         let Some(circuit) = ctx.circuit else { return };
         let insts = circuit.instructions();
         for dead in qcut_circuit::cone::dead_instructions(circuit) {
@@ -1639,13 +1583,18 @@ impl Lint for ProvableGoldenUndetectedLint {
         Layer::Dataflow
     }
     fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        if ctx.config.severity(self.code()) == Severity::Allow {
-            return;
-        }
         let (Some(fragments), Some(plan)) = (ctx.fragments, ctx.plan) else {
             return;
         };
-        let proofs = crate::dataflow::prove_golden_bases(&fragments.upstream, fragments.num_cuts);
+        let proved;
+        let proofs = match ctx.proofs {
+            Some(proofs) => proofs,
+            None => {
+                proved =
+                    crate::dataflow::prove_golden_bases(&fragments.upstream, fragments.num_cuts);
+                &proved
+            }
+        };
         for (cut, proven) in proofs.iter().enumerate() {
             let missed: Vec<Pauli> = proven
                 .iter()
@@ -1713,42 +1662,6 @@ impl Lint for PoolCapacityInfeasibleLint {
     }
 }
 
-struct PoolFingerprintMixingLint;
-
-impl Lint for PoolFingerprintMixingLint {
-    fn code(&self) -> LintCode {
-        LintCode::PoolFingerprintMixing
-    }
-    fn description(&self) -> &'static str {
-        "warm cache on a pool whose members carry distinct fingerprints"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cache
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(_), Some(members)) = (ctx.cache, ctx.pool.as_deref()) else {
-            return;
-        };
-        let distinct: std::collections::HashSet<u64> =
-            members.iter().map(|m| m.fingerprint).collect();
-        if distinct.len() > 1 {
-            sink.report(
-                self.code(),
-                format!(
-                    "the warm-start cache is enabled on a pool whose {} \
-                     members carry {} distinct cache fingerprints; the \
-                     reconstruction merges histograms measured under \
-                     different fingerprints, and a failed-over node's \
-                     histogram is stored under its assigned member's key \
-                     even though a sibling measured it",
-                    members.len(),
-                    distinct.len(),
-                ),
-            );
-        }
-    }
-}
-
 struct PoolIdleMemberLint;
 
 impl Lint for PoolIdleMemberLint {
@@ -1785,6 +1698,10 @@ impl Lint for PoolIdleMemberLint {
 // Entry points.
 // ---------------------------------------------------------------------
 
+/// Runs `layer`'s lints, skipping any whose effective severity is
+/// [`Severity::Allow`]: the sink would drop its findings, so the work
+/// (fragmenting per wire edge, proving, building a prefix forest) is not
+/// done.
 fn run_layer(
     lints: &[Box<dyn Lint>],
     layer: Layer,
@@ -1792,16 +1709,19 @@ fn run_layer(
     sink: &mut Sink<'_>,
 ) {
     for lint in lints.iter().filter(|l| l.layer() == layer) {
-        lint.check(ctx, sink);
+        if ctx.config.severity(lint.code()) != Severity::Allow {
+            lint.check(ctx, sink);
+        }
     }
 }
 
 /// Statically analyzes a workload: the circuit, the cut against it, the
-/// predicted shot schedule, the planned job graph, and the warm-start
-/// cache configuration. Pure up to one bounded exception — nothing
-/// executes, no backend is touched, and the planned graph is built with
-/// the same planner the pipeline uses and then only *inspected*; the sole
-/// IO is `QA403`'s 10-byte header read of a configured cache file.
+/// standard plan's shot schedule and job graph, and the warm-start cache
+/// configuration. Pure up to one bounded exception — nothing executes,
+/// no backend is touched, and the graph is planned by the same
+/// [`RunPlan`] builder a run executes from, under
+/// [`GoldenPolicy::Disabled`]; the sole IO is `QA403`'s 10-byte header
+/// read of a configured cache file.
 ///
 /// Layers run in order and stop descending when a premise is broken:
 /// malformed IR (`QA001`) stops before fragmenting, an invalid cut
@@ -1809,7 +1729,8 @@ fn run_layer(
 /// ([`AnalysisConfig::max_planned_jobs`]) skips the schedule/graph layers
 /// so analysis stays cheap at large `K`.
 pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> Diagnostics {
-    analyze_inner(circuit, cut, options, None, None, None, None)
+    let mut planned = RunPlan::resolve(circuit, cut, &GoldenPolicy::Disabled);
+    analyze_inner(circuit, cut, options, None, None, None, None, &mut planned)
 }
 
 /// [`analyze`] plus the backend-dependent lints: knowing the backend
@@ -1819,13 +1740,26 @@ pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> 
 /// it is a [`qcut_device::pool::BackendPool`]. Still static — the
 /// backend is only *queried* ([`Backend::deterministic_seeding`],
 /// [`Backend::is_fault_prone`], [`Backend::timing`],
-/// [`Backend::as_pool`]), never run. This is the entry point
-/// [`crate::pipeline::CutExecutor::run`] gates on.
+/// [`Backend::as_pool`]), never run.
 pub fn analyze_with_backend<B: Backend + ?Sized>(
     circuit: &Circuit,
     cut: &CutSpec,
     options: &ExecutionOptions,
     backend: &B,
+) -> Diagnostics {
+    let mut planned = RunPlan::resolve(circuit, cut, &GoldenPolicy::Disabled);
+    gate(circuit, cut, options, backend, &mut planned)
+}
+
+/// The pipeline's gate: [`analyze_with_backend`]'s lints over the run's
+/// own `planned` result, planning its gather round (which the run then
+/// executes) when the lints read it.
+pub(crate) fn gate<B: Backend + ?Sized>(
+    circuit: &Circuit,
+    cut: &CutSpec,
+    options: &ExecutionOptions,
+    backend: &B,
+    planned: &mut Result<RunPlan, PipelineError>,
 ) -> Diagnostics {
     analyze_inner(
         circuit,
@@ -1835,9 +1769,11 @@ pub fn analyze_with_backend<B: Backend + ?Sized>(
         Some(backend.is_fault_prone()),
         Some(backend.timing()),
         backend.as_pool().map(|p| p.member_info()),
+        planned,
     )
 }
 
+#[allow(clippy::too_many_arguments)]
 fn analyze_inner(
     circuit: &Circuit,
     cut: &CutSpec,
@@ -1846,20 +1782,33 @@ fn analyze_inner(
     fault_prone: Option<bool>,
     timing: Option<&TimingModel>,
     pool: Option<Vec<MemberInfo>>,
+    planned: &mut Result<RunPlan, PipelineError>,
 ) -> Diagnostics {
     let config = &options.analysis;
+    // Schedule and graph lints would enumerate the standard plan's
+    // settings; past the bound they are skipped (QA102 flags the blowup)
+    // and the gather is left for the run to plan.
+    let mut gather_linted = false;
+    if let Ok(run) = planned {
+        let standard = BasisPlan::standard(run.fragments.num_cuts);
+        gather_linted =
+            estimated_settings(&standard, options.method) <= config.max_planned_jobs as f64;
+        if gather_linted {
+            run.plan_gather(options);
+        }
+    }
     let lints = registry();
     let mut sink = Sink::new(config);
-    let allocation = options.resolved_allocation().normalized();
-
     let mut ctx = AnalysisContext {
         circuit: Some(circuit),
         cut: Some(cut),
         fragments: None,
+        fragment_error: None,
         plan: None,
-        allocation: Some(allocation),
+        proofs: None,
+        allocation: Some(options.resolved_allocation().normalized()),
+        schedule: None,
         method: options.method,
-        dedup: options.dedup,
         graph: None,
         cache: options.cache.as_deref().map(qcut_cache::WarmCache::config),
         backend_deterministic,
@@ -1878,58 +1827,36 @@ fn analyze_inner(
     run_layer(&lints, Layer::Execution, &ctx, &mut sink);
     run_layer(&lints, Layer::Circuit, &ctx, &mut sink);
 
-    // Malformed IR makes every deeper inspection meaningless (and unsafe
-    // to index) regardless of how QA001's severity is configured.
-    if !invalid_instructions(circuit).is_empty() {
-        return sink.finish();
-    }
-
-    let fragments = Fragmenter::fragment(circuit, cut).ok();
-    ctx.fragments = fragments.as_ref();
-    run_layer(&lints, Layer::Cut, &ctx, &mut sink);
-    let Some(fragments) = fragments.as_ref() else {
-        // QA101 reported the failure; nothing deeper is well-defined.
-        return sink.finish();
+    let run = match &*planned {
+        Ok(run) => run,
+        // Malformed IR makes every deeper inspection meaningless (QA001
+        // reported it, whatever its configured severity).
+        Err(PipelineError::Fragment(FragmentError::MalformedInstruction { .. })) => {
+            return sink.finish()
+        }
+        // QA101 reports the failure; nothing deeper is well-defined.
+        Err(PipelineError::Fragment(e)) => {
+            ctx.fragment_error = Some(e);
+            run_layer(&lints, Layer::Cut, &ctx, &mut sink);
+            return sink.finish();
+        }
+        // A policy the run rejects with its own typed error.
+        Err(_) => return sink.finish(),
     };
-
-    let plan = BasisPlan::standard(fragments.num_cuts);
-    ctx.plan = Some(&plan);
+    ctx.fragments = Some(&run.fragments);
+    ctx.plan = Some(&run.basis);
+    ctx.proofs = run.proofs.as_deref();
+    run_layer(&lints, Layer::Cut, &ctx, &mut sink);
     // Dataflow lints read the circuit, the cut, the fragments and the
-    // standard plan — all present once the cut validated.
+    // plan — all present once the cut validated.
     run_layer(&lints, Layer::Dataflow, &ctx, &mut sink);
-    if estimated_settings(&plan, options.method) > config.max_planned_jobs as f64 {
-        // Schedule and graph lints would enumerate the settings; skip them
-        // to keep analysis cheap (QA102 has already flagged the blowup).
+    if !gather_linted {
         return sink.finish();
     }
+    let gather = run.gather.as_ref().and_then(|g| g.as_ref().ok());
+    ctx.schedule = gather.map(|g| &g.schedule);
     run_layer(&lints, Layer::Schedule, &ctx, &mut sink);
-
-    // Plan (but never execute) the gather graph the pipeline would build.
-    let graph = predicted_schedule(&plan, options.method, allocation)
-        .ok()
-        .map(|sched| {
-            let mut graph = if options.dedup {
-                JobGraph::new()
-            } else {
-                JobGraph::without_dedup()
-            };
-            add_upstream_jobs(&mut graph, fragments, &plan, &sched.upstream);
-            match options.method {
-                ReconstructionMethod::Eigenstate => {
-                    add_downstream_jobs(&mut graph, fragments, &plan, &sched.downstream);
-                }
-                ReconstructionMethod::Sic => {
-                    add_sic_jobs(
-                        &mut graph,
-                        &fragments.downstream,
-                        fragments.num_cuts,
-                        &sched.downstream,
-                    );
-                }
-            }
-            graph
-        });
-    ctx.graph = graph.as_ref();
+    ctx.graph = gather.map(|g| &g.graph);
     run_layer(&lints, Layer::Graph, &ctx, &mut sink);
     sink.finish()
 }
@@ -1983,7 +1910,6 @@ mod tests {
         assert_eq!(LintCode::OutOfConeDeadGate.to_string(), "QA602");
         assert_eq!(LintCode::ProvableGoldenUndetected.to_string(), "QA603");
         assert_eq!(LintCode::PoolCapacityInfeasible.to_string(), "QA701");
-        assert_eq!(LintCode::PoolFingerprintMixing.to_string(), "QA702");
         assert_eq!(LintCode::PoolIdleMember.to_string(), "QA703");
     }
 
@@ -2019,7 +1945,7 @@ mod tests {
                 },
             ],
         );
-        let bad = invalid_instructions(&c);
+        let bad: Vec<_> = c.malformed_instructions().collect();
         assert_eq!(bad.len(), 3);
         assert!(bad[0].1.contains("outside"));
         assert!(bad[1].1.contains("expects 2"));
@@ -2287,10 +2213,12 @@ mod tests {
             circuit: None,
             cut: None,
             fragments: None,
+            fragment_error: None,
             plan: None,
+            proofs: None,
             allocation: None,
+            schedule: None,
             method: ReconstructionMethod::Eigenstate,
-            dedup: true,
             graph: None,
             cache: None,
             backend_deterministic: None,
@@ -2452,35 +2380,6 @@ mod tests {
         assert!(
             !analyze_with_backend(&circuit, &cut, &ExecutionOptions::default(), &bare)
                 .contains(LintCode::PoolCapacityInfeasible)
-        );
-    }
-
-    #[test]
-    fn qa702_warns_for_a_cached_pool_with_distinct_fingerprints() {
-        use qcut_device::pool::{BackendPool, PlacementPolicy};
-        let (circuit, cut) = GoldenAnsatz::new(5, 3).build();
-        // Different capacities → different default fingerprints.
-        let hetero = BackendPool::new(PlacementPolicy::RoundRobin)
-            .with_backend(qcut_device::ideal::IdealBackend::new(1))
-            .with_backend(qcut_device::ideal::IdealBackend::new(2).with_capacity(16));
-        let diags = analyze_with_backend(&circuit, &cut, &cached_options(), &hetero);
-        assert!(
-            diags.contains(LintCode::PoolFingerprintMixing),
-            "cache + mixed fingerprints must warn: {diags}"
-        );
-
-        // Homogeneous members share one fingerprint: clean.
-        assert!(
-            !analyze_with_backend(&circuit, &cut, &cached_options(), &pool_of(2, 32))
-                .contains(LintCode::PoolFingerprintMixing)
-        );
-        // No cache: nothing to mix.
-        let hetero = BackendPool::new(PlacementPolicy::RoundRobin)
-            .with_backend(qcut_device::ideal::IdealBackend::new(1))
-            .with_backend(qcut_device::ideal::IdealBackend::new(2).with_capacity(16));
-        assert!(
-            !analyze_with_backend(&circuit, &cut, &ExecutionOptions::default(), &hetero)
-                .contains(LintCode::PoolFingerprintMixing)
         );
     }
 

@@ -29,11 +29,13 @@
 //! surrogate — the static cost model behind the `QA6xx` advisory lints
 //! and the ROADMAP's automatic cut-point discovery.
 
-use crate::allocation::{schedule_for_plan, ShotAllocation};
+use crate::allocation::ShotAllocation;
 use crate::analysis::AnalysisConfig;
 use crate::basis::BasisPlan;
-use crate::fragment::{Fragment, Fragmenter};
-use crate::golden::ExactDetector;
+use crate::fragment::Fragment;
+use crate::golden::{ExactDetector, GoldenPolicy};
+use crate::pipeline::ReconstructionMethod;
+use crate::planner::{schedule, RunPlan};
 use crate::reconstruction::{exact_downstream_tensor, exact_upstream_tensor};
 use crate::variance::variance_from_schedule;
 use qcut_circuit::circuit::Circuit;
@@ -100,8 +102,13 @@ pub fn prove_golden_bases(upstream: &Fragment, num_cuts: usize) -> Vec<Vec<Pauli
 /// shape [`ExactDetector::detect`] produces, so on fully Clifford
 /// fragments the two plans are identical.
 pub fn proven_plan(upstream: &Fragment, num_cuts: usize) -> BasisPlan {
-    let proofs = prove_golden_bases(upstream, num_cuts);
-    let mut plan = BasisPlan::standard(num_cuts);
+    plan_from_proofs(&prove_golden_bases(upstream, num_cuts))
+}
+
+/// The [`proven_plan`] of already computed per-cut `proofs`, so a caller
+/// that keeps the proofs runs the prover once.
+pub fn plan_from_proofs(proofs: &[Vec<Pauli>]) -> BasisPlan {
+    let mut plan = BasisPlan::standard(proofs.len());
     for (cut, proven) in proofs.iter().enumerate() {
         for &p in proven {
             // `try_neglect` enforces the two-per-cut cap; a refused third
@@ -344,10 +351,7 @@ pub fn cut_report(circuit: &Circuit, options: &AnalysisConfig) -> CutReport {
     let mut candidates = Vec::with_capacity(dag.wire_edges().len());
     for edge in dag.wire_edges() {
         let spec = CutSpec::single(edge.qubit, edge.position);
-        let fragments = match spec.validate(circuit) {
-            Ok(_) => Fragmenter::fragment(circuit, &spec).ok(),
-            Err(_) => None,
-        };
+        let planned = RunPlan::resolve(circuit, &spec, &GoldenPolicy::ProveStatic).ok();
         let entangling_crossings = insts
             .iter()
             .enumerate()
@@ -368,10 +372,17 @@ pub fn cut_report(circuit: &Circuit, options: &AnalysisConfig) -> CutReport {
             predicted_rms: None,
             score: f64::INFINITY,
         };
-        if let Some(frags) = fragments {
+        if let Some(RunPlan {
+            fragments: frags,
+            basis: plan,
+            proofs,
+            ..
+        }) = planned
+        {
             candidate.feasible = true;
-            candidate.proven_golden = prove_golden_bases(&frags.upstream, 1).remove(0);
-            let plan = proven_plan(&frags.upstream, 1);
+            candidate.proven_golden = proofs
+                .and_then(|p| p.into_iter().next())
+                .unwrap_or_default();
             candidate.settings = plan.total_settings();
             candidate.sampling_overhead = plan.total_settings() as f64;
             let simulate = options.enabled
@@ -386,8 +397,9 @@ pub fn cut_report(circuit: &Circuit, options: &AnalysisConfig) -> CutReport {
                     .collect();
                 let up = exact_upstream_tensor(&frags.upstream, &plan);
                 let down = exact_downstream_tensor(&frags.downstream, &plan);
-                if let Ok(schedule) = schedule_for_plan(
+                if let Ok(schedule) = schedule(
                     &plan,
+                    ReconstructionMethod::Eigenstate,
                     ShotAllocation::TotalBudget {
                         total: ADVISER_BUDGET,
                     },
@@ -423,7 +435,8 @@ pub fn cut_report(circuit: &Circuit, options: &AnalysisConfig) -> CutReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::{resolve_static_policy, GoldenPolicy};
+    use crate::fragment::Fragmenter;
+    use crate::golden::resolve_static_policy;
     use qcut_circuit::ansatz::{GoldenAnsatz, MultiCutAnsatz};
 
     /// A Clifford-upstream golden workload: H/S/CX/CZ block on qubits

@@ -44,6 +44,14 @@ pub enum PipelineError {
     /// The shot-allocation policy cannot build a valid schedule (e.g. the
     /// total budget is smaller than the number of settings).
     Allocation(AllocationError),
+    /// A [`crate::golden::GoldenPolicy::KnownAPriori`] pair names a cut
+    /// the workload does not have.
+    GoldenCutOutOfRange {
+        /// The offending cut index.
+        cut: usize,
+        /// Number of cuts in the specification.
+        num_cuts: usize,
+    },
     /// Online detection ran out of shot budget without reaching a verdict
     /// for the named cut.
     DetectionUndecided {
@@ -78,6 +86,11 @@ impl fmt::Display for PipelineError {
                 )
             }
             PipelineError::Allocation(e) => write!(f, "shot allocation failed: {e}"),
+            PipelineError::GoldenCutOutOfRange { cut, num_cuts } => write!(
+                f,
+                "the golden policy names cut {cut}, but the cut specification has \
+                 {num_cuts} cut(s)"
+            ),
             PipelineError::DetectionUndecided { cut, shots_spent } => write!(
                 f,
                 "online golden detection undecided for cut {cut} after {shots_spent} \
@@ -101,7 +114,9 @@ impl std::error::Error for PipelineError {
             PipelineError::Allocation(e) => Some(e),
             // Analysis diagnostics and detection verdicts are findings of
             // this crate itself — there is no deeper cause to expose.
-            PipelineError::Analysis(_) | PipelineError::DetectionUndecided { .. } => None,
+            PipelineError::Analysis(_)
+            | PipelineError::GoldenCutOutOfRange { .. }
+            | PipelineError::DetectionUndecided { .. } => None,
         }
     }
 }

@@ -71,6 +71,14 @@ pub enum FragmentError {
     Cut(CutError),
     /// A qubit has no instructions; its fragment membership is undefined.
     IdleQubit(usize),
+    /// The first malformed instruction of an unchecked circuit (see
+    /// [`Circuit::malformed_instructions`]).
+    MalformedInstruction {
+        /// Program index of the instruction.
+        index: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FragmentError {
@@ -82,6 +90,9 @@ impl fmt::Display for FragmentError {
                 "qubit {q} has no instructions; remove it or add gates so it \
                  belongs to one side of the cut"
             ),
+            FragmentError::MalformedInstruction { index, reason } => {
+                write!(f, "malformed instruction #{index}: {reason}")
+            }
         }
     }
 }
@@ -98,8 +109,13 @@ impl From<CutError> for FragmentError {
 pub struct Fragmenter;
 
 impl Fragmenter {
-    /// Bipartitions `circuit` along `spec`.
+    /// Bipartitions `circuit` along `spec`. Malformed IR (possible only
+    /// through [`Circuit::from_instructions_unchecked`]) is rejected before
+    /// anything indexes by operand.
     pub fn fragment(circuit: &Circuit, spec: &CutSpec) -> Result<Fragments, FragmentError> {
+        if let Some((index, reason)) = circuit.malformed_instructions().next() {
+            return Err(FragmentError::MalformedInstruction { index, reason });
+        }
         let (_edges, upstream_mask) = spec.validate(circuit)?;
         let n = circuit.num_qubits();
 
@@ -315,6 +331,25 @@ mod tests {
         c.cx(0, 1).cx(1, 2);
         let err = Fragmenter::fragment(&c, &CutSpec::single(1, 0)).unwrap_err();
         assert_eq!(err, FragmentError::IdleQubit(3));
+    }
+
+    #[test]
+    fn malformed_instruction_is_a_typed_error() {
+        let c = Circuit::from_instructions_unchecked(
+            2,
+            vec![
+                Instruction::new(qcut_circuit::gate::Gate::H, vec![0]),
+                Instruction {
+                    gate: qcut_circuit::gate::Gate::H,
+                    qubits: vec![2],
+                },
+            ],
+        );
+        let err = Fragmenter::fragment(&c, &CutSpec::single(0, 0)).unwrap_err();
+        assert!(
+            matches!(err, FragmentError::MalformedInstruction { index: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::basis::{encode_meas, BasisPlan, MeasBasis};
 use crate::fragment::Fragment;
-use crate::reconstruction::{exact_upstream_tensor, extract_bits};
+use crate::reconstruction::exact_upstream_tensor;
 use qcut_math::{Pauli, TOL_GOLDEN};
 use qcut_sim::counts::Counts;
 use serde::{Deserialize, Serialize};
@@ -343,12 +343,6 @@ pub fn simulate_upstream_setting(
     let sv = StateVector::from_circuit(&circuit);
     let mut rng = StdRng::seed_from_u64(seed);
     sv.sample(shots, &mut rng)
-}
-
-#[allow(unused)]
-fn _extract_bits_reexport_check() {
-    // keep the import used in both cfg contexts
-    let _ = extract_bits(0, &[]);
 }
 
 #[cfg(test)]

@@ -388,15 +388,15 @@ impl JobGraph {
     /// This is the ablation baseline for the dedup benchmarks and the
     /// engine-invariance proptests.
     pub fn without_dedup() -> Self {
-        JobGraph {
-            dedup: false,
-            ..Self::new()
-        }
+        Self::with_dedup(false)
     }
 
-    /// Whether structural dedup is enabled.
-    pub fn dedup_enabled(&self) -> bool {
-        self.dedup
+    /// [`JobGraph::new`] when `dedup`, [`JobGraph::without_dedup`] otherwise.
+    pub fn with_dedup(dedup: bool) -> Self {
+        JobGraph {
+            dedup,
+            ..Self::new()
+        }
     }
 
     /// Jobs registered so far (fan-out edges, not unique circuits).

@@ -3,18 +3,19 @@
 //!
 //! ```text
 //! CutExecutor::run
-//!   ├─ validate & fragment the circuit
-//!   ├─ resolve the golden policy into a BasisPlan
-//!   │    (a priori / exact simulation / online sequential detection,
-//!   │     detection batches executed through the JobGraph engine)
-//!   ├─ resolve the shot-allocation policy into gather round(s):
-//!   │    single-round policies build one schedule; Adaptive runs a
-//!   │    uniform pilot round, scores per-setting variance from the
-//!   │    empirical tensors, and seeds a Neyman-weighted refine round
-//!   │    from the pilot's measurements
-//!   ├─ per round, plan the JobGraph (eigenstate or SIC builders;
-//!   │    identical subcircuits dedup into one node, detection/pilot
-//!   │    counts seed the cache) and execute it as one batch per
+//!   ├─ plan the run once (crate::planner::RunPlan): fragment, resolve
+//!   │    the static golden policy into a BasisPlan (a priori / exact
+//!   │    simulation / stabilizer proof; online detection starts from
+//!   │    the standard plan)
+//!   ├─ gate: lint that plan, its schedule and its unexecuted JobGraph
+//!   ├─ online detection: sequential batches through the JobGraph
+//!   │    engine, then replan with the detected neglects
+//!   ├─ gather round(s): a single-round policy executes the planned
+//!   │    graph; Adaptive runs a uniform pilot round, scores
+//!   │    per-setting variance from the empirical tensors, and seeds a
+//!   │    Neyman-weighted refine round from the pilot's measurements.
+//!   │    Identical subcircuits dedup into one node, detection/pilot
+//!   │    counts seed it, and each round executes as one batch per
 //!   │    backend member with fan-out
 //!   ├─ reconstruct (tensor contraction, Eq. 14)
 //!   └─ post-process the quasi-distribution
@@ -26,19 +27,16 @@
 //! dedup accounting (`jobs_planned` / `jobs_executed` / `shots_saved`).
 
 use crate::allocation::{
-    pilot_schedule, pilot_total, refine_schedule, schedule_for_plan, schedule_sic, ShotAllocation,
-    ShotSchedule,
+    pilot_schedule, pilot_total, refine_schedule, ShotAllocation, ShotSchedule,
 };
-use crate::analysis::{analyze_with_backend, AnalysisConfig, Diagnostic, LintCode, Severity};
+use crate::analysis::{gate, AnalysisConfig, Diagnostic, LintCode, Severity};
 use crate::basis::{decode_meas, decode_prep, encode_meas, encode_prep, BasisPlan};
 use crate::error::{ExecutionFailure, PipelineError};
 use crate::execution::FragmentData;
-use crate::fragment::{Fragmenter, Fragments};
-use crate::golden::{
-    resolve_static_policy, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
-};
+use crate::fragment::Fragments;
+use crate::golden::{GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector};
 use crate::jobgraph::{Channel, ConsumerKey, GraphFailure, GraphStats, JobGraph, NodeFailure};
-use crate::planner::{add_downstream_jobs, add_sic_jobs, add_upstream_jobs, uncut_graph};
+use crate::planner::{gather_graph, uncut_graph, RunPlan};
 use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
@@ -49,6 +47,7 @@ use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
 use qcut_device::backend::{Backend, BackendError};
+use qcut_math::Pauli;
 use qcut_sim::counts::Counts;
 use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
@@ -109,9 +108,9 @@ pub struct ExecutionOptions {
     /// engine and reuse online-detection data for the main gather. Off is
     /// the ablation baseline: every planned job executes independently.
     pub dedup: bool,
-    /// The static-analysis gate run before anything executes (see
-    /// [`crate::analysis`]): deny-level findings abort the run as
-    /// [`PipelineError::Analysis`], warnings ride in
+    /// The static-analysis gate run over the run's own plan before
+    /// anything executes (see [`crate::analysis`]): deny-level findings
+    /// abort the run as [`PipelineError::Analysis`], warnings ride in
     /// [`RunReport::diagnostics`]. [`AnalysisConfig::disabled`] skips it.
     pub analysis: AnalysisConfig,
     /// Cross-run warm-start cache (see [`qcut_cache`]). `None` — the
@@ -213,16 +212,8 @@ struct GatherRound {
     /// when no cache is configured). A histogram that mixes two members'
     /// shots has no entry and is never stored.
     store_keys: HashMap<u64, u64>,
-}
-
-/// Records one round's delivered histogram into a structural-hash-keyed
-/// seed cache, first delivery wins: deduplicated consumers of a shared
-/// node hand back the *same* merged histogram, which must seed the next
-/// round's node exactly once (merging the duplicates would double-count).
-fn seed_once(seeds: &mut HashMap<u64, (Circuit, Counts)>, circuit: Circuit, counts: &Counts) {
-    if let Entry::Vacant(e) = seeds.entry(circuit.structural_hash()) {
-        e.insert((circuit, counts.clone()));
-    }
+    /// The executed graph: which circuit fed which consumers.
+    graph: JobGraph,
 }
 
 /// Merges one channel's histograms into another (the dedup-off refine
@@ -254,45 +245,31 @@ fn degrade_plan(plan: &BasisPlan, failures: &[NodeFailure]) -> Option<BasisPlan>
     let mut salvaged = plan.clone();
     for failure in failures {
         for &(channel, key) in &failure.consumers {
-            match channel {
+            let paulis: Vec<Pauli> = match channel {
                 Channel::Detection => continue,
                 Channel::Uncut | Channel::SicPrep => return None,
-                Channel::UpstreamMeas => {
-                    let setting = decode_meas(key, num_cuts);
-                    // An earlier neglect may already have dropped this
-                    // setting from the surviving plan.
-                    let needed = setting
-                        .iter()
-                        .enumerate()
-                        .all(|(c, b)| !salvaged.neglected()[c].contains(&b.pauli()));
-                    if !needed {
-                        continue;
-                    }
-                    if !setting
-                        .iter()
-                        .enumerate()
-                        .any(|(c, b)| salvaged.try_neglect(c, b.pauli()))
-                    {
-                        return None;
-                    }
-                }
-                Channel::DownstreamPrep => {
-                    let prep = decode_prep(key, num_cuts);
-                    let needed = prep
-                        .iter()
-                        .enumerate()
-                        .all(|(c, s)| !salvaged.neglected()[c].contains(&s.pauli()));
-                    if !needed {
-                        continue;
-                    }
-                    if !prep
-                        .iter()
-                        .enumerate()
-                        .any(|(c, s)| salvaged.try_neglect(c, s.pauli()))
-                    {
-                        return None;
-                    }
-                }
+                Channel::UpstreamMeas => decode_meas(key, num_cuts)
+                    .iter()
+                    .map(|b| b.pauli())
+                    .collect(),
+                Channel::DownstreamPrep => decode_prep(key, num_cuts)
+                    .iter()
+                    .map(|s| s.pauli())
+                    .collect(),
+            };
+            // An earlier neglect may already have dropped this setting
+            // from the surviving plan.
+            let needed = paulis
+                .iter()
+                .enumerate()
+                .all(|(c, p)| !salvaged.neglected()[c].contains(p));
+            if needed
+                && !paulis
+                    .iter()
+                    .enumerate()
+                    .any(|(c, &p)| salvaged.try_neglect(c, p))
+            {
+                return None;
             }
         }
     }
@@ -343,17 +320,24 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         policy: GoldenPolicy,
         options: &ExecutionOptions,
     ) -> Result<CutRun, PipelineError> {
-        // Static-analysis gate: lint the workload before a single shot is
+        // Plan the run once: fragment, resolve the static golden policy
+        // (online detection starts from the standard plan).
+        let resolve_started = Instant::now();
+        let mut planned = RunPlan::resolve(circuit, cut, &policy);
+        let resolve_time = resolve_started.elapsed();
+
+        // Static-analysis gate: lint that plan before a single shot is
         // spent. Deny-level findings abort the run; warnings are carried
         // through to the report.
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
         if options.analysis.enabled {
-            let diags = analyze_with_backend(circuit, cut, options, self.backend);
+            let diags = gate(circuit, cut, options, self.backend, &mut planned);
             if diags.has_deny() {
                 return Err(PipelineError::Analysis(diags));
             }
             diagnostics = diags.into_vec();
         }
+        let mut run_plan = planned?;
 
         // A cache that failed to load (corrupt/truncated/foreign file)
         // silently became a cold start at open time; surface that as a
@@ -368,11 +352,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             }
         }
 
-        let fragments = Fragmenter::fragment(circuit, cut)?;
-
-        // Resolve the golden policy. Online detection runs its sequential
-        // batches through the engine and leaves its measurements in
-        // `detection_cache` for the main gather to reuse.
+        // Online detection runs its sequential batches through the engine
+        // and leaves its measurements in `detection_cache` for the main
+        // gather to reuse.
         let detect_started = Instant::now();
         let mut detection_cache: HashMap<u64, (Circuit, Counts)> = HashMap::new();
         let mut detection_stats = GraphStats::default();
@@ -380,21 +362,18 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // under FailurePolicy::Degrade — the Fail policy aborts at the
         // first failed engine submission).
         let mut failures: Vec<NodeFailure> = Vec::new();
-        let plan = match &policy {
-            GoldenPolicy::DetectOnline(config) => self.detect_online(
-                &fragments,
+        if let GoldenPolicy::DetectOnline(config) = &policy {
+            let detected = self.detect_online(
+                &run_plan.fragments,
                 *config,
                 options,
                 &mut detection_cache,
                 &mut detection_stats,
                 &mut failures,
-            )?,
-            // Every other policy resolves statically; the standard plan
-            // (nothing neglected) is the safe verdict regardless.
-            _ => resolve_static_policy(&policy, &fragments.upstream, fragments.num_cuts)
-                .unwrap_or_else(|| BasisPlan::standard(fragments.num_cuts)),
-        };
-        let detection_seconds = detect_started.elapsed().as_secs_f64();
+            )?;
+            run_plan.replan(detected);
+        }
+        let detection_seconds = (resolve_time + detect_started.elapsed()).as_secs_f64();
         let detection_shots = detection_stats.shots_executed;
 
         // Resolve the allocation policy for the surviving plan (golden
@@ -414,8 +393,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         } = effective
         {
             self.gather_adaptive(
-                &fragments,
-                &plan,
+                &run_plan.fragments,
+                &run_plan.basis,
                 options,
                 pilot_fraction,
                 total,
@@ -423,27 +402,29 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 &mut failures,
             )?
         } else {
-            let sched = match options.method {
-                ReconstructionMethod::Eigenstate => schedule_for_plan(&plan, effective)?,
-                ReconstructionMethod::Sic => schedule_sic(&plan, effective)?,
-            };
+            // The graph the gate linted (or, after online detection
+            // shrank the plan, its replanned successor).
             let round = self.gather_round(
-                &fragments,
-                &plan,
+                run_plan.take_gather(options)?.graph,
                 options,
-                &sched,
                 &detection_cache,
                 self.warm_cache(options),
                 &mut failures,
             )?;
             (round, 0, 1)
         };
+        let RunPlan {
+            fragments,
+            basis: plan,
+            ..
+        } = run_plan;
         let GatherRound {
             upstream,
             downstream,
             sic_counts,
             stats: gather_stats,
             store_keys,
+            ..
         } = gather;
         let gather_seconds = gather_started.elapsed().as_secs_f64();
 
@@ -694,11 +675,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         }
     }
 
-    /// Plans and executes one gather round through the engine: builds the
-    /// graph for `sched` (eigenstate and SIC are different builder
-    /// combinations over the same engine — the SIC path registers
-    /// upstream + SIC jobs only, never the eigenstate downstream half),
-    /// seeds it with prior measurements (online-detection batches for a
+    /// Executes one planned gather round through the engine: seeds
+    /// `graph` with prior measurements (online-detection batches for a
     /// first round, the pilot's histograms for an adaptive refine round),
     /// then with any matching `warm` cross-run cache entries, and returns
     /// the delivered channels plus accounting. The engine executes only
@@ -718,40 +696,14 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     /// permanently either aborts the round
     /// ([`FailurePolicy::Fail`]) or is pushed onto `failures` while the
     /// salvaged sibling data is delivered ([`FailurePolicy::Degrade`]).
-    #[allow(clippy::too_many_arguments)]
     fn gather_round(
         &self,
-        fragments: &Fragments,
-        plan: &BasisPlan,
+        mut graph: JobGraph,
         options: &ExecutionOptions,
-        sched: &ShotSchedule,
         seeds: &HashMap<u64, (Circuit, Counts)>,
         warm: Option<&WarmCache>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<GatherRound, PipelineError> {
-        let mut graph = if options.dedup {
-            JobGraph::new()
-        } else {
-            JobGraph::without_dedup()
-        };
-        add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
-        match options.method {
-            ReconstructionMethod::Eigenstate => {
-                add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
-            }
-            ReconstructionMethod::Sic => {
-                add_sic_jobs(
-                    &mut graph,
-                    &fragments.downstream,
-                    fragments.num_cuts,
-                    &sched.downstream,
-                );
-                assert!(
-                    !graph.has_channel(Channel::DownstreamPrep),
-                    "SIC planning must never schedule eigenstate downstream jobs"
-                );
-            }
-        }
         for (circuit, counts) in seeds.values() {
             graph.seed_counts(circuit, counts);
         }
@@ -809,6 +761,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             sic_counts: grun.take_channel(Channel::SicPrep),
             stats: grun.stats,
             store_keys,
+            graph,
         })
     }
 
@@ -870,10 +823,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let pilot_sched = pilot_schedule(n_up, n_down, pilot)?;
         let failures_before_pilot = failures.len();
         let pilot_run = self.gather_round(
-            fragments,
-            plan,
+            gather_graph(fragments, plan, options.method, &pilot_sched, options.dedup),
             options,
-            &pilot_sched,
             detection_cache,
             self.warm_cache(options),
             failures,
@@ -931,48 +882,27 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // exactly `total` fresh shots.
         let cumulative = refine_schedule(&pilot_sched, &up_scores, &down_scores, total - pilot);
         let mut refine_run = if options.dedup {
-            // `get` (not index) throughout: a degraded pilot delivered
-            // nothing for its failed settings, which then simply have no
-            // seed to ride.
+            // A degraded pilot delivered nothing for its failed nodes,
+            // which then simply have no seed to ride.
             let mut seeds: HashMap<u64, (Circuit, Counts)> = HashMap::new();
-            for setting in plan.all_meas_settings() {
-                if let Some(counts) = pilot_run.upstream.get(&encode_meas(&setting)) {
-                    seed_once(
-                        &mut seeds,
-                        build_upstream_circuit(&fragments.upstream, &setting),
-                        counts,
-                    );
-                }
-            }
-            match options.method {
-                ReconstructionMethod::Eigenstate => {
-                    for prep in plan.all_prep_settings() {
-                        if let Some(counts) = pilot_run.downstream.get(&encode_prep(&prep)) {
-                            seed_once(
-                                &mut seeds,
-                                build_downstream_circuit(&fragments.downstream, &prep),
-                                counts,
-                            );
-                        }
+            for (circuit, consumers) in pilot_run.graph.node_jobs() {
+                let delivered = consumers.iter().find_map(|&((channel, key), _)| {
+                    match channel {
+                        Channel::UpstreamMeas => &pilot_run.upstream,
+                        Channel::DownstreamPrep => &pilot_run.downstream,
+                        _ => &pilot_run.sic_counts,
                     }
-                }
-                ReconstructionMethod::Sic => {
-                    for states in all_sic_settings(num_cuts) {
-                        if let Some(counts) = pilot_run.sic_counts.get(&encode_sic(&states)) {
-                            seed_once(
-                                &mut seeds,
-                                build_sic_circuit(&fragments.downstream, &states),
-                                counts,
-                            );
-                        }
-                    }
+                    .get(&key)
+                });
+                if let Some(counts) = delivered {
+                    seeds
+                        .entry(circuit.structural_hash())
+                        .or_insert_with(|| (circuit.clone(), counts.clone()));
                 }
             }
             self.gather_round(
-                fragments,
-                plan,
+                gather_graph(fragments, plan, options.method, &cumulative, options.dedup),
                 options,
-                &cumulative,
                 &seeds,
                 None,
                 failures,
@@ -993,10 +923,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     .collect(),
             };
             let mut run = self.gather_round(
-                fragments,
-                plan,
+                gather_graph(fragments, plan, options.method, &increments, options.dedup),
                 options,
-                &increments,
                 &HashMap::new(),
                 None,
                 failures,
@@ -1095,11 +1023,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                             .iter()
                             .map(|s| build_upstream_circuit(&fragments.upstream, s))
                             .collect();
-                        let mut graph = if options.dedup {
-                            JobGraph::new()
-                        } else {
-                            JobGraph::without_dedup()
-                        };
+                        let mut graph = JobGraph::with_dedup(options.dedup);
                         for (setting, circuit) in settings.iter().zip(&circuits) {
                             graph.add_job(
                                 circuit.clone(),
@@ -1161,9 +1085,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fragment::Fragmenter;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
-    use qcut_math::Pauli;
     use qcut_sim::statevector::StateVector;
     use qcut_stats::distance::total_variation_distance;
 
@@ -1335,6 +1259,79 @@ mod tests {
             .run(&circuit, &bad, GoldenPolicy::Disabled, &opts)
             .unwrap_err();
         assert!(matches!(err, PipelineError::Fragment(_)));
+    }
+
+    #[test]
+    fn malformed_ir_is_a_typed_error_with_the_gate_on_or_off() {
+        use crate::analysis::LintCode;
+        use qcut_circuit::circuit::Instruction;
+        use qcut_circuit::gate::Gate;
+        let (valid, cut) = GoldenAnsatz::new(5, 0).build();
+        let malformed = |bad: Instruction| {
+            let mut insts = valid.instructions().to_vec();
+            insts.push(bad);
+            Circuit::from_instructions_unchecked(valid.num_qubits(), insts)
+        };
+        let shapes = [
+            // An operand outside the register.
+            malformed(Instruction {
+                gate: Gate::H,
+                qubits: vec![9],
+            }),
+            // A two-qubit gate with one operand.
+            malformed(Instruction {
+                gate: Gate::Cx,
+                qubits: vec![0],
+            }),
+        ];
+        let backend = IdealBackend::new(0);
+        let exec = CutExecutor::new(&backend);
+        for circuit in &shapes {
+            let off = ExecutionOptions {
+                analysis: AnalysisConfig::disabled(),
+                ..options(100)
+            };
+            let err = exec
+                .run(circuit, &cut, GoldenPolicy::Disabled, &off)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PipelineError::Fragment(
+                        crate::fragment::FragmentError::MalformedInstruction { .. }
+                    )
+                ),
+                "gate off: {err:?}"
+            );
+            let err = exec
+                .run(circuit, &cut, GoldenPolicy::Disabled, &options(100))
+                .unwrap_err();
+            let PipelineError::Analysis(diags) = err else {
+                panic!("gate on: expected an analysis rejection, got {err:?}");
+            };
+            assert!(diags.contains(LintCode::OutOfRangeOperand), "{diags}");
+        }
+    }
+
+    #[test]
+    fn known_a_priori_cut_out_of_range_is_a_typed_error() {
+        let (circuit, cut) = GoldenAnsatz::new(5, 1).build();
+        let backend = IdealBackend::new(0);
+        let err = CutExecutor::new(&backend)
+            .run(
+                &circuit,
+                &cut,
+                GoldenPolicy::KnownAPriori(vec![(4, Pauli::Y)]),
+                &options(100),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::GoldenCutOutOfRange {
+                cut: 4,
+                num_cuts: 1
+            }
+        );
     }
 
     #[test]

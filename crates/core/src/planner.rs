@@ -1,20 +1,24 @@
-//! Graph builders: translating a [`BasisPlan`] (plus fragments and shot
-//! schedule) into [`JobGraph`] jobs.
+//! The run planner: one [`RunPlan`] per run, which the analysis gate lints
+//! and the pipeline executes.
 //!
-//! The eigenstate, SIC, and online-detection execution paths used to build
-//! their job lists independently (and the SIC path built a full
-//! [`crate::tomography::ExperimentPlan`] only to discard its downstream
-//! half). Here they are just different combinations of graph builders over
-//! the same engine:
+//! [`RunPlan::resolve`] fragments the circuit and resolves the golden
+//! policy into the [`BasisPlan`] the run starts from. The plan's gather
+//! round — its [`schedule`] and the unexecuted [`gather_graph`] — is
+//! planned on demand by [`RunPlan::plan_gather`]: the gate
+//! ([`crate::analysis`]) plans it to lint it, and
+//! [`crate::pipeline::CutExecutor::run`] then executes that same graph.
+//! The eigenstate, SIC, detection and adaptive paths are different
+//! combinations of the same builders over the same engine:
 //!
 //! * eigenstate gather = upstream jobs + downstream jobs;
 //! * SIC gather = upstream jobs + SIC jobs (no downstream eigenstate job is
 //!   ever constructed);
 //! * online detection registers its per-round jobs inline in
-//!   [`crate::pipeline`] (it needs the built circuits for the reuse cache)
-//!   and seeds the measured counts back into the gather graph;
-//! * an adaptive refine round re-plans the same builders with the
-//!   cumulative Neyman schedule and seeds the pilot's histograms
+//!   [`crate::pipeline`] (it needs the built circuits for the reuse cache),
+//!   seeds the measured counts back into the gather graph, and
+//!   [`RunPlan::replan`]s when it neglects a basis;
+//! * an adaptive pilot or refine round builds [`gather_graph`] for its own
+//!   schedule and seeds the refine round with the pilot's histograms
 //!   (see [`crate::pipeline::CutExecutor::run`]).
 //!
 //! # Example
@@ -25,29 +29,178 @@
 //!
 //! ```
 //! use qcut_circuit::ansatz::GoldenAnsatz;
-//! use qcut_core::basis::BasisPlan;
-//! use qcut_core::fragment::Fragmenter;
-//! use qcut_core::jobgraph::JobGraph;
-//! use qcut_core::planner::{add_downstream_jobs, add_upstream_jobs};
+//! use qcut_core::golden::GoldenPolicy;
+//! use qcut_core::pipeline::ExecutionOptions;
+//! use qcut_core::planner::RunPlan;
 //!
 //! let (circuit, cut) = GoldenAnsatz::new(5, 1).build();
-//! let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
-//! let plan = BasisPlan::standard(1);
-//! let mut graph = JobGraph::new();
-//! add_upstream_jobs(&mut graph, &frags, &plan, &[1000]);
-//! add_downstream_jobs(&mut graph, &frags, &plan, &[1000]);
-//! assert_eq!(graph.jobs_planned(), 9); // 3 measurements + 6 preparations
+//! let mut plan = RunPlan::resolve(&circuit, &cut, &GoldenPolicy::Disabled).unwrap();
+//! let gather = plan.take_gather(&ExecutionOptions::default()).unwrap();
+//! assert_eq!(gather.graph.jobs_planned(), 9); // 3 measurements + 6 preparations
 //! // Adjacent upstream variants share the fragment as a prefix.
-//! assert!(graph.prefix_profile().gates_saved() > 0);
+//! assert!(gather.graph.prefix_profile().gates_saved() > 0);
 //! ```
 
+use crate::allocation::{
+    schedule_for_plan, schedule_sic, AllocationError, ShotAllocation, ShotSchedule,
+};
 use crate::basis::{encode_meas, encode_prep, BasisPlan};
-use crate::fragment::{Fragment, Fragments};
+use crate::dataflow::{plan_from_proofs, prove_golden_bases};
+use crate::error::PipelineError;
+use crate::fragment::{Fragment, Fragmenter, Fragments};
+use crate::golden::{resolve_static_policy, GoldenPolicy};
 use crate::jobgraph::{Channel, ConsumerKey, JobGraph};
+use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
 use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic};
 use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
 use qcut_circuit::circuit::Circuit;
+use qcut_circuit::cut::CutSpec;
+use qcut_math::Pauli;
 use qcut_sim::prefix::PrefixForest;
+
+/// One planned gather round: a shot schedule and the unexecuted job graph
+/// that carries it.
+pub struct GatherPlan {
+    /// Per-setting shots, in the planner's setting order.
+    pub schedule: ShotSchedule,
+    /// The job graph, built but not executed.
+    pub graph: JobGraph,
+}
+
+/// The plan of one run.
+pub struct RunPlan {
+    /// The bipartitioned circuit.
+    pub fragments: Fragments,
+    /// The basis plan the run starts from: the static golden policy's
+    /// verdict, or the standard plan under
+    /// [`GoldenPolicy::DetectOnline`], whose detection starts from it.
+    pub basis: BasisPlan,
+    /// The stabilizer prover's per-cut proofs when the policy ran it
+    /// ([`GoldenPolicy::ProveStatic`]), so no reader proves again.
+    pub proofs: Option<Vec<Vec<Pauli>>>,
+    /// The gather round of `basis`, once [`RunPlan::plan_gather`] planned
+    /// it: `Err` when the budget cannot schedule it.
+    pub gather: Option<Result<GatherPlan, AllocationError>>,
+}
+
+impl RunPlan {
+    /// Fragments `circuit` along `cut` and resolves `policy` into the
+    /// starting basis plan; [`RunPlan::plan_gather`] plans the rest.
+    /// Malformed IR and invalid cuts are [`PipelineError::Fragment`]; a
+    /// [`GoldenPolicy::KnownAPriori`] cut index outside the specification
+    /// is [`PipelineError::GoldenCutOutOfRange`].
+    pub fn resolve(
+        circuit: &Circuit,
+        cut: &CutSpec,
+        policy: &GoldenPolicy,
+    ) -> Result<RunPlan, PipelineError> {
+        let fragments = Fragmenter::fragment(circuit, cut)?;
+        let num_cuts = fragments.num_cuts;
+        let mut proofs = None;
+        let basis = match policy {
+            GoldenPolicy::KnownAPriori(pairs) => {
+                if let Some(&(cut, _)) = pairs.iter().find(|&&(cut, _)| cut >= num_cuts) {
+                    return Err(PipelineError::GoldenCutOutOfRange { cut, num_cuts });
+                }
+                resolve_static_policy(policy, &fragments.upstream, num_cuts)
+            }
+            GoldenPolicy::ProveStatic => {
+                let proven = prove_golden_bases(&fragments.upstream, num_cuts);
+                let plan = plan_from_proofs(&proven);
+                proofs = Some(proven);
+                Some(plan)
+            }
+            _ => resolve_static_policy(policy, &fragments.upstream, num_cuts),
+        }
+        // Online detection starts from the standard plan.
+        .unwrap_or_else(|| BasisPlan::standard(num_cuts));
+        Ok(RunPlan {
+            fragments,
+            basis,
+            proofs,
+            gather: None,
+        })
+    }
+
+    /// Plans [`RunPlan::gather`] under `options` unless it already is.
+    pub fn plan_gather(&mut self, options: &ExecutionOptions) {
+        if self.gather.is_none() {
+            self.gather = Some(plan_gather(&self.fragments, &self.basis, options));
+        }
+    }
+
+    /// Moves the gather round out for execution, planning it first when
+    /// nothing has yet.
+    pub fn take_gather(
+        &mut self,
+        options: &ExecutionOptions,
+    ) -> Result<GatherPlan, AllocationError> {
+        match self.gather.take() {
+            Some(gather) => gather,
+            None => plan_gather(&self.fragments, &self.basis, options),
+        }
+    }
+
+    /// Switches the run to `basis` (what online detection resolved),
+    /// dropping a gather round planned for a different plan.
+    pub fn replan(&mut self, basis: BasisPlan) {
+        if basis != self.basis {
+            self.basis = basis;
+            self.gather = None;
+        }
+    }
+}
+
+/// The gather round of `basis` under the run's allocation policy.
+fn plan_gather(
+    fragments: &Fragments,
+    basis: &BasisPlan,
+    options: &ExecutionOptions,
+) -> Result<GatherPlan, AllocationError> {
+    let allocation = options.resolved_allocation().normalized();
+    let schedule = schedule(basis, options.method, allocation)?;
+    let graph = gather_graph(fragments, basis, options.method, &schedule, options.dedup);
+    Ok(GatherPlan { schedule, graph })
+}
+
+/// The shot schedule of `plan` under `allocation`, for the eigenstate or
+/// the SIC gather.
+pub fn schedule(
+    plan: &BasisPlan,
+    method: ReconstructionMethod,
+    allocation: ShotAllocation,
+) -> Result<ShotSchedule, AllocationError> {
+    match method {
+        ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
+        ReconstructionMethod::Sic => schedule_sic(plan, allocation),
+    }
+}
+
+/// The unexecuted gather graph of `plan` at `sched`: upstream jobs plus
+/// either eigenstate downstream jobs or SIC preparations. `dedup` off is
+/// the engine's ablation baseline.
+pub fn gather_graph(
+    fragments: &Fragments,
+    plan: &BasisPlan,
+    method: ReconstructionMethod,
+    sched: &ShotSchedule,
+    dedup: bool,
+) -> JobGraph {
+    let mut graph = JobGraph::with_dedup(dedup);
+    add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
+    match method {
+        ReconstructionMethod::Eigenstate => {
+            add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
+        }
+        ReconstructionMethod::Sic => add_sic_jobs(
+            &mut graph,
+            &fragments.downstream,
+            fragments.num_cuts,
+            &sched.downstream,
+        ),
+    }
+    graph
+}
 
 /// Reorders `(circuit, consumer, shots)` triples into trie-locality order
 /// — the DFS order of the batch's prefix forest — so jobs sharing
@@ -77,8 +230,30 @@ fn trie_local_jobs(jobs: Vec<(Circuit, ConsumerKey, u64)>) -> Vec<(Circuit, Cons
         .collect()
 }
 
-/// Registers pre-built jobs on the graph in trie-locality order.
-fn add_trie_local(graph: &mut JobGraph, jobs: Vec<(Circuit, ConsumerKey, u64)>) {
+/// Registers one job per setting, in trie-locality order. `shots[i]`
+/// pairs with `settings[i]`; a single-element slice is broadcast to every
+/// setting.
+fn add_settings<S>(
+    graph: &mut JobGraph,
+    settings: &[S],
+    shots: &[u64],
+    what: &str,
+    job: impl Fn(&S) -> (Circuit, ConsumerKey),
+) {
+    assert!(
+        shots.len() == settings.len() || shots.len() == 1,
+        "shot schedule arity: {} {what}, {} budgets",
+        settings.len(),
+        shots.len()
+    );
+    let jobs = settings
+        .iter()
+        .zip(shots.iter().cycle())
+        .map(|(setting, &budget)| {
+            let (circuit, consumer) = job(setting);
+            (circuit, consumer, budget)
+        })
+        .collect();
     for (circuit, consumer, budget) in trie_local_jobs(jobs) {
         graph.add_job(circuit, consumer, budget);
     }
@@ -95,26 +270,12 @@ pub fn add_upstream_jobs(
     plan: &BasisPlan,
     shots: &[u64],
 ) {
-    let settings = plan.all_meas_settings();
-    assert!(
-        shots.len() == settings.len() || shots.len() == 1,
-        "shot schedule arity: {} settings, {} budgets",
-        settings.len(),
-        shots.len()
-    );
-    let jobs = settings
-        .iter()
-        .enumerate()
-        .map(|(i, setting)| {
-            let budget = if shots.len() == 1 { shots[0] } else { shots[i] };
-            (
-                build_upstream_circuit(&fragments.upstream, setting),
-                (Channel::UpstreamMeas, encode_meas(setting)),
-                budget,
-            )
-        })
-        .collect();
-    add_trie_local(graph, jobs);
+    add_settings(graph, &plan.all_meas_settings(), shots, "settings", |s| {
+        (
+            build_upstream_circuit(&fragments.upstream, s),
+            (Channel::UpstreamMeas, encode_meas(s)),
+        )
+    });
 }
 
 /// Adds one downstream eigenstate-preparation job per prep combination of
@@ -126,26 +287,13 @@ pub fn add_downstream_jobs(
     plan: &BasisPlan,
     shots: &[u64],
 ) {
-    let settings = plan.all_prep_settings();
-    assert!(
-        shots.len() == settings.len() || shots.len() == 1,
-        "shot schedule arity: {} preparations, {} budgets",
-        settings.len(),
-        shots.len()
-    );
-    let jobs = settings
-        .iter()
-        .enumerate()
-        .map(|(i, preparation)| {
-            let budget = if shots.len() == 1 { shots[0] } else { shots[i] };
-            (
-                build_downstream_circuit(&fragments.downstream, preparation),
-                (Channel::DownstreamPrep, encode_prep(preparation)),
-                budget,
-            )
-        })
-        .collect();
-    add_trie_local(graph, jobs);
+    let preparations = plan.all_prep_settings();
+    add_settings(graph, &preparations, shots, "preparations", |p| {
+        (
+            build_downstream_circuit(&fragments.downstream, p),
+            (Channel::DownstreamPrep, encode_prep(p)),
+        )
+    });
 }
 
 /// Adds the `4^K` SIC downstream preparation jobs, in trie-locality order.
@@ -154,25 +302,12 @@ pub fn add_downstream_jobs(
 /// preparation (the same schedule rule as [`add_upstream_jobs`]).
 pub fn add_sic_jobs(graph: &mut JobGraph, downstream: &Fragment, num_cuts: usize, shots: &[u64]) {
     let settings = all_sic_settings(num_cuts);
-    assert!(
-        shots.len() == settings.len() || shots.len() == 1,
-        "shot schedule arity: {} SIC preparations, {} budgets",
-        settings.len(),
-        shots.len()
-    );
-    let jobs = settings
-        .into_iter()
-        .enumerate()
-        .map(|(i, states)| {
-            let budget = if shots.len() == 1 { shots[0] } else { shots[i] };
-            (
-                build_sic_circuit(downstream, &states),
-                (Channel::SicPrep, encode_sic(&states)),
-                budget,
-            )
-        })
-        .collect();
-    add_trie_local(graph, jobs);
+    add_settings(graph, &settings, shots, "SIC preparations", |states| {
+        (
+            build_sic_circuit(downstream, states),
+            (Channel::SicPrep, encode_sic(states)),
+        )
+    });
 }
 
 /// The single-job graph for an uncut reference run.

@@ -545,6 +545,65 @@ fn warnings_ride_in_the_run_report() {
 }
 
 #[test]
+fn the_gate_lints_the_plan_the_run_executes() {
+    let (circuit, cut) = MultiCutAnsatz::new(3, 7).build();
+    let backend = IdealBackend::new(31);
+    let exec = CutExecutor::new(&backend);
+    let opts = ExecutionOptions {
+        shots_per_setting: 200,
+        analysis: AnalysisConfig::default()
+            .with_override(LintCode::ProvableGoldenUndetected, Severity::Warn)
+            .with_override(LintCode::PrefixSharing, Severity::Warn),
+        ..Default::default()
+    };
+    let planned_jobs = |diags: &[qcut::cutting::analysis::Diagnostic]| -> usize {
+        let sharing = diags
+            .iter()
+            .find(|d| d.code == LintCode::PrefixSharing)
+            .expect("QA304 promoted to warn");
+        let rest = sharing
+            .message
+            .strip_prefix("planned batch of ")
+            .expect("QA304 message shape");
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+
+    // ProveStatic neglects the proven Y on every cut: QA603 has nothing
+    // left to recommend, and QA304 counts the jobs that actually run.
+    let proved = exec
+        .run(&circuit, &cut, GoldenPolicy::ProveStatic, &opts)
+        .expect("clean workload runs");
+    assert!(proved
+        .report
+        .neglected
+        .iter()
+        .all(|n| n.contains(&Pauli::Y)));
+    let diags = &proved.report.diagnostics;
+    assert!(
+        !diags
+            .iter()
+            .any(|d| d.code == LintCode::ProvableGoldenUndetected),
+        "{diags:?}"
+    );
+    assert_eq!(planned_jobs(diags), proved.report.jobs_planned);
+
+    // The standard plan leaves every proof unbanked.
+    let standard = exec
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &opts)
+        .expect("clean workload runs");
+    let diags = &standard.report.diagnostics;
+    assert_eq!(
+        diags
+            .iter()
+            .filter(|d| d.code == LintCode::ProvableGoldenUndetected)
+            .count(),
+        3,
+        "{diags:?}"
+    );
+    assert_eq!(planned_jobs(diags), standard.report.jobs_planned);
+}
+
+#[test]
 fn disabled_analysis_reports_no_diagnostics() {
     let (circuit, cut) = GoldenAnsatz::new(5, 29).build();
     let backend = IdealBackend::new(30);
