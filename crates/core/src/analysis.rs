@@ -7,7 +7,7 @@
 //! soundness, consumer-stream uniqueness, neglect coverage — that the rest
 //! of the workspace only checks *during* execution. The lints check them
 //! **before any shot is spent**: analysis is pure (no backend calls), runs
-//! the registered [`Lint`]s layer by layer, and returns typed
+//! one table of lint functions layer by layer, and returns typed
 //! [`Diagnostics`]. [`crate::pipeline::CutExecutor::run`] gates on them,
 //! linting the very plan it then executes — deny-level findings become
 //! [`crate::error::PipelineError::Analysis`] and warnings ride along in
@@ -81,7 +81,7 @@ impl fmt::Display for Severity {
     }
 }
 
-/// The registered diagnostic codes, grouped by layer: `QA0xx` circuit,
+/// The diagnostic codes, one per lint, grouped by layer: `QA0xx` circuit,
 /// `QA1xx` cut, `QA2xx` schedule, `QA3xx` job graph, `QA4xx` warm-start
 /// cache, `QA5xx` fault tolerance, `QA6xx` dataflow, `QA7xx` backend
 /// pool.
@@ -178,7 +178,7 @@ pub enum LintCode {
 }
 
 impl LintCode {
-    /// Every registered code, in code order.
+    /// Every code, in code order.
     pub const ALL: [LintCode; 26] = [
         LintCode::OutOfRangeOperand,
         LintCode::IdleQubit,
@@ -430,7 +430,7 @@ impl AnalysisConfig {
 /// stops descending when a layer's soundness premise is broken (malformed
 /// IR stops before fragmenting; an invalid cut stops before scheduling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
+enum Layer {
     /// The workload circuit itself.
     Circuit,
     /// The cut specification against the circuit.
@@ -454,59 +454,59 @@ pub enum Layer {
 /// populated progressively — a lint must skip (not fire) when its inputs
 /// are absent, which is how [`lint_graph`] reuses the graph lints without
 /// a workload.
-pub struct AnalysisContext<'a> {
+struct AnalysisContext<'a> {
     /// The workload circuit.
-    pub circuit: Option<&'a Circuit>,
+    circuit: Option<&'a Circuit>,
     /// The cut specification.
-    pub cut: Option<&'a CutSpec>,
+    cut: Option<&'a CutSpec>,
     /// The fragments (present once the cut validated).
-    pub fragments: Option<&'a Fragments>,
+    fragments: Option<&'a Fragments>,
     /// Why the workload does not fragment, when it does not.
-    pub fragment_error: Option<&'a FragmentError>,
+    fragment_error: Option<&'a FragmentError>,
     /// The basis plan that runs (before online detection, the standard
     /// plan).
-    pub plan: Option<&'a BasisPlan>,
+    plan: Option<&'a BasisPlan>,
     /// The stabilizer prover's per-cut proofs, when planning already ran
     /// the prover.
-    pub proofs: Option<&'a [Vec<Pauli>]>,
+    proofs: Option<&'a [Vec<Pauli>]>,
     /// The resolved, normalized shot-allocation policy.
-    pub allocation: Option<ShotAllocation>,
+    allocation: Option<ShotAllocation>,
     /// The plan's shot schedule, when the budget can fund it.
-    pub schedule: Option<&'a ShotSchedule>,
+    schedule: Option<&'a ShotSchedule>,
     /// The downstream preparation scheme.
-    pub method: ReconstructionMethod,
+    method: ReconstructionMethod,
     /// The plan's job graph (never executed by analysis).
-    pub graph: Option<&'a JobGraph>,
+    graph: Option<&'a JobGraph>,
     /// The warm-start cache configuration, when one is enabled.
-    pub cache: Option<&'a CacheConfig>,
+    cache: Option<&'a CacheConfig>,
     /// Whether the backend guarantees deterministic seeding (known only
     /// on the [`analyze_with_backend`] path — [`analyze`] stays
     /// backend-free and leaves this `None`, so backend-dependent cache
     /// lints skip).
-    pub backend_deterministic: Option<bool>,
+    backend_deterministic: Option<bool>,
     /// The retry policy the engine will honor.
-    pub retry: Option<&'a RetryPolicy>,
+    retry: Option<&'a RetryPolicy>,
     /// The failure policy of the run.
-    pub failure: Option<FailurePolicy>,
+    failure: Option<FailurePolicy>,
     /// Whether the backend deliberately injects faults (known only on the
     /// [`analyze_with_backend`] path, like
     /// [`AnalysisContext::backend_deterministic`]).
-    pub fault_prone: Option<bool>,
+    fault_prone: Option<bool>,
     /// The backend's timing model, for predicting per-job device
     /// durations against a configured timeout (backend-known path only).
-    pub timing: Option<&'a TimingModel>,
+    timing: Option<&'a TimingModel>,
     /// The members of the bound [`qcut_device::pool::BackendPool`], when
     /// the backend is one (backend-known path only; `None` on bare
     /// backends, `Some(empty)` on an empty pool).
-    pub pool: Option<Vec<MemberInfo>>,
+    pool: Option<Vec<MemberInfo>>,
     /// The analysis configuration (thresholds, overrides).
-    pub config: &'a AnalysisConfig,
+    config: &'a AnalysisConfig,
 }
 
 impl<'a> AnalysisContext<'a> {
     /// A context carrying only a planned graph — what [`lint_graph`] runs
     /// the [`Layer::Graph`] lints against.
-    pub fn for_graph(graph: &'a JobGraph, config: &'a AnalysisConfig) -> Self {
+    fn for_graph(graph: &'a JobGraph, config: &'a AnalysisConfig) -> Self {
         AnalysisContext {
             circuit: None,
             cut: None,
@@ -532,7 +532,7 @@ impl<'a> AnalysisContext<'a> {
 
 /// Collects findings, resolving each code's effective severity and
 /// dropping allow-level findings.
-pub struct Sink<'c> {
+struct Sink<'c> {
     config: &'c AnalysisConfig,
     items: Vec<Diagnostic>,
 }
@@ -547,7 +547,7 @@ impl<'c> Sink<'c> {
 
     /// Records one finding of `code`. The configured severity is attached
     /// here; allow-level findings are dropped.
-    pub fn report(&mut self, code: LintCode, message: String) {
+    fn report(&mut self, code: LintCode, message: String) {
         let severity = self.config.severity(code);
         if severity != Severity::Allow {
             self.items.push(Diagnostic {
@@ -563,51 +563,41 @@ impl<'c> Sink<'c> {
     }
 }
 
-/// One static check. Implementations are registered in [`registry`] and
-/// dispatched by [`analyze`] layer by layer; a lint reads its inputs from
-/// the [`AnalysisContext`] and must skip silently when they are absent.
-pub trait Lint {
-    /// The diagnostic code this lint emits.
-    fn code(&self) -> LintCode;
-    /// One-line description of what the lint checks (the docs table).
-    fn description(&self) -> &'static str;
-    /// The pipeline layer the lint reads.
-    fn layer(&self) -> Layer;
-    /// Runs the check, reporting findings into `sink`.
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>);
-}
+/// One static check: reads its inputs from the [`AnalysisContext`], skips
+/// silently when they are absent, and reports into the [`Sink`].
+type Check = fn(&AnalysisContext<'_>, &mut Sink<'_>);
 
-/// The registered lints, in code order.
-pub fn registry() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(OutOfRangeOperandLint),
-        Box::new(IdleQubitLint),
-        Box::new(IdentityGateLint),
-        Box::new(FusibleAdjacentLint),
-        Box::new(InvalidCutLint),
-        Box::new(SamplingOverheadLint),
-        Box::new(GoldenStructureLint),
-        Box::new(BudgetBelowFloorLint),
-        Box::new(ZeroShotSettingLint),
-        Box::new(NeglectCoverageLint),
-        Box::new(StandardPlanStarvedLint),
-        Box::new(ConsumerAliasingLint),
-        Box::new(OrphanNodeLint),
-        Box::new(MissedDedupLint),
-        Box::new(PrefixSharingLint),
-        Box::new(CacheNondeterministicSeedingLint),
-        Box::new(CacheByteBudgetThrashLint),
-        Box::new(CacheDegradedLint),
-        Box::new(FaultProneNoRetryLint),
-        Box::new(TimeoutBelowJobDurationLint),
-        Box::new(DegradeUnsalvageableLint),
-        Box::new(DominatedCutPlacementLint),
-        Box::new(OutOfConeDeadGateLint),
-        Box::new(ProvableGoldenUndetectedLint),
-        Box::new(PoolCapacityInfeasibleLint),
-        Box::new(PoolIdleMemberLint),
-    ]
-}
+/// Every lint, in [`LintCode`] order: its code, the layer it reads, and
+/// its check. [`analyze`] runs them layer by layer.
+#[rustfmt::skip]
+const LINTS: [(LintCode, Layer, Check); 26] = [
+    (LintCode::OutOfRangeOperand, Layer::Circuit, out_of_range_operand),
+    (LintCode::IdleQubit, Layer::Circuit, idle_qubit),
+    (LintCode::IdentityGate, Layer::Circuit, identity_gate),
+    (LintCode::FusibleAdjacent, Layer::Circuit, fusible_adjacent),
+    (LintCode::InvalidCut, Layer::Cut, invalid_cut),
+    (LintCode::SamplingOverhead, Layer::Cut, sampling_overhead),
+    (LintCode::GoldenStructure, Layer::Cut, golden_structure),
+    (LintCode::BudgetBelowFloor, Layer::Schedule, budget_below_floor),
+    (LintCode::ZeroShotSetting, Layer::Schedule, zero_shot_setting),
+    (LintCode::NeglectCoverage, Layer::Schedule, neglect_coverage),
+    (LintCode::StandardPlanStarved, Layer::Schedule, standard_plan_starved),
+    (LintCode::ConsumerAliasing, Layer::Graph, consumer_aliasing),
+    (LintCode::OrphanNode, Layer::Graph, orphan_node),
+    (LintCode::MissedDedup, Layer::Graph, missed_dedup),
+    (LintCode::PrefixSharing, Layer::Graph, prefix_sharing),
+    (LintCode::CacheNondeterministicSeeding, Layer::Cache, cache_nondeterministic_seeding),
+    (LintCode::CacheByteBudgetThrash, Layer::Graph, cache_byte_budget_thrash),
+    (LintCode::CacheDegraded, Layer::Cache, cache_degraded),
+    (LintCode::FaultProneNoRetry, Layer::Execution, fault_prone_no_retry),
+    (LintCode::TimeoutBelowJobDuration, Layer::Graph, timeout_below_job_duration),
+    (LintCode::DegradeUnsalvageable, Layer::Execution, degrade_unsalvageable),
+    (LintCode::DominatedCutPlacement, Layer::Dataflow, dominated_cut_placement),
+    (LintCode::OutOfConeDeadGate, Layer::Dataflow, out_of_cone_dead_gate),
+    (LintCode::ProvableGoldenUndetected, Layer::Dataflow, provable_golden_undetected),
+    (LintCode::PoolCapacityInfeasible, Layer::Graph, pool_capacity_infeasible),
+    (LintCode::PoolIdleMember, Layer::Graph, pool_idle_member),
+];
 
 // ---------------------------------------------------------------------
 // Shared helpers.
@@ -663,120 +653,71 @@ fn fusible_pair(a: &Gate, b: &Gate) -> bool {
 // Circuit-layer lints (QA0xx).
 // ---------------------------------------------------------------------
 
-struct OutOfRangeOperandLint;
-
-impl Lint for OutOfRangeOperandLint {
-    fn code(&self) -> LintCode {
-        LintCode::OutOfRangeOperand
-    }
-    fn description(&self) -> &'static str {
-        "instruction operands out of range, wrong arity, or duplicated"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Circuit
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(circuit) = ctx.circuit else { return };
-        for (i, what) in circuit.malformed_instructions() {
-            sink.report(self.code(), format!("instruction #{i}: {what}"));
-        }
+fn out_of_range_operand(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(circuit) = ctx.circuit else { return };
+    for (i, what) in circuit.malformed_instructions() {
+        sink.report(
+            LintCode::OutOfRangeOperand,
+            format!("instruction #{i}: {what}"),
+        );
     }
 }
 
-struct IdleQubitLint;
+fn idle_qubit(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(circuit) = ctx.circuit else { return };
+    let idle = circuit.idle_qubits();
+    if !idle.is_empty() {
+        sink.report(
+            LintCode::IdleQubit,
+            format!(
+                "{} qubit(s) have no instructions ({idle:?}); fragmenting \
+                 cannot assign them to a side of the cut",
+                idle.len()
+            ),
+        );
+    }
+}
 
-impl Lint for IdleQubitLint {
-    fn code(&self) -> LintCode {
-        LintCode::IdleQubit
-    }
-    fn description(&self) -> &'static str {
-        "qubits without any instruction (undefined fragment membership)"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Circuit
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(circuit) = ctx.circuit else { return };
-        let idle = circuit.idle_qubits();
-        if !idle.is_empty() {
+fn identity_gate(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(circuit) = ctx.circuit else { return };
+    for (i, inst) in circuit.instructions().iter().enumerate() {
+        if inst.gate.is_effective_identity() {
             sink.report(
-                self.code(),
+                LintCode::IdentityGate,
                 format!(
-                    "{} qubit(s) have no instructions ({idle:?}); fragmenting \
-                     cannot assign them to a side of the cut",
-                    idle.len()
+                    "instruction #{i} ({inst}) is the identity up to global \
+                     phase; it costs simulation work in every tomography \
+                     variant and changes nothing"
                 ),
             );
         }
     }
 }
 
-struct IdentityGateLint;
-
-impl Lint for IdentityGateLint {
-    fn code(&self) -> LintCode {
-        LintCode::IdentityGate
-    }
-    fn description(&self) -> &'static str {
-        "gates that are the identity up to global phase"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Circuit
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(circuit) = ctx.circuit else { return };
-        for (i, inst) in circuit.instructions().iter().enumerate() {
-            if inst.gate.is_effective_identity() {
-                sink.report(
-                    self.code(),
-                    format!(
-                        "instruction #{i} ({inst}) is the identity up to global \
-                         phase; it costs simulation work in every tomography \
-                         variant and changes nothing"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-struct FusibleAdjacentLint;
-
-impl Lint for FusibleAdjacentLint {
-    fn code(&self) -> LintCode {
-        LintCode::FusibleAdjacent
-    }
-    fn description(&self) -> &'static str {
-        "adjacent same-operand gates a transpiler would fuse or cancel"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Circuit
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(circuit) = ctx.circuit else { return };
-        let instructions = circuit.instructions();
-        for (i, inst) in instructions.iter().enumerate() {
-            // The next instruction touching any of this one's qubits: if it
-            // uses exactly the same operands, nothing can act between them
-            // on those wires, so the pair is genuinely adjacent.
-            let Some((j, next)) = instructions
-                .iter()
-                .enumerate()
-                .skip(i + 1)
-                .find(|(_, n)| n.qubits.iter().any(|q| inst.qubits.contains(q)))
-            else {
-                continue;
-            };
-            if next.qubits == inst.qubits && fusible_pair(&inst.gate, &next.gate) {
-                sink.report(
-                    self.code(),
-                    format!(
-                        "instructions #{i} ({inst}) and #{j} ({next}) are \
-                         adjacent on the same operands and would fuse to one \
-                         gate (or cancel)"
-                    ),
-                );
-            }
+fn fusible_adjacent(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(circuit) = ctx.circuit else { return };
+    let instructions = circuit.instructions();
+    for (i, inst) in instructions.iter().enumerate() {
+        // The next instruction touching any of this one's qubits: if it
+        // uses exactly the same operands, nothing can act between them
+        // on those wires, so the pair is genuinely adjacent.
+        let Some((j, next)) = instructions
+            .iter()
+            .enumerate()
+            .skip(i + 1)
+            .find(|(_, n)| n.qubits.iter().any(|q| inst.qubits.contains(q)))
+        else {
+            continue;
+        };
+        if next.qubits == inst.qubits && fusible_pair(&inst.gate, &next.gate) {
+            sink.report(
+                LintCode::FusibleAdjacent,
+                format!(
+                    "instructions #{i} ({inst}) and #{j} ({next}) are \
+                     adjacent on the same operands and would fuse to one \
+                     gate (or cancel)"
+                ),
+            );
         }
     }
 }
@@ -785,84 +726,45 @@ impl Lint for FusibleAdjacentLint {
 // Cut-layer lints (QA1xx).
 // ---------------------------------------------------------------------
 
-struct InvalidCutLint;
-
-impl Lint for InvalidCutLint {
-    fn code(&self) -> LintCode {
-        LintCode::InvalidCut
-    }
-    fn description(&self) -> &'static str {
-        "the cut specification does not bipartition the circuit"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cut
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        if let Some(e) = ctx.fragment_error {
-            sink.report(self.code(), format!("cut does not fragment: {e}"));
-        }
+fn invalid_cut(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    if let Some(e) = ctx.fragment_error {
+        sink.report(LintCode::InvalidCut, format!("cut does not fragment: {e}"));
     }
 }
 
-struct SamplingOverheadLint;
-
-impl Lint for SamplingOverheadLint {
-    fn code(&self) -> LintCode {
-        LintCode::SamplingOverhead
-    }
-    fn description(&self) -> &'static str {
-        "4^K sampling overhead beyond the configured bound"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cut
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(cut) = ctx.cut else { return };
-        let k = cut.num_cuts();
-        let overhead = 4f64.powi(k as i32);
-        if overhead > ctx.config.max_sampling_overhead {
-            sink.report(
-                self.code(),
-                format!(
-                    "{k} wire cuts carry a 4^{k} = {overhead:.0} sampling \
-                     overhead, above the configured bound of {:.0}; shot \
-                     requirements grow by that factor for the same accuracy",
-                    ctx.config.max_sampling_overhead
-                ),
-            );
-        }
+fn sampling_overhead(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(cut) = ctx.cut else { return };
+    let k = cut.num_cuts();
+    let overhead = 4f64.powi(k as i32);
+    if overhead > ctx.config.max_sampling_overhead {
+        sink.report(
+            LintCode::SamplingOverhead,
+            format!(
+                "{k} wire cuts carry a 4^{k} = {overhead:.0} sampling \
+                 overhead, above the configured bound of {:.0}; shot \
+                 requirements grow by that factor for the same accuracy",
+                ctx.config.max_sampling_overhead
+            ),
+        );
     }
 }
 
-struct GoldenStructureLint;
-
-impl Lint for GoldenStructureLint {
-    fn code(&self) -> LintCode {
-        LintCode::GoldenStructure
-    }
-    fn description(&self) -> &'static str {
-        "real upstream fragment: golden-Y structure the policy could exploit"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cut
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(fragments) = ctx.fragments else {
-            return;
-        };
-        if fragments.upstream.circuit.is_real() {
-            sink.report(
-                self.code(),
-                format!(
-                    "the upstream fragment applies only real gates, so every \
-                     state at the {} cut port(s) is real and its Y expectation \
-                     vanishes identically — each cut is a golden-Y candidate; \
-                     GoldenPolicy::detect_exact() or DetectOnline would shrink \
-                     the plan",
-                    fragments.num_cuts
-                ),
-            );
-        }
+fn golden_structure(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(fragments) = ctx.fragments else {
+        return;
+    };
+    if fragments.upstream.circuit.is_real() {
+        sink.report(
+            LintCode::GoldenStructure,
+            format!(
+                "the upstream fragment applies only real gates, so every \
+                 state at the {} cut port(s) is real and its Y expectation \
+                 vanishes identically — each cut is a golden-Y candidate; \
+                 GoldenPolicy::detect_exact() or DetectOnline would shrink \
+                 the plan",
+                fragments.num_cuts
+            ),
+        );
     }
 }
 
@@ -870,145 +772,93 @@ impl Lint for GoldenStructureLint {
 // Schedule-layer lints (QA2xx).
 // ---------------------------------------------------------------------
 
-struct BudgetBelowFloorLint;
-
-impl Lint for BudgetBelowFloorLint {
-    fn code(&self) -> LintCode {
-        LintCode::BudgetBelowFloor
-    }
-    fn description(&self) -> &'static str {
-        "budget below the fully-golden floor: no execution path can succeed"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Schedule
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(plan), Some(allocation)) = (ctx.plan, ctx.allocation) else {
-            return;
-        };
-        let floor = minimal_golden_plan(plan.num_cuts());
-        if let Err(e) = schedule(&floor, ctx.method, allocation) {
-            sink.report(
-                self.code(),
-                format!(
-                    "the budget cannot cover even the fully-golden minimal \
-                     plan, so no detection outcome can make this run \
-                     schedulable: {e}"
-                ),
-            );
-        }
-    }
-}
-
-struct ZeroShotSettingLint;
-
-impl Lint for ZeroShotSettingLint {
-    fn code(&self) -> LintCode {
-        LintCode::ZeroShotSetting
-    }
-    fn description(&self) -> &'static str {
-        "settings scheduled at zero shots"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Schedule
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(allocation) = ctx.allocation else {
-            return;
-        };
-        if let ShotAllocation::Uniform {
-            shots_per_setting: 0,
-        } = allocation
-        {
-            sink.report(
-                self.code(),
-                "the uniform policy schedules zero shots per setting; every \
-                 histogram would be empty and the contraction reads garbage"
-                    .to_string(),
-            );
-            return;
-        }
-        if let Some(sched) = ctx.schedule {
-            if sched.num_settings() > 0 && sched.min_shots() == 0 {
-                sink.report(
-                    self.code(),
-                    "the planned schedule leaves at least one setting at \
-                     zero shots; its empty histogram would poison the \
-                     contraction"
-                        .to_string(),
-                );
-            }
-        }
-    }
-}
-
-struct NeglectCoverageLint;
-
-impl Lint for NeglectCoverageLint {
-    fn code(&self) -> LintCode {
-        LintCode::NeglectCoverage
-    }
-    fn description(&self) -> &'static str {
-        "neglect-coverage report: standard vs fully-golden setting counts"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Schedule
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(plan), Some(fragments)) = (ctx.plan, ctx.fragments) else {
-            return;
-        };
-        let standard = estimated_settings(&BasisPlan::standard(plan.num_cuts()), ctx.method);
-        let floor = estimated_settings(&minimal_golden_plan(plan.num_cuts()), ctx.method);
-        let golden = if fragments.upstream.circuit.is_real() {
-            "static golden-Y structure present"
-        } else {
-            "no static golden structure detected"
-        };
+fn budget_below_floor(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(plan), Some(allocation)) = (ctx.plan, ctx.allocation) else {
+        return;
+    };
+    let floor = minimal_golden_plan(plan.num_cuts());
+    if let Err(e) = schedule(&floor, ctx.method, allocation) {
         sink.report(
-            self.code(),
+            LintCode::BudgetBelowFloor,
             format!(
-                "plan coverage over {} cut(s): {standard:.0} settings standard, \
-                 {floor:.0} at the fully-golden floor; {golden}",
-                plan.num_cuts()
+                "the budget cannot cover even the fully-golden minimal \
+                 plan, so no detection outcome can make this run \
+                 schedulable: {e}"
             ),
         );
     }
 }
 
-struct StandardPlanStarvedLint;
-
-impl Lint for StandardPlanStarvedLint {
-    fn code(&self) -> LintCode {
-        LintCode::StandardPlanStarved
+fn zero_shot_setting(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(allocation) = ctx.allocation else {
+        return;
+    };
+    if let ShotAllocation::Uniform {
+        shots_per_setting: 0,
+    } = allocation
+    {
+        sink.report(
+            LintCode::ZeroShotSetting,
+            "the uniform policy schedules zero shots per setting; every \
+             histogram would be empty and the contraction reads garbage"
+                .to_string(),
+        );
+        return;
     }
-    fn description(&self) -> &'static str {
-        "budget starves the standard plan; only a golden shrink can rescue it"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Schedule
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(plan), Some(allocation)) = (ctx.plan, ctx.allocation) else {
-            return;
-        };
-        // Only meaningful when some plan fits (otherwise QA201 already
-        // denies the workload outright).
-        let floor = minimal_golden_plan(plan.num_cuts());
-        if schedule(&floor, ctx.method, allocation).is_err() {
-            return;
-        }
-        let standard = BasisPlan::standard(plan.num_cuts());
-        if let Err(e) = schedule(&standard, ctx.method, allocation) {
+    if let Some(sched) = ctx.schedule {
+        if sched.num_settings() > 0 && sched.min_shots() == 0 {
             sink.report(
-                self.code(),
-                format!(
-                    "the budget starves the standard (no-neglect) plan — the \
-                     run fails at allocation time unless golden detection \
-                     shrinks the plan first: {e}"
-                ),
+                LintCode::ZeroShotSetting,
+                "the planned schedule leaves at least one setting at \
+                 zero shots; its empty histogram would poison the \
+                 contraction"
+                    .to_string(),
             );
         }
+    }
+}
+
+fn neglect_coverage(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(plan), Some(fragments)) = (ctx.plan, ctx.fragments) else {
+        return;
+    };
+    let standard = estimated_settings(&BasisPlan::standard(plan.num_cuts()), ctx.method);
+    let floor = estimated_settings(&minimal_golden_plan(plan.num_cuts()), ctx.method);
+    let golden = if fragments.upstream.circuit.is_real() {
+        "static golden-Y structure present"
+    } else {
+        "no static golden structure detected"
+    };
+    sink.report(
+        LintCode::NeglectCoverage,
+        format!(
+            "plan coverage over {} cut(s): {standard:.0} settings standard, \
+             {floor:.0} at the fully-golden floor; {golden}",
+            plan.num_cuts()
+        ),
+    );
+}
+
+fn standard_plan_starved(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(plan), Some(allocation)) = (ctx.plan, ctx.allocation) else {
+        return;
+    };
+    // Only meaningful when some plan fits (otherwise QA201 already
+    // denies the workload outright).
+    let floor = minimal_golden_plan(plan.num_cuts());
+    if schedule(&floor, ctx.method, allocation).is_err() {
+        return;
+    }
+    let standard = BasisPlan::standard(plan.num_cuts());
+    if let Err(e) = schedule(&standard, ctx.method, allocation) {
+        sink.report(
+            LintCode::StandardPlanStarved,
+            format!(
+                "the budget starves the standard (no-neglect) plan — the \
+                 run fails at allocation time unless golden detection \
+                 shrinks the plan first: {e}"
+            ),
+        );
     }
 }
 
@@ -1016,323 +866,221 @@ impl Lint for StandardPlanStarvedLint {
 // Graph-layer lints (QA3xx).
 // ---------------------------------------------------------------------
 
-struct ConsumerAliasingLint;
-
-impl Lint for ConsumerAliasingLint {
-    fn code(&self) -> LintCode {
-        LintCode::ConsumerAliasing
-    }
-    fn description(&self) -> &'static str {
-        "one consumer key fed by several distinct circuits"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(graph) = ctx.graph else { return };
-        let mut feeders: std::collections::HashMap<crate::jobgraph::ConsumerKey, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (_, consumers)) in graph.node_jobs().enumerate() {
-            for &(key, _) in consumers {
-                feeders.entry(key).or_default().push(i);
-            }
-        }
-        let mut aliased: Vec<_> = feeders.into_iter().filter(|(_, v)| v.len() > 1).collect();
-        aliased.sort_by_key(|(k, _)| *k);
-        for (key, nodes) in aliased {
-            sink.report(
-                self.code(),
-                format!(
-                    "consumer {key:?} is fed by {} distinct circuits (nodes \
-                     {nodes:?}); their histograms would merge into one stream \
-                     and mix different distributions",
-                    nodes.len()
-                ),
-            );
+fn consumer_aliasing(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(graph) = ctx.graph else { return };
+    let mut feeders: std::collections::HashMap<crate::jobgraph::ConsumerKey, Vec<usize>> =
+        std::collections::HashMap::new();
+    for (i, (_, consumers)) in graph.node_jobs().enumerate() {
+        for &(key, _) in consumers {
+            feeders.entry(key).or_default().push(i);
         }
     }
-}
-
-struct OrphanNodeLint;
-
-impl Lint for OrphanNodeLint {
-    fn code(&self) -> LintCode {
-        LintCode::OrphanNode
-    }
-    fn description(&self) -> &'static str {
-        "nodes whose consumers all request zero shots"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(graph) = ctx.graph else { return };
-        let orphans: Vec<usize> = graph
-            .node_jobs()
-            .enumerate()
-            .filter(|(_, (_, consumers))| consumers.iter().map(|&(_, s)| s).max().unwrap_or(0) == 0)
-            .map(|(i, _)| i)
-            .collect();
-        if !orphans.is_empty() {
-            sink.report(
-                self.code(),
-                format!(
-                    "{} of {} nodes are orphaned (every consumer requests zero \
-                     shots, e.g. nodes {:?}); they can only deliver empty \
-                     histograms",
-                    orphans.len(),
-                    graph.num_nodes(),
-                    &orphans[..orphans.len().min(5)]
-                ),
-            );
-        }
-    }
-}
-
-struct MissedDedupLint;
-
-impl Lint for MissedDedupLint {
-    fn code(&self) -> LintCode {
-        LintCode::MissedDedup
-    }
-    fn description(&self) -> &'static str {
-        "structurally-hash-equal circuits in distinct nodes"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(graph) = ctx.graph else { return };
-        let mut by_hash: std::collections::HashMap<u64, Vec<(usize, &Circuit)>> =
-            std::collections::HashMap::new();
-        for (i, (circuit, _)) in graph.node_jobs().enumerate() {
-            by_hash
-                .entry(circuit.structural_hash())
-                .or_default()
-                .push((i, circuit));
-        }
-        let mut groups: Vec<_> = by_hash.into_values().filter(|g| g.len() > 1).collect();
-        groups.sort_by_key(|g| g[0].0);
-        for group in groups {
-            let indices: Vec<usize> = group.iter().map(|&(i, _)| i).collect();
-            let all_equal = group.windows(2).all(|w| w[0].1 == w[1].1);
-            let message = if all_equal {
-                format!(
-                    "nodes {indices:?} hold structurally identical circuits \
-                     that were not merged (dedup disabled?); each executes \
-                     its shots separately"
-                )
-            } else {
-                format!(
-                    "nodes {indices:?} collide on the 64-bit structural hash \
-                     while holding different circuits; dedup stays sound (it \
-                     confirms equality) but hash-keyed caches must too"
-                )
-            };
-            sink.report(self.code(), message);
-        }
-    }
-}
-
-struct PrefixSharingLint;
-
-impl Lint for PrefixSharingLint {
-    fn code(&self) -> LintCode {
-        LintCode::PrefixSharing
-    }
-    fn description(&self) -> &'static str {
-        "predicted prefix-sharing ratio of the planned batch"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(graph) = ctx.graph else { return };
-        if graph.num_nodes() == 0 {
-            return;
-        }
-        let profile = graph.prefix_profile();
-        let saved = profile.gates_saved();
-        let ratio = if profile.gates_naive == 0 {
-            0.0
-        } else {
-            100.0 * saved as f64 / profile.gates_naive as f64
-        };
+    let mut aliased: Vec<_> = feeders.into_iter().filter(|(_, v)| v.len() > 1).collect();
+    aliased.sort_by_key(|(k, _)| *k);
+    for (key, nodes) in aliased {
         sink.report(
-            self.code(),
+            LintCode::ConsumerAliasing,
             format!(
-                "planned batch of {} unique jobs: {} naive gate applications \
-                 → {} on a prefix-sharing backend ({ratio:.1}% predicted \
-                 saving)",
-                profile.circuits, profile.gates_naive, profile.gates_shared
+                "consumer {key:?} is fed by {} distinct circuits (nodes \
+                 {nodes:?}); their histograms would merge into one stream \
+                 and mix different distributions",
+                nodes.len()
             ),
         );
     }
+}
+
+fn orphan_node(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(graph) = ctx.graph else { return };
+    let orphans: Vec<usize> = graph
+        .node_jobs()
+        .enumerate()
+        .filter(|(_, (_, consumers))| consumers.iter().map(|&(_, s)| s).max().unwrap_or(0) == 0)
+        .map(|(i, _)| i)
+        .collect();
+    if !orphans.is_empty() {
+        sink.report(
+            LintCode::OrphanNode,
+            format!(
+                "{} of {} nodes are orphaned (every consumer requests zero \
+                 shots, e.g. nodes {:?}); they can only deliver empty \
+                 histograms",
+                orphans.len(),
+                graph.num_nodes(),
+                &orphans[..orphans.len().min(5)]
+            ),
+        );
+    }
+}
+
+fn missed_dedup(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(graph) = ctx.graph else { return };
+    let mut by_hash: std::collections::HashMap<u64, Vec<(usize, &Circuit)>> =
+        std::collections::HashMap::new();
+    for (i, (circuit, _)) in graph.node_jobs().enumerate() {
+        by_hash
+            .entry(circuit.structural_hash())
+            .or_default()
+            .push((i, circuit));
+    }
+    let mut groups: Vec<_> = by_hash.into_values().filter(|g| g.len() > 1).collect();
+    groups.sort_by_key(|g| g[0].0);
+    for group in groups {
+        let indices: Vec<usize> = group.iter().map(|&(i, _)| i).collect();
+        let all_equal = group.windows(2).all(|w| w[0].1 == w[1].1);
+        let message = if all_equal {
+            format!(
+                "nodes {indices:?} hold structurally identical circuits \
+                 that were not merged (dedup disabled?); each executes \
+                 its shots separately"
+            )
+        } else {
+            format!(
+                "nodes {indices:?} collide on the 64-bit structural hash \
+                 while holding different circuits; dedup stays sound (it \
+                 confirms equality) but hash-keyed caches must too"
+            )
+        };
+        sink.report(LintCode::MissedDedup, message);
+    }
+}
+
+fn prefix_sharing(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(graph) = ctx.graph else { return };
+    if graph.num_nodes() == 0 {
+        return;
+    }
+    let profile = graph.prefix_profile();
+    let saved = profile.gates_saved();
+    let ratio = if profile.gates_naive == 0 {
+        0.0
+    } else {
+        100.0 * saved as f64 / profile.gates_naive as f64
+    };
+    sink.report(
+        LintCode::PrefixSharing,
+        format!(
+            "planned batch of {} unique jobs: {} naive gate applications \
+             → {} on a prefix-sharing backend ({ratio:.1}% predicted \
+             saving)",
+            profile.circuits, profile.gates_naive, profile.gates_shared
+        ),
+    );
 }
 
 // ---------------------------------------------------------------------
 // Cache-layer lints (QA4xx).
 // ---------------------------------------------------------------------
 
-struct CacheNondeterministicSeedingLint;
+fn cache_nondeterministic_seeding(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    if ctx.cache.is_none() {
+        return;
+    }
+    // Backend-free analyze() leaves the discipline unknown: skip, don't
+    // guess (a lint must not fire on absent inputs).
+    if ctx.backend_deterministic == Some(false) {
+        sink.report(
+            LintCode::CacheNondeterministicSeeding,
+            "the warm-start cache is enabled but the backend does not \
+             guarantee deterministic seeding; cached histograms remain \
+             statistically valid samples, but warm reruns will not be \
+             bit-reproducible across processes"
+                .to_string(),
+        );
+    }
+}
 
-impl Lint for CacheNondeterministicSeedingLint {
-    fn code(&self) -> LintCode {
-        LintCode::CacheNondeterministicSeeding
-    }
-    fn description(&self) -> &'static str {
-        "warm-start cache enabled on a nondeterministically seeded backend"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cache
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        if ctx.cache.is_none() {
-            return;
-        }
-        // Backend-free analyze() leaves the discipline unknown: skip, don't
-        // guess (a lint must not fire on absent inputs).
-        if ctx.backend_deterministic == Some(false) {
+fn cache_byte_budget_thrash(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(cache), Some(graph)) = (ctx.cache, ctx.graph) else {
+        return;
+    };
+    // The worst single entry the planned graph could store: if even one
+    // node's histogram cannot fit, storing it evicts everything and the
+    // cache thrashes without ever serving a warm hit.
+    let worst = graph
+        .node_jobs()
+        .map(|(circuit, consumers)| {
+            let shots = consumers.iter().map(|&(_, s)| s).max().unwrap_or(0);
+            qcut_cache::estimated_entry_bytes(circuit, shots)
+        })
+        .max();
+    if let Some(worst) = worst {
+        if worst > cache.byte_budget {
             sink.report(
-                self.code(),
-                "the warm-start cache is enabled but the backend does not \
-                 guarantee deterministic seeding; cached histograms remain \
-                 statistically valid samples, but warm reruns will not be \
-                 bit-reproducible across processes"
-                    .to_string(),
+                LintCode::CacheByteBudgetThrash,
+                format!(
+                    "the cache byte budget ({} B) is below the largest \
+                     planned node's estimated histogram entry ({worst} B); \
+                     every store of that node immediately evicts it and \
+                     warm runs stay cold",
+                    cache.byte_budget
+                ),
             );
         }
     }
 }
 
-struct CacheByteBudgetThrashLint;
-
-impl Lint for CacheByteBudgetThrashLint {
-    fn code(&self) -> LintCode {
-        LintCode::CacheByteBudgetThrash
-    }
-    fn description(&self) -> &'static str {
-        "cache byte budget below one planned node's histogram entry"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(cache), Some(graph)) = (ctx.cache, ctx.graph) else {
-            return;
-        };
-        // The worst single entry the planned graph could store: if even one
-        // node's histogram cannot fit, storing it evicts everything and the
-        // cache thrashes without ever serving a warm hit.
-        let worst = graph
-            .node_jobs()
-            .map(|(circuit, consumers)| {
-                let shots = consumers.iter().map(|&(_, s)| s).max().unwrap_or(0);
-                qcut_cache::estimated_entry_bytes(circuit, shots)
-            })
-            .max();
-        if let Some(worst) = worst {
-            if worst > cache.byte_budget {
-                sink.report(
-                    self.code(),
-                    format!(
-                        "the cache byte budget ({} B) is below the largest \
-                         planned node's estimated histogram entry ({worst} B); \
-                         every store of that node immediately evicts it and \
-                         warm runs stay cold",
-                        cache.byte_budget
-                    ),
-                );
-            }
-        }
-    }
-}
-
-struct CacheDegradedLint;
-
-impl Lint for CacheDegradedLint {
-    fn code(&self) -> LintCode {
-        LintCode::CacheDegraded
-    }
-    fn description(&self) -> &'static str {
-        "configured cache file is not a loadable current-format cache"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Cache
-    }
-    // Bounded IO exception to the "analysis is pure" rule: this lint reads
-    // at most the 10-byte header (magic + version) of the one configured
-    // cache file — never the body, never the backend. A missing file is
-    // *not* a finding (a cold start is the normal first run).
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        use std::io::Read as _;
-        let Some(path) = ctx.cache.and_then(|c| c.path.as_ref()) else {
-            return;
-        };
-        let mut header = [0u8; 10];
-        let mut filled = 0usize;
-        match std::fs::File::open(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
-            Err(e) => {
-                sink.report(
-                    self.code(),
-                    format!(
-                        "cache file {} is unreadable ({e}); the run degrades \
-                         to a cold start",
-                        path.display()
-                    ),
-                );
-                return;
-            }
-            Ok(mut file) => loop {
-                match file.read(&mut header[filled..]) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        filled += n;
-                        if filled == header.len() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        sink.report(
-                            self.code(),
-                            format!(
-                                "cache file {} failed to read ({e}); the run \
-                                 degrades to a cold start",
-                                path.display()
-                            ),
-                        );
-                        return;
-                    }
-                }
-            },
-        }
-        let version = if filled == header.len() {
-            u16::from_le_bytes([header[8], header[9]])
-        } else {
-            0
-        };
-        if filled < header.len() || &header[..8] != qcut_cache::disk::MAGIC {
+// Bounded IO exception to the "analysis is pure" rule: this lint reads
+// at most the 10-byte header (magic + version) of the one configured
+// cache file — never the body, never the backend. A missing file is
+// *not* a finding (a cold start is the normal first run).
+fn cache_degraded(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    use std::io::Read as _;
+    let Some(path) = ctx.cache.and_then(|c| c.path.as_ref()) else {
+        return;
+    };
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
+        Err(e) => {
             sink.report(
-                self.code(),
+                LintCode::CacheDegraded,
                 format!(
-                    "cache file {} is not a warm-start cache (bad or \
-                     truncated header); the run degrades to a cold start and \
-                     will not overwrite it until a successful persist",
+                    "cache file {} is unreadable ({e}); the run degrades \
+                     to a cold start",
                     path.display()
                 ),
             );
-        } else if version != qcut_cache::disk::VERSION {
-            sink.report(
-                self.code(),
-                format!(
-                    "cache file {} has format version {version}, this build \
-                     reads version {}; the run degrades to a cold start",
-                    path.display(),
-                    qcut_cache::disk::VERSION
-                ),
-            );
+            return;
         }
+    };
+    let mut header = Vec::with_capacity(10);
+    if let Err(e) = file.take(10).read_to_end(&mut header) {
+        sink.report(
+            LintCode::CacheDegraded,
+            format!(
+                "cache file {} failed to read ({e}); the run degrades to a \
+                 cold start",
+                path.display()
+            ),
+        );
+        return;
+    }
+    let version = if header.len() == 10 {
+        u16::from_le_bytes([header[8], header[9]])
+    } else {
+        0
+    };
+    if header.len() < 10 || &header[..8] != qcut_cache::disk::MAGIC {
+        sink.report(
+            LintCode::CacheDegraded,
+            format!(
+                "cache file {} is not a warm-start cache (bad or \
+                 truncated header); the run degrades to a cold start and \
+                 will not overwrite it until a successful persist",
+                path.display()
+            ),
+        );
+    } else if version != qcut_cache::disk::VERSION {
+        sink.report(
+            LintCode::CacheDegraded,
+            format!(
+                "cache file {} has format version {version}, this build \
+                 reads version {}; the run degrades to a cold start",
+                path.display(),
+                qcut_cache::disk::VERSION
+            ),
+        );
     }
 }
 
@@ -1340,125 +1088,86 @@ impl Lint for CacheDegradedLint {
 // Execution-layer lints (QA5xx): fault tolerance.
 // ---------------------------------------------------------------------
 
-struct FaultProneNoRetryLint;
-
-impl Lint for FaultProneNoRetryLint {
-    fn code(&self) -> LintCode {
-        LintCode::FaultProneNoRetry
-    }
-    fn description(&self) -> &'static str {
-        "fault-injecting backend with retries disabled"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Execution
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        // Backend-free analyze() leaves the fault discipline unknown:
-        // skip, don't guess.
-        let (Some(true), Some(retry)) = (ctx.fault_prone, ctx.retry) else {
-            return;
-        };
-        if retry.max_attempts <= 1 {
-            sink.report(
-                self.code(),
-                "the backend reports itself fault-prone but retries are \
-                 disabled (max_attempts ≤ 1): every transient fault is \
-                 immediately permanent; set RetryPolicy::max_attempts > 1 \
-                 to ride out the fault schedule"
-                    .to_string(),
-            );
-        }
+fn fault_prone_no_retry(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    // Backend-free analyze() leaves the fault discipline unknown:
+    // skip, don't guess.
+    let (Some(true), Some(retry)) = (ctx.fault_prone, ctx.retry) else {
+        return;
+    };
+    if retry.max_attempts <= 1 {
+        sink.report(
+            LintCode::FaultProneNoRetry,
+            "the backend reports itself fault-prone but retries are \
+             disabled (max_attempts ≤ 1): every transient fault is \
+             immediately permanent; set RetryPolicy::max_attempts > 1 \
+             to ride out the fault schedule"
+                .to_string(),
+        );
     }
 }
 
-struct TimeoutBelowJobDurationLint;
-
-impl Lint for TimeoutBelowJobDurationLint {
-    fn code(&self) -> LintCode {
-        LintCode::TimeoutBelowJobDuration
-    }
-    fn description(&self) -> &'static str {
-        "per-job timeout below a planned node's predicted device duration"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(graph), Some(timing), Some(retry)) = (ctx.graph, ctx.timing, ctx.retry) else {
-            return;
-        };
-        let Some(timeout) = retry.per_job_timeout else {
-            return;
-        };
-        let doomed: Vec<(usize, f64)> = graph
-            .node_jobs()
-            .enumerate()
-            .filter_map(|(i, (circuit, consumers))| {
-                let shots = consumers.iter().map(|&(_, s)| s).max().unwrap_or(0);
-                let predicted = timing.job_duration(circuit, shots);
-                (predicted > timeout.as_secs_f64()).then_some((i, predicted))
-            })
-            .collect();
-        if let Some(&(node, predicted)) = doomed.first() {
-            sink.report(
-                self.code(),
-                format!(
-                    "{} of {} planned node(s) predict a device duration above \
-                     the {:.3} s per-job timeout (e.g. node {node} at \
-                     {predicted:.3} s); those jobs time out on every attempt \
-                     and each attempt still wastes the full device occupation",
-                    doomed.len(),
-                    graph.num_nodes(),
-                    timeout.as_secs_f64(),
-                ),
-            );
-        }
+fn timeout_below_job_duration(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(graph), Some(timing), Some(retry)) = (ctx.graph, ctx.timing, ctx.retry) else {
+        return;
+    };
+    let Some(timeout) = retry.per_job_timeout else {
+        return;
+    };
+    let doomed: Vec<(usize, f64)> = graph
+        .node_jobs()
+        .enumerate()
+        .filter_map(|(i, (circuit, consumers))| {
+            let shots = consumers.iter().map(|&(_, s)| s).max().unwrap_or(0);
+            let predicted = timing.job_duration(circuit, shots);
+            (predicted > timeout.as_secs_f64()).then_some((i, predicted))
+        })
+        .collect();
+    if let Some(&(node, predicted)) = doomed.first() {
+        sink.report(
+            LintCode::TimeoutBelowJobDuration,
+            format!(
+                "{} of {} planned node(s) predict a device duration above \
+                 the {:.3} s per-job timeout (e.g. node {node} at \
+                 {predicted:.3} s); those jobs time out on every attempt \
+                 and each attempt still wastes the full device occupation",
+                doomed.len(),
+                graph.num_nodes(),
+                timeout.as_secs_f64(),
+            ),
+        );
     }
 }
 
-struct DegradeUnsalvageableLint;
-
-impl Lint for DegradeUnsalvageableLint {
-    fn code(&self) -> LintCode {
-        LintCode::DegradeUnsalvageable
+fn degrade_unsalvageable(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    if ctx.failure != Some(FailurePolicy::Degrade) {
+        return;
     }
-    fn description(&self) -> &'static str {
-        "Degrade policy where losing any one setting is unsalvageable"
+    if ctx.method == ReconstructionMethod::Sic {
+        sink.report(
+            LintCode::DegradeUnsalvageable,
+            "FailurePolicy::Degrade is configured with SIC preparations, \
+             but the SIC frame is informationally complete: losing any \
+             one preparation makes the 4×4 solve singular, so a \
+             downstream failure can never degrade gracefully — it fails \
+             exactly like FailurePolicy::Fail"
+                .to_string(),
+        );
+        return;
     }
-    fn layer(&self) -> Layer {
-        Layer::Execution
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        if ctx.failure != Some(FailurePolicy::Degrade) {
-            return;
-        }
-        if ctx.method == ReconstructionMethod::Sic {
-            sink.report(
-                self.code(),
-                "FailurePolicy::Degrade is configured with SIC preparations, \
-                 but the SIC frame is informationally complete: losing any \
-                 one preparation makes the 4×4 solve singular, so a \
-                 downstream failure can never degrade gracefully — it fails \
-                 exactly like FailurePolicy::Fail"
-                    .to_string(),
-            );
-            return;
-        }
-        let Some(plan) = ctx.plan else { return };
-        let saturated: Vec<usize> = (0..plan.num_cuts())
-            .filter(|&k| plan.neglected()[k].len() >= 2)
-            .collect();
-        if !saturated.is_empty() {
-            sink.report(
-                self.code(),
-                format!(
-                    "FailurePolicy::Degrade is configured but cut(s) \
-                     {saturated:?} already neglect two bases — no further \
-                     basis can be dropped there, so losing one of their \
-                     settings cannot degrade gracefully"
-                ),
-            );
-        }
+    let Some(plan) = ctx.plan else { return };
+    let saturated: Vec<usize> = (0..plan.num_cuts())
+        .filter(|&k| plan.neglected()[k].len() >= 2)
+        .collect();
+    if !saturated.is_empty() {
+        sink.report(
+            LintCode::DegradeUnsalvageable,
+            format!(
+                "FailurePolicy::Degrade is configured but cut(s) \
+                 {saturated:?} already neglect two bases — no further \
+                 basis can be dropped there, so losing one of their \
+                 settings cannot degrade gracefully"
+            ),
+        );
     }
 }
 
@@ -1466,152 +1175,112 @@ impl Lint for DegradeUnsalvageableLint {
 // Dataflow-layer lints (QA6xx).
 // ---------------------------------------------------------------------
 
-struct DominatedCutPlacementLint;
+fn dominated_cut_placement(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(circuit), Some(cut)) = (ctx.circuit, ctx.cut) else {
+        return;
+    };
+    if cut.num_cuts() != 1 {
+        return;
+    }
+    let loc = cut.cuts()[0];
+    // Static facts only (no statevector simulation inside a lint).
+    let report = crate::dataflow::cut_report(circuit, &AnalysisConfig::disabled());
+    let Some(chosen) = report
+        .candidates
+        .iter()
+        .find(|c| c.qubit == loc.qubit && c.position == loc.after_op)
+    else {
+        return;
+    };
+    let dominating = report.candidates.iter().find(|d| {
+        d.feasible
+            && (d.qubit, d.position) != (chosen.qubit, chosen.position)
+            && d.proven_golden.len() >= chosen.proven_golden.len()
+            && d.settings <= chosen.settings
+            && d.entangling_crossings <= chosen.entangling_crossings
+            && (d.proven_golden.len() > chosen.proven_golden.len()
+                || d.settings < chosen.settings
+                || d.entangling_crossings < chosen.entangling_crossings)
+    });
+    if let Some(d) = dominating {
+        sink.report(
+            LintCode::DominatedCutPlacement,
+            format!(
+                "the cut at qubit {} position {} is dominated by the wire \
+                 edge at qubit {} position {}: {} vs {} proven-golden \
+                 bases, {} vs {} settings, {} vs {} entangling crossings",
+                loc.qubit,
+                loc.after_op,
+                d.qubit,
+                d.position,
+                d.proven_golden.len(),
+                chosen.proven_golden.len(),
+                d.settings,
+                chosen.settings,
+                d.entangling_crossings,
+                chosen.entangling_crossings,
+            ),
+        );
+    }
+}
 
-impl Lint for DominatedCutPlacementLint {
-    fn code(&self) -> LintCode {
-        LintCode::DominatedCutPlacement
-    }
-    fn description(&self) -> &'static str {
-        "the chosen cut is Pareto-dominated under the dataflow cost model"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Dataflow
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(circuit), Some(cut)) = (ctx.circuit, ctx.cut) else {
-            return;
-        };
-        if cut.num_cuts() != 1 {
-            return;
+fn out_of_cone_dead_gate(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let Some(circuit) = ctx.circuit else { return };
+    let insts = circuit.instructions();
+    for dead in qcut_circuit::cone::dead_instructions(circuit) {
+        let inst = &insts[dead.index];
+        // Single-gate effective identities are QA003's finding.
+        if inst.gate.is_effective_identity() {
+            continue;
         }
-        let loc = cut.cuts()[0];
-        // Static facts only (no statevector simulation inside a lint).
-        let report = crate::dataflow::cut_report(circuit, &AnalysisConfig::disabled());
-        let Some(chosen) = report
-            .candidates
+        let why = match dead.kind {
+            qcut_circuit::cone::DeadGateKind::PrepDead => {
+                "acts by a global phase on the still-|0> operands"
+            }
+            qcut_circuit::cone::DeadGateKind::MeasureDead => {
+                "its forward light cone is all diagonal, so it commutes \
+                 to the final measurement it cannot affect"
+            }
+        };
+        sink.report(
+            LintCode::OutOfConeDeadGate,
+            format!(
+                "instruction #{} ({inst}) cannot affect the final \
+                 distribution: {why}",
+                dead.index
+            ),
+        );
+    }
+}
+
+fn provable_golden_undetected(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(fragments), Some(plan)) = (ctx.fragments, ctx.plan) else {
+        return;
+    };
+    let proved;
+    let proofs = match ctx.proofs {
+        Some(proofs) => proofs,
+        None => {
+            proved = crate::dataflow::prove_golden_bases(&fragments.upstream, fragments.num_cuts);
+            &proved
+        }
+    };
+    for (cut, proven) in proofs.iter().enumerate() {
+        let missed: Vec<Pauli> = proven
             .iter()
-            .find(|c| c.qubit == loc.qubit && c.position == loc.after_op)
-        else {
-            return;
-        };
-        let dominating = report.candidates.iter().find(|d| {
-            d.feasible
-                && (d.qubit, d.position) != (chosen.qubit, chosen.position)
-                && d.proven_golden.len() >= chosen.proven_golden.len()
-                && d.settings <= chosen.settings
-                && d.entangling_crossings <= chosen.entangling_crossings
-                && (d.proven_golden.len() > chosen.proven_golden.len()
-                    || d.settings < chosen.settings
-                    || d.entangling_crossings < chosen.entangling_crossings)
-        });
-        if let Some(d) = dominating {
+            .copied()
+            .filter(|p| !plan.neglected()[cut].contains(p))
+            .collect();
+        if !missed.is_empty() {
             sink.report(
-                self.code(),
+                LintCode::ProvableGoldenUndetected,
                 format!(
-                    "the cut at qubit {} position {} is dominated by the wire \
-                     edge at qubit {} position {}: {} vs {} proven-golden \
-                     bases, {} vs {} settings, {} vs {} entangling crossings",
-                    loc.qubit,
-                    loc.after_op,
-                    d.qubit,
-                    d.position,
-                    d.proven_golden.len(),
-                    chosen.proven_golden.len(),
-                    d.settings,
-                    chosen.settings,
-                    d.entangling_crossings,
-                    chosen.entangling_crossings,
+                    "cut {cut}: the stabilizer prover certifies {missed:?} \
+                     golden but the plan still measures them; \
+                     GoldenPolicy::ProveStatic would neglect them with \
+                     zero detection shots"
                 ),
             );
-        }
-    }
-}
-
-struct OutOfConeDeadGateLint;
-
-impl Lint for OutOfConeDeadGateLint {
-    fn code(&self) -> LintCode {
-        LintCode::OutOfConeDeadGate
-    }
-    fn description(&self) -> &'static str {
-        "light-cone-proven dead gates (prep-dead or measure-dead)"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Dataflow
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let Some(circuit) = ctx.circuit else { return };
-        let insts = circuit.instructions();
-        for dead in qcut_circuit::cone::dead_instructions(circuit) {
-            let inst = &insts[dead.index];
-            // Single-gate effective identities are QA003's finding.
-            if inst.gate.is_effective_identity() {
-                continue;
-            }
-            let why = match dead.kind {
-                qcut_circuit::cone::DeadGateKind::PrepDead => {
-                    "acts by a global phase on the still-|0> operands"
-                }
-                qcut_circuit::cone::DeadGateKind::MeasureDead => {
-                    "its forward light cone is all diagonal, so it commutes \
-                     to the final measurement it cannot affect"
-                }
-            };
-            sink.report(
-                self.code(),
-                format!(
-                    "instruction #{} ({inst}) cannot affect the final \
-                     distribution: {why}",
-                    dead.index
-                ),
-            );
-        }
-    }
-}
-
-struct ProvableGoldenUndetectedLint;
-
-impl Lint for ProvableGoldenUndetectedLint {
-    fn code(&self) -> LintCode {
-        LintCode::ProvableGoldenUndetected
-    }
-    fn description(&self) -> &'static str {
-        "statically-provable golden bases the plan is not neglecting"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Dataflow
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(fragments), Some(plan)) = (ctx.fragments, ctx.plan) else {
-            return;
-        };
-        let proved;
-        let proofs = match ctx.proofs {
-            Some(proofs) => proofs,
-            None => {
-                proved =
-                    crate::dataflow::prove_golden_bases(&fragments.upstream, fragments.num_cuts);
-                &proved
-            }
-        };
-        for (cut, proven) in proofs.iter().enumerate() {
-            let missed: Vec<Pauli> = proven
-                .iter()
-                .copied()
-                .filter(|p| !plan.neglected()[cut].contains(p))
-                .collect();
-            if !missed.is_empty() {
-                sink.report(
-                    self.code(),
-                    format!(
-                        "cut {cut}: the stabilizer prover certifies {missed:?} \
-                         golden but the plan still measures them; \
-                         GoldenPolicy::ProveStatic would neglect them with \
-                         zero detection shots"
-                    ),
-                );
-            }
         }
     }
 }
@@ -1620,77 +1289,51 @@ impl Lint for ProvableGoldenUndetectedLint {
 // Pool-layer lints (QA7xx): multi-backend sharding.
 // ---------------------------------------------------------------------
 
-struct PoolCapacityInfeasibleLint;
-
-impl Lint for PoolCapacityInfeasibleLint {
-    fn code(&self) -> LintCode {
-        LintCode::PoolCapacityInfeasible
-    }
-    fn description(&self) -> &'static str {
-        "a planned node is wider than every pool member's capacity"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
-            return;
-        };
-        let ceiling = members.iter().map(|m| m.capacity).max().unwrap_or(0);
-        let doomed: Vec<(usize, usize)> = graph
-            .node_jobs()
-            .enumerate()
-            .filter_map(|(i, (circuit, _))| {
-                let width = circuit.num_qubits();
-                (width > ceiling).then_some((i, width))
-            })
-            .collect();
-        if let Some(&(node, width)) = doomed.first() {
-            sink.report(
-                self.code(),
-                format!(
-                    "{} of {} planned node(s) exceed every pool member's \
-                     capacity (e.g. node {node} at {width} qubits vs a \
-                     {ceiling}-qubit ceiling across {} member(s)); no \
-                     placement can seat them and they fail before submission",
-                    doomed.len(),
-                    graph.num_nodes(),
-                    members.len(),
-                ),
-            );
-        }
+fn pool_capacity_infeasible(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
+        return;
+    };
+    let ceiling = members.iter().map(|m| m.capacity).max().unwrap_or(0);
+    let doomed: Vec<(usize, usize)> = graph
+        .node_jobs()
+        .enumerate()
+        .filter_map(|(i, (circuit, _))| {
+            let width = circuit.num_qubits();
+            (width > ceiling).then_some((i, width))
+        })
+        .collect();
+    if let Some(&(node, width)) = doomed.first() {
+        sink.report(
+            LintCode::PoolCapacityInfeasible,
+            format!(
+                "{} of {} planned node(s) exceed every pool member's \
+                 capacity (e.g. node {node} at {width} qubits vs a \
+                 {ceiling}-qubit ceiling across {} member(s)); no \
+                 placement can seat them and they fail before submission",
+                doomed.len(),
+                graph.num_nodes(),
+                members.len(),
+            ),
+        );
     }
 }
 
-struct PoolIdleMemberLint;
-
-impl Lint for PoolIdleMemberLint {
-    fn code(&self) -> LintCode {
-        LintCode::PoolIdleMember
-    }
-    fn description(&self) -> &'static str {
-        "more pool members than unique planned jobs: members sit idle"
-    }
-    fn layer(&self) -> Layer {
-        Layer::Graph
-    }
-    fn check(&self, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-        let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
-            return;
-        };
-        let nodes = graph.num_nodes();
-        if nodes > 0 && members.len() > nodes {
-            sink.report(
-                self.code(),
-                format!(
-                    "the pool has {} members but the planned graph holds only \
-                     {nodes} unique node(s); at least {} member(s) sit idle \
-                     every round regardless of the placement policy",
-                    members.len(),
-                    members.len() - nodes,
-                ),
-            );
-        }
+fn pool_idle_member(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
+        return;
+    };
+    let nodes = graph.num_nodes();
+    if nodes > 0 && members.len() > nodes {
+        sink.report(
+            LintCode::PoolIdleMember,
+            format!(
+                "the pool has {} members but the planned graph holds only \
+                 {nodes} unique node(s); at least {} member(s) sit idle \
+                 every round regardless of the placement policy",
+                members.len(),
+                members.len() - nodes,
+            ),
+        );
     }
 }
 
@@ -1702,15 +1345,10 @@ impl Lint for PoolIdleMemberLint {
 /// [`Severity::Allow`]: the sink would drop its findings, so the work
 /// (fragmenting per wire edge, proving, building a prefix forest) is not
 /// done.
-fn run_layer(
-    lints: &[Box<dyn Lint>],
-    layer: Layer,
-    ctx: &AnalysisContext<'_>,
-    sink: &mut Sink<'_>,
-) {
-    for lint in lints.iter().filter(|l| l.layer() == layer) {
-        if ctx.config.severity(lint.code()) != Severity::Allow {
-            lint.check(ctx, sink);
+fn run_layer(layer: Layer, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
+    for (code, _, check) in LINTS.iter().filter(|row| row.1 == layer) {
+        if ctx.config.severity(*code) != Severity::Allow {
+            check(ctx, sink);
         }
     }
 }
@@ -1797,7 +1435,6 @@ fn analyze_inner(
             run.plan_gather(options);
         }
     }
-    let lints = registry();
     let mut sink = Sink::new(config);
     let mut ctx = AnalysisContext {
         circuit: Some(circuit),
@@ -1823,9 +1460,9 @@ fn analyze_inner(
     // state, so they run first and always — a malformed workload stopping
     // the descent below must not hide a misconfigured cache or a doomed
     // retry/degrade configuration.
-    run_layer(&lints, Layer::Cache, &ctx, &mut sink);
-    run_layer(&lints, Layer::Execution, &ctx, &mut sink);
-    run_layer(&lints, Layer::Circuit, &ctx, &mut sink);
+    run_layer(Layer::Cache, &ctx, &mut sink);
+    run_layer(Layer::Execution, &ctx, &mut sink);
+    run_layer(Layer::Circuit, &ctx, &mut sink);
 
     let run = match &*planned {
         Ok(run) => run,
@@ -1837,7 +1474,7 @@ fn analyze_inner(
         // QA101 reports the failure; nothing deeper is well-defined.
         Err(PipelineError::Fragment(e)) => {
             ctx.fragment_error = Some(e);
-            run_layer(&lints, Layer::Cut, &ctx, &mut sink);
+            run_layer(Layer::Cut, &ctx, &mut sink);
             return sink.finish();
         }
         // A policy the run rejects with its own typed error.
@@ -1846,29 +1483,28 @@ fn analyze_inner(
     ctx.fragments = Some(&run.fragments);
     ctx.plan = Some(&run.basis);
     ctx.proofs = run.proofs.as_deref();
-    run_layer(&lints, Layer::Cut, &ctx, &mut sink);
+    run_layer(Layer::Cut, &ctx, &mut sink);
     // Dataflow lints read the circuit, the cut, the fragments and the
     // plan — all present once the cut validated.
-    run_layer(&lints, Layer::Dataflow, &ctx, &mut sink);
+    run_layer(Layer::Dataflow, &ctx, &mut sink);
     if !gather_linted {
         return sink.finish();
     }
     let gather = run.gather.as_ref().and_then(|g| g.as_ref().ok());
     ctx.schedule = gather.map(|g| &g.schedule);
-    run_layer(&lints, Layer::Schedule, &ctx, &mut sink);
+    run_layer(Layer::Schedule, &ctx, &mut sink);
     ctx.graph = gather.map(|g| &g.graph);
-    run_layer(&lints, Layer::Graph, &ctx, &mut sink);
+    run_layer(Layer::Graph, &ctx, &mut sink);
     sink.finish()
 }
 
-/// Runs only the [`Layer::Graph`] lints against an explicit planned graph
+/// Runs only the graph-layer lints against an explicit planned graph
 /// — the entry point for callers that build graphs directly on the engine
 /// rather than through [`crate::pipeline::CutExecutor`].
 pub fn lint_graph(graph: &JobGraph, config: &AnalysisConfig) -> Diagnostics {
-    let lints = registry();
     let ctx = AnalysisContext::for_graph(graph, config);
     let mut sink = Sink::new(config);
-    run_layer(&lints, Layer::Graph, &ctx, &mut sink);
+    run_layer(Layer::Graph, &ctx, &mut sink);
     sink.finish()
 }
 
@@ -1880,19 +1516,21 @@ mod tests {
 
     #[test]
     fn registry_covers_every_code_once() {
-        let lints = registry();
-        assert_eq!(lints.len(), LintCode::ALL.len());
-        for code in LintCode::ALL {
-            assert_eq!(
-                lints.iter().filter(|l| l.code() == code).count(),
-                1,
-                "{code} must be registered exactly once"
+        let codes: Vec<LintCode> = LINTS.iter().map(|&(code, _, _)| code).collect();
+        assert_eq!(codes, LintCode::ALL, "one row per code, in code order");
+        for layer in [
+            Layer::Circuit,
+            Layer::Cut,
+            Layer::Schedule,
+            Layer::Graph,
+            Layer::Cache,
+            Layer::Execution,
+            Layer::Dataflow,
+        ] {
+            assert!(
+                LINTS.iter().any(|&(_, l, _)| l == layer),
+                "no lint reads {layer:?}"
             );
-            assert!(!lints
-                .iter()
-                .find(|l| l.code() == code)
-                .map(|l| l.description().is_empty())
-                .unwrap_or(true));
         }
     }
 
@@ -2246,7 +1884,7 @@ mod tests {
             ..bare_ctx(&config)
         };
         let mut sink = Sink::new(&config);
-        DegradeUnsalvageableLint.check(&ctx, &mut sink);
+        degrade_unsalvageable(&ctx, &mut sink);
         let diags = sink.finish();
         assert!(
             diags.contains(LintCode::DegradeUnsalvageable),
@@ -2262,7 +1900,7 @@ mod tests {
             ..bare_ctx(&config)
         };
         let mut sink = Sink::new(&config);
-        DegradeUnsalvageableLint.check(&ctx, &mut sink);
+        degrade_unsalvageable(&ctx, &mut sink);
         assert!(!sink.finish().contains(LintCode::DegradeUnsalvageable));
     }
 
@@ -2313,7 +1951,7 @@ mod tests {
             ..bare_ctx(&config)
         };
         let mut sink = Sink::new(&config);
-        OutOfConeDeadGateLint.check(&ctx, &mut sink);
+        out_of_cone_dead_gate(&ctx, &mut sink);
         let diags = sink.finish();
         assert!(diags.contains(LintCode::OutOfConeDeadGate));
         let rendered = diags.to_string();

@@ -104,8 +104,8 @@ pub mod prelude {
         ShotSchedule,
     };
     pub use crate::analysis::{
-        analyze, analyze_with_backend, lint_graph, registry, AnalysisConfig, AnalysisContext,
-        Diagnostic, Diagnostics, Layer, Lint, LintCode, Severity,
+        analyze, analyze_with_backend, lint_graph, AnalysisConfig, Diagnostic, Diagnostics,
+        LintCode, Severity,
     };
     pub use crate::basis::{BasisPlan, MeasBasis};
     pub use crate::cut::{CutError, CutLocation, CutSpec};

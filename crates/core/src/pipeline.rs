@@ -216,6 +216,17 @@ struct GatherRound {
     graph: JobGraph,
 }
 
+/// A histogram measured earlier in the run (an online-detection batch,
+/// or an adaptive pilot) that seeds a node of a later gather round.
+struct Seed {
+    circuit: Circuit,
+    counts: Counts,
+    /// The warm-cache fingerprint of the member that measured every one
+    /// of its shots; `None` once members with different fingerprints
+    /// contributed. A node seeded by another member is never stored.
+    measured_by: Option<u64>,
+}
+
 /// Merges one channel's histograms into another (the dedup-off refine
 /// path, where the pilot's data cannot ride the engine's seed cache).
 fn merge_channel(into: &mut HashMap<u64, Counts>, from: HashMap<u64, Counts>) {
@@ -356,7 +367,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // and leaves its measurements in `detection_cache` for the main
         // gather to reuse.
         let detect_started = Instant::now();
-        let mut detection_cache: HashMap<u64, (Circuit, Counts)> = HashMap::new();
+        let mut detection_cache: HashMap<u64, Seed> = HashMap::new();
         let mut detection_stats = GraphStats::default();
         // Permanent node failures tolerated so far (only ever non-empty
         // under FailurePolicy::Degrade — the Fail policy aborts at the
@@ -688,9 +699,10 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     /// the fingerprint of the member [`JobGraph::assign_members`] assigns
     /// it, and [`GatherRound::store_keys`] keys it by the member that
     /// delivered its fresh shots (`GraphRun::delivered_by`). A node that
-    /// executed nothing keeps its lookup key; a cache-seeded node that
-    /// failed over to a sibling is not stored, because its histogram
-    /// mixes two devices.
+    /// executed nothing keeps its lookup key. Two kinds of node are not
+    /// stored, because their histograms mix two devices: a cache-seeded
+    /// node that failed over to a sibling, and a node whose same-run
+    /// seed another member measured ([`Seed::measured_by`]).
     ///
     /// The engine honors [`ExecutionOptions::retry`]; what still fails
     /// permanently either aborts the round
@@ -700,12 +712,12 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         &self,
         mut graph: JobGraph,
         options: &ExecutionOptions,
-        seeds: &HashMap<u64, (Circuit, Counts)>,
+        seeds: &HashMap<u64, Seed>,
         warm: Option<&WarmCache>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<GatherRound, PipelineError> {
-        for (circuit, counts) in seeds.values() {
-            graph.seed_counts(circuit, counts);
+        for seed in seeds.values() {
+            graph.seed_counts(&seed.circuit, &seed.counts);
         }
         let caching = self.warm_cache(options).is_some();
         let assigned = if caching {
@@ -750,9 +762,15 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     Some(m) if cache_seeded[i] && assigned[i] != Some(m) => continue,
                     Some(m) => Some(m),
                 };
-                store_keys
-                    .entry(circuit.structural_hash())
-                    .or_insert_with(|| self.member_fingerprint(member));
+                let hash = circuit.structural_hash();
+                let fingerprint = self.member_fingerprint(member);
+                if seeds
+                    .get(&hash)
+                    .is_some_and(|seed| seed.measured_by != Some(fingerprint))
+                {
+                    continue;
+                }
+                store_keys.entry(hash).or_insert(fingerprint);
             }
         }
         Ok(GatherRound {
@@ -803,7 +821,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         options: &ExecutionOptions,
         pilot_fraction: f64,
         total: u64,
-        detection_cache: &HashMap<u64, (Circuit, Counts)>,
+        detection_cache: &HashMap<u64, Seed>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<(GatherRound, u64, usize), PipelineError> {
         let num_cuts = fragments.num_cuts;
@@ -883,8 +901,10 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let cumulative = refine_schedule(&pilot_sched, &up_scores, &down_scores, total - pilot);
         let mut refine_run = if options.dedup {
             // A degraded pilot delivered nothing for its failed nodes,
-            // which then simply have no seed to ride.
-            let mut seeds: HashMap<u64, (Circuit, Counts)> = HashMap::new();
+            // which then simply have no seed to ride. Each seed carries
+            // the pilot's store key, so a merged histogram is stored only
+            // when both rounds measured it on the same member.
+            let mut seeds: HashMap<u64, Seed> = HashMap::new();
             for (circuit, consumers) in pilot_run.graph.node_jobs() {
                 let delivered = consumers.iter().find_map(|&((channel, key), _)| {
                     match channel {
@@ -895,9 +915,12 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     .get(&key)
                 });
                 if let Some(counts) = delivered {
-                    seeds
-                        .entry(circuit.structural_hash())
-                        .or_insert_with(|| (circuit.clone(), counts.clone()));
+                    let hash = circuit.structural_hash();
+                    seeds.entry(hash).or_insert_with(|| Seed {
+                        circuit: circuit.clone(),
+                        counts: counts.clone(),
+                        measured_by: pilot_run.store_keys.get(&hash).copied(),
+                    });
                 }
             }
             self.gather_round(
@@ -939,13 +962,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let mut stats = pilot_run.stats;
         stats.absorb(&refine_run.stats);
         refine_run.stats = stats;
-        // The final histograms hold both rounds' shots: store one only
-        // when both rounds key it to the same member (conservative — a
-        // node the refine round left alone is skipped when the two
-        // rounds' placements differ).
-        refine_run
-            .store_keys
-            .retain(|hash, fingerprint| pilot_run.store_keys.get(hash) == Some(fingerprint));
         Ok((refine_run, pilot_shots, 2))
     }
 
@@ -996,11 +1012,12 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         fragments: &Fragments,
         config: OnlineConfig,
         options: &ExecutionOptions,
-        cache: &mut HashMap<u64, (Circuit, Counts)>,
+        cache: &mut HashMap<u64, Seed>,
         stats: &mut GraphStats,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<BasisPlan, PipelineError> {
         let num_cuts = fragments.num_cuts;
+        let caching = self.warm_cache(options).is_some();
         let mut plan = BasisPlan::standard(num_cuts);
         for cut in 0..num_cuts {
             let mut detector = OnlineDetector::new(&fragments.upstream, cut, num_cuts, config);
@@ -1054,23 +1071,47 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                         };
                         let mut batch = grun.take_channel(Channel::Detection);
                         stats.absorb(&grun.stats);
+                        // The fingerprint of the member that measured each
+                        // node of this batch; only a warm cache reads it.
+                        let measured_by: HashMap<u64, u64> = if caching {
+                            graph
+                                .node_circuits()
+                                .enumerate()
+                                .filter_map(|(i, c)| {
+                                    let member = grun.delivered_by(i)?;
+                                    let fingerprint = self.member_fingerprint(Some(member));
+                                    Some((c.structural_hash(), fingerprint))
+                                })
+                                .collect()
+                        } else {
+                            HashMap::new()
+                        };
                         for (setting, circuit) in settings.iter().zip(circuits) {
                             let counts = batch
                                 .remove(&encode_meas(setting))
                                 .ok_or(PipelineError::Backend(BackendError::Unavailable))?;
                             detector.feed(setting, &counts);
-                            match cache.entry(circuit.structural_hash()) {
+                            let hash = circuit.structural_hash();
+                            let by = measured_by.get(&hash).copied();
+                            match cache.entry(hash) {
                                 Entry::Occupied(mut e) => {
-                                    let (stored, merged) = e.get_mut();
+                                    let seed = e.get_mut();
                                     // Merge only on true structural equality —
                                     // a 64-bit hash collision must not mix
                                     // another circuit's histogram in.
-                                    if *stored == circuit {
-                                        merged.merge(&counts);
+                                    if seed.circuit == circuit {
+                                        seed.counts.merge(&counts);
+                                        if seed.measured_by != by {
+                                            seed.measured_by = None;
+                                        }
                                     }
                                 }
                                 Entry::Vacant(e) => {
-                                    e.insert((circuit, counts));
+                                    e.insert(Seed {
+                                        circuit,
+                                        counts,
+                                        measured_by: by,
+                                    });
                                 }
                             }
                         }

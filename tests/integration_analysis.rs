@@ -5,7 +5,7 @@
 use qcut::circuit::ansatz::MultiCutAnsatz;
 use qcut::circuit::circuit::Instruction;
 use qcut::cutting::analysis::{
-    analyze, lint_graph, registry, AnalysisConfig, Diagnostics, Layer, LintCode, Severity,
+    analyze, lint_graph, AnalysisConfig, Diagnostics, LintCode, Severity,
 };
 use qcut::cutting::error::PipelineError;
 use qcut::cutting::jobgraph::{Channel, JobGraph};
@@ -13,6 +13,7 @@ use qcut::device::backend::{Backend, BackendError, ExecutionResult};
 use qcut::device::timing::TimingModel;
 use qcut::prelude::*;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 fn default_options() -> ExecutionOptions {
     ExecutionOptions::default()
@@ -386,6 +387,39 @@ fn qa302_silent_when_every_node_has_demand() {
     assert!(!diags.contains(LintCode::OrphanNode));
 }
 
+/// QA301 and QA302 are planner invariants: no graph the planner builds
+/// feeds one consumer from two circuits or holds a zero-demand node, so
+/// only hand-built graphs (above) can trip them.
+#[test]
+fn qa301_and_qa302_never_fire_on_planner_built_graphs() {
+    use qcut::cutting::planner::RunPlan;
+    for k in 1..=3 {
+        let (circuit, cut) = MultiCutAnsatz::new(k, 7).build();
+        for policy in [GoldenPolicy::Disabled, GoldenPolicy::ProveStatic] {
+            for method in [ReconstructionMethod::Eigenstate, ReconstructionMethod::Sic] {
+                for dedup in [true, false] {
+                    let options = ExecutionOptions {
+                        method,
+                        dedup,
+                        ..Default::default()
+                    };
+                    let gather = RunPlan::resolve(&circuit, &cut, &policy)
+                        .expect("valid workload")
+                        .take_gather(&options)
+                        .expect("the default budget schedules every plan");
+                    assert!(gather.graph.num_nodes() > 0);
+                    let diags = lint_graph(&gather.graph, &options.analysis);
+                    assert!(
+                        !diags.contains(LintCode::ConsumerAliasing)
+                            && !diags.contains(LintCode::OrphanNode),
+                        "K = {k}, {policy:?}, {method:?}, dedup {dedup}: {diags}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // QA303 MissedDedup
 // ---------------------------------------------------------------------
@@ -439,19 +473,48 @@ fn qa304_suppressed_by_default() {
 }
 
 // ---------------------------------------------------------------------
-// Registry and severity plumbing.
+// Severity plumbing.
 // ---------------------------------------------------------------------
 
+/// The documented lint registry has a lint in each of the four pipeline
+/// layers the pass was built around (circuit, cut, schedule, graph) and
+/// one row per code.
 #[test]
 fn registry_spans_all_four_layers() {
-    let lints = registry();
-    for layer in [Layer::Circuit, Layer::Cut, Layer::Schedule, Layer::Graph] {
+    let layers: Vec<String> = include_str!("../ARCHITECTURE.md")
+        .lines()
+        .filter(|line| line.starts_with("| `QA"))
+        .map(|line| line.split('|').nth(2).unwrap_or("").trim().to_string())
+        .collect();
+    for layer in ["circuit", "cut", "schedule", "graph"] {
         assert!(
-            lints.iter().any(|l| l.layer() == layer),
-            "no lint registered for {layer:?}"
+            layers.iter().any(|l| l == layer),
+            "no lint registered for {layer}"
         );
     }
-    assert_eq!(lints.len(), LintCode::ALL.len());
+    assert_eq!(layers.len(), LintCode::ALL.len());
+}
+
+/// The lint table in ARCHITECTURE.md has exactly one row per code, in
+/// code order, with that code's default severity.
+#[test]
+fn architecture_lint_table_lists_every_code_with_its_default_severity() {
+    let rows: Vec<(String, String)> = include_str!("../ARCHITECTURE.md")
+        .lines()
+        .filter(|line| line.starts_with("| `QA"))
+        .map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            (cells[1].trim_matches('`').to_string(), cells[3].to_string())
+        })
+        .collect();
+    let expected: Vec<(String, String)> = LintCode::ALL
+        .iter()
+        .map(|code| {
+            let severity = format!("{:?}", code.default_severity());
+            (code.as_str().to_string(), severity)
+        })
+        .collect();
+    assert_eq!(rows, expected);
 }
 
 #[test]
@@ -649,4 +712,72 @@ fn every_example_workload_passes_analyze_with_zero_warnings() {
         let diags = analyze(circuit, cut, &default_options());
         assert!(diags.is_clean(), "{name} must lint clean, found:\n{diags}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Emission order: layer by layer, code order within a layer.
+// ---------------------------------------------------------------------
+
+/// Pins the order the gate emits findings in. Every lint is promoted to
+/// at least Warn, and the workload trips at least one lint in each of the
+/// seven layers: a junk cache file with an 8-byte budget, `Degrade` with
+/// SIC, a pool of cramped, fault-prone, slow members with no retries and
+/// a 1 ns timeout, an identity and a fusible pair of trailing gates, and
+/// a sampling-overhead bound below `4^1`.
+#[test]
+fn the_gate_emits_findings_in_layer_then_code_order() {
+    let (mut circuit, cut) = GoldenAnsatz::new(5, 3).build();
+    let last = circuit.num_qubits() - 1;
+    circuit.rz(0.0, last);
+    circuit.rz(0.3, last);
+
+    let path = std::env::temp_dir().join(format!("qcut-order-{}.qwc", std::process::id()));
+    std::fs::write(&path, b"not a warm-start cache").expect("write temp file");
+    let mut analysis = AnalysisConfig {
+        max_sampling_overhead: 1.0,
+        ..AnalysisConfig::default()
+    };
+    for code in LintCode::ALL {
+        if code.default_severity() == Severity::Allow {
+            analysis = analysis.with_override(code, Severity::Warn);
+        }
+    }
+    let opts = ExecutionOptions {
+        method: ReconstructionMethod::Sic,
+        failure: FailurePolicy::Degrade,
+        retry: RetryPolicy {
+            per_job_timeout: Some(std::time::Duration::from_nanos(1)),
+            ..RetryPolicy::default()
+        },
+        cache: Some(Arc::new(WarmCache::open(
+            CacheConfig::at_path(&path).with_byte_budget(8),
+        ))),
+        analysis,
+        ..Default::default()
+    };
+    let mut pool = BackendPool::new(PlacementPolicy::RoundRobin);
+    for i in 0..16 {
+        pool = pool.with_backend(
+            FaultInjectingBackend::new(
+                IdealBackend::new(i)
+                    .with_timing(TimingModel::ibm_like())
+                    .with_capacity(2),
+            )
+            .with_fault_probability(0.2, i),
+        );
+    }
+
+    let diags = analyze_with_backend(&circuit, &cut, &opts, &pool);
+    std::fs::remove_file(&path).ok();
+    let codes: Vec<&str> = diags.iter().map(|d| d.code.as_str()).collect();
+    let expected = [
+        "QA403", // Cache
+        "QA501", "QA503", // Execution
+        "QA003", "QA004", // Circuit
+        "QA102", "QA103", // Cut
+        "QA602", "QA602", "QA603", // Dataflow
+        "QA203", // Schedule
+        "QA304", "QA402", "QA502", "QA701", "QA703", // Graph
+    ];
+    assert_eq!(codes, expected, "{diags}");
 }

@@ -279,6 +279,131 @@ fn adaptive_histogram_mixing_two_members_is_not_cached() {
     assert!(lookup(&z_circuit, 0).is_some());
 }
 
+/// A device that measures one fixed bitstring whatever it runs: all
+/// zeros, or all ones. Its name sets its cache fingerprint, so a cached
+/// histogram shows which member measured each of its shots.
+struct ConstantBackend {
+    name: &'static str,
+    ones: bool,
+    timing: TimingModel,
+}
+
+impl ConstantBackend {
+    fn new(name: &'static str, ones: bool) -> Self {
+        ConstantBackend {
+            name,
+            ones,
+            timing: TimingModel::instantaneous(),
+        }
+    }
+
+    fn outcome(&self, width: usize) -> u64 {
+        if self.ones {
+            (1u64 << width) - 1
+        } else {
+            0
+        }
+    }
+}
+
+impl Backend for ConstantBackend {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn num_qubits(&self) -> usize {
+        16
+    }
+    fn timing(&self) -> &TimingModel {
+        &self.timing
+    }
+    fn run(
+        &self,
+        circuit: &Circuit,
+        shots: u64,
+    ) -> Result<qcut::device::backend::ExecutionResult, qcut::device::backend::BackendError> {
+        let width = circuit.num_qubits();
+        Ok(qcut::device::backend::ExecutionResult {
+            counts: Counts::from_pairs(width, [(self.outcome(width), shots)]),
+            simulated_duration: std::time::Duration::ZERO,
+            host_duration: std::time::Duration::ZERO,
+        })
+    }
+}
+
+/// Online detection measures the Y settings on some members; the gather
+/// round then places those nodes by its own pinning and tops them up
+/// there. A histogram that mixes two devices must not be cached under
+/// either one's fingerprint: every cached histogram holds only the
+/// outcome of the member it is keyed to. With two cuts, the (Y, Y)
+/// setting is measured by both cuts' detection batches, on different
+/// members.
+#[test]
+fn detection_seeded_histograms_are_cached_only_under_the_measuring_member() {
+    let workloads = [
+        GoldenAnsatz::new(5, 1).build(),
+        qcut::circuit::ansatz::MultiCutAnsatz::new(2, 7).build(),
+    ];
+    for (circuit, cut) in workloads {
+        let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+        let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+        let opts = ExecutionOptions {
+            shots_per_setting: 2000,
+            postprocess: qcut::cutting::pipeline::PostProcess::Raw,
+            cache: Some(cache.clone()),
+            ..Default::default()
+        };
+        let members = [
+            ConstantBackend::new("zeros", false),
+            ConstantBackend::new("ones", true),
+        ];
+        let outcomes: Vec<u64> = members
+            .iter()
+            .map(|m| m.outcome(frags.upstream.circuit.num_qubits()))
+            .collect();
+        let pool = members.into_iter().fold(
+            BackendPool::new(PlacementPolicy::Pinned(vec![0, 1, 1])),
+            |pool, m| pool.with_backend(m),
+        );
+        let run = CutExecutor::new(&pool)
+            .run(
+                &circuit,
+                &cut,
+                GoldenPolicy::DetectOnline(Default::default()),
+                &opts,
+            )
+            .unwrap();
+        assert!(run.report.detection_shots > 0);
+        assert!(run.report.jobs_per_member.iter().all(|&jobs| jobs > 0));
+
+        let mut cached = 0;
+        for setting in qcut::cutting::basis::BasisPlan::standard(frags.num_cuts).all_meas_settings()
+        {
+            let c = build_upstream_circuit(&frags.upstream, &setting);
+            for (member, &outcome) in outcomes.iter().enumerate() {
+                let key = CacheKey::new(
+                    c.structural_hash(),
+                    pool.member(member).cache_fingerprint(),
+                    ShotDiscipline::Multinomial,
+                );
+                if let Some(counts) = cache.lookup(&key, &c) {
+                    cached += 1;
+                    assert_eq!(
+                        counts.get(outcome),
+                        counts.total(),
+                        "K = {}: {setting:?} cached under member {member} holds another \
+                         member's shots",
+                        frags.num_cuts
+                    );
+                }
+            }
+        }
+        assert!(
+            cached > 0,
+            "the run must cache its single-member histograms"
+        );
+    }
+}
+
 /// Warm-start reruns work through a pool: the cold run stores every
 /// node under the fingerprint of the member that executed it, and the
 /// warm rerun — with deterministic placement assigning the same members
