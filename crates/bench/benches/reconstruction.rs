@@ -4,13 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
+use qcut_core::allocation::{schedule_for_plan, ShotAllocation};
 use qcut_core::basis::BasisPlan;
 use qcut_core::execution::{gather, FragmentData};
 use qcut_core::fragment::{Fragmenter, Fragments};
 use qcut_core::reconstruction::{
     contract, downstream_tensor, exact_downstream_tensor, exact_upstream_tensor, upstream_tensor,
 };
-use qcut_core::tomography::ExperimentPlan;
 use qcut_device::ideal::IdealBackend;
 use qcut_math::Pauli;
 
@@ -22,9 +22,12 @@ fn setup(width: usize, golden: bool) -> (Fragments, BasisPlan, FragmentData) {
     } else {
         BasisPlan::standard(1)
     };
-    let experiment = ExperimentPlan::build(&frags, &plan);
+    let uniform = ShotAllocation::Uniform {
+        shots_per_setting: 1000,
+    };
+    let schedule = schedule_for_plan(&plan, uniform).unwrap();
     let backend = IdealBackend::new(1);
-    let data = gather(&backend, &experiment, 1000, true).unwrap();
+    let data = gather(&backend, &frags, &plan, &schedule).unwrap();
     (frags, plan, data)
 }
 

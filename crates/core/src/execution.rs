@@ -1,14 +1,16 @@
-//! Running an [`ExperimentPlan`] on a backend and collecting fragment data.
+//! Gathering fragment data on a backend outside the pipeline.
 //!
 //! Fragments "can be simulated independently … run fragments in parallel"
 //! (paper §II-A): all subcircuit variants are registered on a
 //! [`crate::jobgraph::JobGraph`] and executed as one batched, deduplicated
 //! backend submission.
 
-use crate::basis::{encode_meas, encode_prep};
-use crate::jobgraph::{Channel, GraphFailure, JobGraph};
-use crate::retry::RetryPolicy;
-use crate::tomography::ExperimentPlan;
+use crate::allocation::ShotSchedule;
+use crate::basis::BasisPlan;
+use crate::fragment::Fragments;
+use crate::jobgraph::{Channel, GraphFailure};
+use crate::pipeline::ReconstructionMethod;
+use crate::planner::gather_graph;
 use qcut_device::backend::Backend;
 use qcut_sim::counts::Counts;
 use std::collections::HashMap;
@@ -23,9 +25,10 @@ use std::time::Duration;
 /// nominal mean.
 #[derive(Debug, Clone)]
 pub struct FragmentData {
-    /// Upstream counts keyed by [`encode_meas`] of the setting.
+    /// Upstream counts keyed by [`crate::basis::encode_meas`] of the setting.
     pub upstream: HashMap<u64, Counts>,
-    /// Downstream counts keyed by [`encode_prep`] of the preparation.
+    /// Downstream counts keyed by [`crate::basis::encode_prep`] of the
+    /// preparation.
     pub downstream: HashMap<u64, Counts>,
     /// Realized shots per upstream setting (same keys as
     /// [`FragmentData::upstream`]). Matches the delivered histogram totals,
@@ -125,75 +128,25 @@ impl FragmentData {
     }
 }
 
-/// Executes every variant of `plan` for `shots_per_setting` shots each.
-///
-/// `parallel` selects rayon fan-out vs sequential execution (the paper's
-/// device runs are sequential on a single QPU; classical simulation can
-/// fan out).
+/// Executes the eigenstate gather of `basis` at `schedule`: the same
+/// [`gather_graph`] [`crate::pipeline::CutExecutor::run`] plans, with
+/// dedup on, so an offline gather and a pipeline run on a same-seeded
+/// backend draw the same histograms. What fails permanently is returned
+/// as a [`GraphFailure`] carrying the salvaged surviving data.
 pub fn gather<B: Backend + ?Sized>(
     backend: &B,
-    plan: &ExperimentPlan,
-    shots_per_setting: u64,
-    parallel: bool,
+    fragments: &Fragments,
+    basis: &BasisPlan,
+    schedule: &ShotSchedule,
 ) -> Result<FragmentData, Box<GraphFailure>> {
-    let schedule = crate::allocation::ShotSchedule::uniform(
-        plan.upstream.len(),
-        plan.downstream.len(),
-        shots_per_setting,
+    let graph = gather_graph(
+        fragments,
+        basis,
+        ReconstructionMethod::Eigenstate,
+        schedule,
+        true,
     );
-    gather_scheduled(backend, plan, &schedule, parallel)
-}
-
-/// Like [`gather`] but with explicit per-setting shot counts (see
-/// [`crate::allocation`] for budget policies).
-pub fn gather_scheduled<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &ExperimentPlan,
-    schedule: &crate::allocation::ShotSchedule,
-    parallel: bool,
-) -> Result<FragmentData, Box<GraphFailure>> {
-    gather_scheduled_with(backend, plan, schedule, parallel, &RetryPolicy::default())
-}
-
-/// Like [`gather_scheduled`] but honoring a [`RetryPolicy`]: transient
-/// backend faults and deterministic per-job timeouts are retried inside
-/// the engine (only failed nodes re-submitted), and what still fails
-/// permanently is returned as a [`GraphFailure`] carrying the salvaged
-/// surviving data.
-pub fn gather_scheduled_with<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &ExperimentPlan,
-    schedule: &crate::allocation::ShotSchedule,
-    parallel: bool,
-    retry: &RetryPolicy,
-) -> Result<FragmentData, Box<GraphFailure>> {
-    assert_eq!(
-        schedule.upstream.len(),
-        plan.upstream.len(),
-        "schedule arity"
-    );
-    assert_eq!(
-        schedule.downstream.len(),
-        plan.downstream.len(),
-        "schedule arity"
-    );
-    let mut graph = JobGraph::new();
-    for (i, v) in plan.upstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::UpstreamMeas, encode_meas(&v.setting)),
-            schedule.upstream[i],
-        );
-    }
-    for (i, v) in plan.downstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::DownstreamPrep, encode_prep(&v.preparation)),
-            schedule.downstream[i],
-        );
-    }
-
-    let mut run = graph.execute_with(backend, parallel, retry)?;
+    let mut run = graph.execute(backend, true)?;
     let upstream = run.take_channel(Channel::UpstreamMeas);
     let downstream = run.take_channel(Channel::DownstreamPrep);
     Ok(FragmentData::from_counts(
@@ -207,13 +160,14 @@ pub fn gather_scheduled_with<B: Backend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::BasisPlan;
+    use crate::allocation::{schedule_for_plan, ShotAllocation};
+    use crate::basis::{encode_meas, encode_prep};
     use crate::fragment::Fragmenter;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
 
-    fn plan_for(seed: u64, golden: bool) -> ExperimentPlan {
+    fn plan_for(seed: u64, golden: bool) -> (Fragments, BasisPlan) {
         let (c, spec) = GoldenAnsatz::new(5, seed).build();
         let frags = Fragmenter::fragment(&c, &spec).unwrap();
         let basis = if golden {
@@ -221,14 +175,18 @@ mod tests {
         } else {
             BasisPlan::standard(1)
         };
-        ExperimentPlan::build(&frags, &basis)
+        (frags, basis)
+    }
+
+    fn uniform(basis: &BasisPlan, shots_per_setting: u64) -> ShotSchedule {
+        schedule_for_plan(basis, ShotAllocation::Uniform { shots_per_setting }).unwrap()
     }
 
     #[test]
     fn gather_fills_every_setting() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, false);
-        let data = gather(&backend, &plan, 500, true).unwrap();
+        let (frags, basis) = plan_for(0, false);
+        let data = gather(&backend, &frags, &basis, &uniform(&basis, 500)).unwrap();
         assert_eq!(data.upstream.len(), 3);
         assert_eq!(data.downstream.len(), 6);
         assert_eq!(data.subcircuits, 9);
@@ -241,8 +199,8 @@ mod tests {
     #[test]
     fn golden_gather_skips_y_settings() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, true);
-        let data = gather(&backend, &plan, 500, true).unwrap();
+        let (frags, basis) = plan_for(0, true);
+        let data = gather(&backend, &frags, &basis, &uniform(&basis, 500)).unwrap();
         assert_eq!(data.subcircuits, 6);
         assert_eq!(data.total_shots, 3000);
     }
@@ -253,42 +211,30 @@ mod tests {
         // the actual counts, never the mean (the old `shots_per_setting`
         // field silently averaged).
         let backend = IdealBackend::new(5);
-        let plan = plan_for(2, false);
-        let schedule = crate::allocation::ShotSchedule {
+        let (frags, basis) = plan_for(2, false);
+        let schedule = ShotSchedule {
             upstream: vec![100, 200, 300],
             downstream: vec![50, 60, 70, 80, 90, 100],
         };
-        let data = gather_scheduled(&backend, &plan, &schedule, true).unwrap();
+        let data = gather(&backend, &frags, &basis, &schedule).unwrap();
         assert_eq!(data.total_shots, schedule.total());
-        for (i, v) in plan.upstream.iter().enumerate() {
-            let key = encode_meas(&v.setting);
+        for (i, setting) in basis.all_meas_settings().iter().enumerate() {
+            let key = encode_meas(setting);
             assert_eq!(data.shots_for_meas(key), schedule.upstream[i]);
             assert_eq!(data.upstream[&key].total(), schedule.upstream[i]);
         }
-        for (i, v) in plan.downstream.iter().enumerate() {
-            let key = encode_prep(&v.preparation);
+        for (i, preparation) in basis.all_prep_settings().iter().enumerate() {
+            let key = encode_prep(preparation);
             assert_eq!(data.shots_for_prep(key), schedule.downstream[i]);
         }
-    }
-
-    #[test]
-    fn sequential_and_parallel_produce_same_shape() {
-        let plan = plan_for(1, false);
-        let b1 = IdealBackend::new(9);
-        let b2 = IdealBackend::new(9);
-        let par = gather(&b1, &plan, 100, true).unwrap();
-        let seq = gather(&b2, &plan, 100, false).unwrap();
-        assert_eq!(par.upstream.len(), seq.upstream.len());
-        assert_eq!(par.downstream.len(), seq.downstream.len());
-        assert_eq!(par.total_shots, seq.total_shots);
     }
 
     #[test]
     fn capacity_error_propagates() {
         use qcut_device::backend::BackendError;
         let backend = IdealBackend::new(0).with_capacity(2);
-        let plan = plan_for(0, false); // 3-qubit fragments
-        let err = gather(&backend, &plan, 10, true).unwrap_err();
+        let (frags, basis) = plan_for(0, false); // 3-qubit fragments
+        let err = gather(&backend, &frags, &basis, &uniform(&basis, 10)).unwrap_err();
         assert!(!err.failures.is_empty());
         assert!(matches!(
             err.first_error(),
@@ -301,9 +247,9 @@ mod tests {
     #[test]
     fn merge_accumulates_budgets() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, false);
-        let mut a = gather(&backend, &plan, 200, true).unwrap();
-        let b = gather(&backend, &plan, 300, true).unwrap();
+        let (frags, basis) = plan_for(0, false);
+        let mut a = gather(&backend, &frags, &basis, &uniform(&basis, 200)).unwrap();
+        let b = gather(&backend, &frags, &basis, &uniform(&basis, 300)).unwrap();
         a.merge(&b);
         assert_eq!(a.total_shots, 4500);
         for c in a.upstream.values() {

@@ -10,17 +10,20 @@
 //! * [`fragment`] — bipartitioning a circuit along validated wire cuts;
 //! * [`basis`] — the measurement/preparation/reconstruction enumerations
 //!   and how golden cuts shrink them (`3→2`, `6→4`, `4→3` per cut);
-//! * [`tomography`] — concrete subcircuit variants;
+//! * [`tomography`] — the subcircuit of one measurement setting or
+//!   preparation;
 //! * [`jobgraph`] — the batched, deduplicating JobGraph engine every
 //!   backend execution (eigenstate, SIC, online detection, uncut) routes
 //!   through: structurally identical subcircuits execute once and fan back
 //!   out to every consumer;
 //! * [`planner`] — graph builders translating a [`basis::BasisPlan`] into
-//!   engine jobs;
+//!   engine jobs: every gather — pipeline, offline and SIC — is a
+//!   [`planner::gather_graph`];
 //! * [`allocation`] — shot-allocation policies over the settings: the
 //!   paper's uniform protocol, exact total-budget splits, usage-weighted
 //!   budgets, and the two-round variance-adaptive pilot → refine policy;
-//! * [`execution`] — parallel fragment data gathering on any backend;
+//! * [`execution`] — [`execution::FragmentData`] and the offline
+//!   [`execution::gather`] over the planner's graph;
 //! * [`reconstruction`] — the tensor contraction of paper Eq. 13/14, plus
 //!   exact (infinite-shot) variants used for verification and detection;
 //! * [`variance`] — shot-noise propagation through the contraction:
@@ -100,7 +103,7 @@ pub mod cut {
 /// Common re-exports.
 pub mod prelude {
     pub use crate::allocation::{
-        schedule, schedule_for_plan, schedule_sic, usage_counts, AllocationError, ShotAllocation,
+        schedule_for_plan, schedule_sic, usage_counts, AllocationError, ShotAllocation,
         ShotSchedule,
     };
     pub use crate::analysis::{
@@ -113,7 +116,7 @@ pub mod prelude {
         cut_report, prove_golden_bases, proven_plan, CutCandidate, CutReport,
     };
     pub use crate::error::{ExecutionFailure, PipelineError};
-    pub use crate::execution::{gather, gather_scheduled, gather_scheduled_with, FragmentData};
+    pub use crate::execution::{gather, FragmentData};
     pub use crate::fragment::{Fragment, FragmentError, FragmentRole, Fragmenter, Fragments};
     pub use crate::golden::{
         ExactDetector, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
@@ -127,15 +130,16 @@ pub mod prelude {
     pub use crate::pipeline::{
         CutExecutor, CutRun, ExecutionOptions, PostProcess, ReconstructionMethod, UncutRun,
     };
-    pub use crate::planner::{add_downstream_jobs, add_sic_jobs, add_upstream_jobs, uncut_graph};
+    pub use crate::planner::{
+        add_downstream_jobs, add_sic_jobs, add_upstream_jobs, schedule, uncut_graph,
+    };
     pub use crate::reconstruction::{
         contract, downstream_tensor, exact_reconstruct, reconstruct, upstream_tensor,
         CoefficientTensor,
     };
     pub use crate::report::{FailureRecord, RunReport, UncutReport};
     pub use crate::retry::{Backoff, FailurePolicy, RetryPolicy};
-    pub use crate::sic::{gather_sic, gather_sic_with, sic_downstream_tensor, SicData, SicFrame};
-    pub use crate::tomography::ExperimentPlan;
+    pub use crate::sic::{sic_downstream_tensor, SicFrame};
     pub use crate::variance::{
         empirical_variance, reconstruction_variance, variance_from_schedule, variance_from_tensors,
         ReconstructionError,

@@ -40,7 +40,7 @@ use crate::planner::{gather_graph, uncut_graph, RunPlan};
 use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic, sic_downstream_tensor, SicData};
+use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic, sic_downstream_tensor};
 use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
 use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
@@ -53,7 +53,7 @@ use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Downstream preparation scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -518,7 +518,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
 
         let upstream_settings = upstream.len();
         let downstream_settings = downstream.len() + sic_counts.len();
-        let sic_shots: u64 = sic_counts.values().map(|c| c.total()).sum();
         // The realized per-setting schedule rides in the fragment data
         // (delivered histogram totals — ≥ the requested schedule when
         // detection data was reused or duplicates merged), so downstream
@@ -530,27 +529,17 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             gather_stats.simulated_device_time,
             gather_stats.host_time,
         );
-        let sic_data = match options.method {
-            ReconstructionMethod::Eigenstate => None,
-            ReconstructionMethod::Sic => Some(SicData {
-                subcircuits: sic_counts.len(),
-                // SIC schedules stay per-prep uniform under every policy
-                // (the frame solve reads all preps equally), so the mean
-                // is the realized budget up to the ±1 apportion remainder.
-                shots_per_setting: sic_shots / (sic_counts.len().max(1) as u64),
-                counts: sic_counts,
-                // Device time is accounted once, on the unified gather
-                // stats; the combined graph does not split it per channel.
-                simulated_device_time: Duration::ZERO,
-            }),
-        };
 
         // Reconstruct.
         let recon_started = Instant::now();
         let up = upstream_tensor(&fragments.upstream, &plan, &data);
-        let down = match &sic_data {
-            None => downstream_tensor(&fragments.downstream, &plan, &data),
-            Some(sic) => sic_downstream_tensor(&fragments.downstream, &plan, sic),
+        let down = match options.method {
+            ReconstructionMethod::Eigenstate => {
+                downstream_tensor(&fragments.downstream, &plan, &data)
+            }
+            ReconstructionMethod::Sic => {
+                sic_downstream_tensor(&fragments.downstream, &plan, &sic_counts)
+            }
         };
         let mut distribution = contract(&fragments, &plan, &up, &down);
         match options.postprocess {
@@ -872,14 +861,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     (scores.upstream, scores.downstream)
                 }
                 ReconstructionMethod::Sic => {
-                    let sic_shots: u64 = pilot_run.sic_counts.values().map(|c| c.total()).sum();
-                    let sic = SicData {
-                        subcircuits: pilot_run.sic_counts.len(),
-                        shots_per_setting: sic_shots / (pilot_run.sic_counts.len().max(1) as u64),
-                        counts: pilot_run.sic_counts.clone(),
-                        simulated_device_time: Duration::ZERO,
-                    };
-                    let down = sic_downstream_tensor(&fragments.downstream, plan, &sic);
+                    let down =
+                        sic_downstream_tensor(&fragments.downstream, plan, &pilot_run.sic_counts);
                     let scores = neyman_scores(fragments, plan, &up, &down);
                     // SIC preparations are informationally complete and read
                     // uniformly through the frame solve, so only the upstream
@@ -1131,6 +1114,7 @@ mod tests {
     use qcut_device::ideal::IdealBackend;
     use qcut_sim::statevector::StateVector;
     use qcut_stats::distance::total_variation_distance;
+    use std::time::Duration;
 
     fn truth(circuit: &Circuit) -> Distribution {
         let sv = StateVector::from_circuit(circuit);

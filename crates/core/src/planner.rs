@@ -19,7 +19,10 @@
 //!   [`RunPlan::replan`]s when it neglects a basis;
 //! * an adaptive pilot or refine round builds [`gather_graph`] for its own
 //!   schedule and seeds the refine round with the pilot's histograms
-//!   (see [`crate::pipeline::CutExecutor::run`]).
+//!   (see [`crate::pipeline::CutExecutor::run`]);
+//! * the offline [`crate::execution::gather`] executes the eigenstate
+//!   [`gather_graph`], so it draws what a pipeline run on a same-seeded
+//!   backend draws.
 //!
 //! # Example
 //!

@@ -521,16 +521,19 @@ mod tests {
 
     #[test]
     fn empirical_reconstruction_converges_to_truth() {
+        use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
-        use crate::tomography::ExperimentPlan;
         use qcut_device::ideal::IdealBackend;
 
         let (circuit, spec) = GoldenAnsatz::new(5, 8).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
+        let uniform = ShotAllocation::Uniform {
+            shots_per_setting: 40_000,
+        };
+        let schedule = schedule_for_plan(&plan, uniform).unwrap();
         let backend = IdealBackend::new(42);
-        let data = gather(&backend, &experiment, 40_000, true).unwrap();
+        let data = gather(&backend, &frags, &plan, &schedule).unwrap();
         let recon = reconstruct(&frags, &plan, &data);
         let d = total_variation_distance(&recon.clip_renormalize(), &truth(&circuit));
         assert!(d < 0.03, "empirical reconstruction off by {d}");
@@ -571,15 +574,18 @@ mod tests {
     /// builds from the same counts agree bit for bit.
     #[test]
     fn upstream_tensor_is_bit_reproducible_at_three_cuts() {
+        use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
-        use crate::tomography::ExperimentPlan;
         use qcut_device::ideal::IdealBackend;
 
         let (circuit, spec) = MultiCutAnsatz::new(3, 4).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(3);
-        let experiment = ExperimentPlan::build(&frags, &plan);
-        let data = gather(&IdealBackend::new(9), &experiment, 2000, true).unwrap();
+        let uniform = ShotAllocation::Uniform {
+            shots_per_setting: 2000,
+        };
+        let schedule = schedule_for_plan(&plan, uniform).unwrap();
+        let data = gather(&IdealBackend::new(9), &frags, &plan, &schedule).unwrap();
         let first = upstream_tensor(&frags.upstream, &plan, &data);
         for _ in 0..8 {
             let again = upstream_tensor(&frags.upstream, &plan, &data);
@@ -629,9 +635,9 @@ mod tests {
     /// The in-place post-processing maps must equal the copying ones.
     #[test]
     fn contract_matches_naive_reference_bit_for_bit() {
+        use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
         use crate::sic::exact_sic_downstream_tensor;
-        use crate::tomography::ExperimentPlan;
         use qcut_device::ideal::IdealBackend;
 
         let mut cases: Vec<(String, Circuit, CutSpec)> = Vec::new();
@@ -650,8 +656,11 @@ mod tests {
                 BasisPlan::standard(k),
                 BasisPlan::with_neglected(vec![Some(Pauli::Y); k]),
             ] {
-                let experiment = ExperimentPlan::build(&frags, &plan);
-                let data = gather(&IdealBackend::new(11), &experiment, 500, true).unwrap();
+                let uniform = ShotAllocation::Uniform {
+                    shots_per_setting: 500,
+                };
+                let schedule = schedule_for_plan(&plan, uniform).unwrap();
+                let data = gather(&IdealBackend::new(11), &frags, &plan, &schedule).unwrap();
                 let up = upstream_tensor(&frags.upstream, &plan, &data);
                 let downs = [
                     (

@@ -14,17 +14,13 @@
 
 use crate::basis::{encode_paulis, BasisPlan};
 use crate::fragment::{Fragment, FragmentRole, Fragments};
-use crate::jobgraph::{Channel, GraphFailure, JobGraph};
 use crate::reconstruction::{contract, extract_bits, CoefficientTensor};
-use crate::retry::RetryPolicy;
 use qcut_circuit::circuit::Circuit;
-use qcut_device::backend::Backend;
 use qcut_math::{solve_real, Pauli, SicState};
 use qcut_sim::basis_change::sic_prep_circuit;
 use qcut_sim::counts::Counts;
 use qcut_sim::statevector::StateVector;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// The expansion coefficients `α_j` with `P = Σ_j α_j |ψ_j><ψ_j|` for each
 /// Pauli `P` over the four SIC states.
@@ -81,20 +77,6 @@ impl Default for SicFrame {
     }
 }
 
-/// Downstream data gathered under SIC preparations: one histogram per
-/// `SicState^K` combination.
-#[derive(Debug, Clone)]
-pub struct SicData {
-    /// Keyed by base-4 encoding of the SIC combination.
-    pub counts: HashMap<u64, Counts>,
-    /// Shots per preparation.
-    pub shots_per_setting: u64,
-    /// Number of downstream subcircuits executed (`4^K`).
-    pub subcircuits: usize,
-    /// Simulated device time spent.
-    pub simulated_device_time: Duration,
-}
-
 /// Base-4 encoding of a SIC combination.
 pub fn encode_sic(states: &[SicState]) -> u64 {
     let mut key = 0u64;
@@ -139,60 +121,17 @@ pub fn build_sic_circuit(fragment: &Fragment, states: &[SicState]) -> Circuit {
     c
 }
 
-/// Runs all `4^K` SIC preparations of the downstream fragment as one
-/// batched, deduplicated engine submission.
-pub fn gather_sic<B: Backend + ?Sized>(
-    backend: &B,
-    fragment: &Fragment,
-    num_cuts: usize,
-    shots_per_setting: u64,
-    parallel: bool,
-) -> Result<SicData, Box<GraphFailure>> {
-    gather_sic_with(
-        backend,
-        fragment,
-        num_cuts,
-        shots_per_setting,
-        parallel,
-        &RetryPolicy::default(),
-    )
-}
-
-/// Like [`gather_sic`] but honoring a [`RetryPolicy`] inside the engine.
-///
-/// SIC preparations are informationally complete, not overcomplete: a
-/// permanently failed preparation makes the 4×4 frame system singular, so
-/// there is no degraded salvage for SIC data — callers must either retry
-/// until delivery or fail the run.
-pub fn gather_sic_with<B: Backend + ?Sized>(
-    backend: &B,
-    fragment: &Fragment,
-    num_cuts: usize,
-    shots_per_setting: u64,
-    parallel: bool,
-    retry: &RetryPolicy,
-) -> Result<SicData, Box<GraphFailure>> {
-    let mut graph = JobGraph::new();
-    crate::planner::add_sic_jobs(&mut graph, fragment, num_cuts, &[shots_per_setting]);
-    let mut run = graph.execute_with(backend, parallel, retry)?;
-    let counts = run.take_channel(Channel::SicPrep);
-    Ok(SicData {
-        subcircuits: counts.len(),
-        counts,
-        shots_per_setting,
-        simulated_device_time: run.stats.simulated_device_time,
-    })
-}
-
 /// Downstream coefficient tensor from SIC data: for each reconstruction
 /// string `M`, `D[M][b2] = Σ_t (Π_k α^{M_k}_{t_k}) P(b2 | prep t)`.
+/// `counts` holds one histogram per `SicState^K` combination, keyed by
+/// [`encode_sic`]: the [`crate::jobgraph::Channel::SicPrep`] delivery of a
+/// SIC [`crate::planner::gather_graph`].
 pub fn sic_downstream_tensor(
     fragment: &Fragment,
     plan: &BasisPlan,
-    data: &SicData,
+    counts: &HashMap<u64, Counts>,
 ) -> CoefficientTensor {
-    let dists: HashMap<u64, Vec<f64>> = data
-        .counts
+    let dists: HashMap<u64, Vec<f64>> = counts
         .iter()
         .map(|(&key, counts)| {
             let d = counts.marginal(&fragment.output_locals).to_distribution();
@@ -355,15 +294,27 @@ mod tests {
 
     #[test]
     fn empirical_sic_reconstruction_converges() {
+        use crate::allocation::{schedule_sic, ShotAllocation};
+        use crate::jobgraph::Channel;
+        use crate::pipeline::ReconstructionMethod;
+        use crate::planner::gather_graph;
         use qcut_device::ideal::IdealBackend;
         let (circuit, spec) = GoldenAnsatz::new(5, 7).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let backend = IdealBackend::new(11);
-        let data = gather_sic(&backend, &frags.downstream, 1, 60_000, true).unwrap();
-        assert_eq!(data.subcircuits, 4);
+        let schedule = schedule_sic(
+            &plan,
+            ShotAllocation::Uniform {
+                shots_per_setting: 60_000,
+            },
+        )
+        .unwrap();
+        let graph = gather_graph(&frags, &plan, ReconstructionMethod::Sic, &schedule, true);
+        let mut run = graph.execute(&IdealBackend::new(11), true).unwrap();
+        let counts = run.take_channel(Channel::SicPrep);
+        assert_eq!(counts.len(), 4);
         let up = crate::reconstruction::exact_upstream_tensor(&frags.upstream, &plan);
-        let down = sic_downstream_tensor(&frags.downstream, &plan, &data);
+        let down = sic_downstream_tensor(&frags.downstream, &plan, &counts);
         let recon = contract(&frags, &plan, &up, &down);
         let sv = StateVector::from_circuit(&circuit);
         let t = Distribution::from_values(5, sv.probabilities());

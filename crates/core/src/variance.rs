@@ -384,10 +384,10 @@ pub fn empirical_variance(distributions: &[Distribution]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::{schedule_for_plan, ShotAllocation};
     use crate::execution::gather;
     use crate::fragment::Fragmenter;
     use crate::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
-    use crate::tomography::ExperimentPlan;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
@@ -436,15 +436,21 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 9).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
         let shots = 2000u64;
+        let schedule = schedule_for_plan(
+            &plan,
+            ShotAllocation::Uniform {
+                shots_per_setting: shots,
+            },
+        )
+        .unwrap();
 
         let trials = 24;
         let mut dists = Vec::with_capacity(trials);
         let mut predicted_rms = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(9000 + t as u64);
-            let data = gather(&backend, &experiment, shots, true).unwrap();
+            let data = gather(&backend, &frags, &plan, &schedule).unwrap();
             dists.push(reconstruct(&frags, &plan, &data));
             if t == 0 {
                 predicted_rms = reconstruction_variance(&frags, &plan, &data).rms_error();
@@ -470,10 +476,16 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 13).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(55);
         let shots = 1500u64;
-        let data = gather(&backend, &experiment, shots, true).unwrap();
+        let schedule = schedule_for_plan(
+            &plan,
+            ShotAllocation::Uniform {
+                shots_per_setting: shots,
+            },
+        )
+        .unwrap();
+        let data = gather(&backend, &frags, &plan, &schedule).unwrap();
         let up = upstream_tensor(&frags.upstream, &plan, &data);
         let down = downstream_tensor(&frags.downstream, &plan, &data);
         let realized = reconstruction_variance(&frags, &plan, &data);
@@ -494,7 +506,6 @@ mod tests {
         // upstream variance contribution and raise X/Y's; the aggregate
         // figure reacts to *where* the shots went, which the old nominal
         // mean could not see.
-        use crate::allocation::{schedule_for_plan, ShotAllocation};
         let (circuit, spec) = GoldenAnsatz::new(5, 15).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
@@ -567,8 +578,7 @@ mod tests {
         // The payoff the adaptive policy banks on: refining by the
         // measured per-setting sensitivities lowers the scheduled variance
         // below the static usage split at equal total budget.
-        use crate::allocation::ShotAllocation;
-        use crate::allocation::{pilot_schedule, pilot_total, refine_schedule, schedule_for_plan};
+        use crate::allocation::{pilot_schedule, pilot_total, refine_schedule};
         let (circuit, spec) = GoldenAnsatz::new(5, 21).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
@@ -599,9 +609,15 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 11).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
+        let schedule = schedule_for_plan(
+            &plan,
+            ShotAllocation::Uniform {
+                shots_per_setting: 1000,
+            },
+        )
+        .unwrap();
         let backend = IdealBackend::new(77);
-        let data = gather(&backend, &experiment, 1000, true).unwrap();
+        let data = gather(&backend, &frags, &plan, &schedule).unwrap();
         let err = reconstruction_variance(&frags, &plan, &data);
         assert_eq!(err.num_bits(), 5);
         assert!(err.variance(0) > 0.0);

@@ -10,10 +10,10 @@
 //! cargo run --release --example error_bars
 //! ```
 
+use qcut::cutting::allocation::schedule_for_plan;
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::execution::gather;
 use qcut::cutting::reconstruction::reconstruct;
-use qcut::cutting::tomography::ExperimentPlan;
 use qcut::cutting::variance::{empirical_variance, reconstruction_variance};
 use qcut::prelude::*;
 
@@ -37,12 +37,15 @@ fn main() {
             BasisPlan::with_neglected(vec![Some(Pauli::Y)]),
         ),
     ] {
-        let experiment = ExperimentPlan::build(&frags, &plan);
+        let uniform = ShotAllocation::Uniform {
+            shots_per_setting: shots,
+        };
+        let schedule = schedule_for_plan(&plan, uniform).expect("uniform never starves");
         let mut dists = Vec::with_capacity(trials);
         let mut predicted = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(5000 + t as u64);
-            let data = gather(&backend, &experiment, shots, true).expect("gather");
+            let data = gather(&backend, &frags, &plan, &schedule).expect("gather");
             if t == 0 {
                 predicted = reconstruction_variance(&frags, &plan, &data).rms_error();
             }

@@ -10,16 +10,13 @@
 
 use proptest::prelude::*;
 use qcut::circuit::ansatz::MultiCutAnsatz;
-use qcut::cutting::allocation::{
-    schedule, schedule_for_plan, schedule_sic, AllocationError, ShotSchedule,
-};
+use qcut::cutting::allocation::{schedule_for_plan, schedule_sic, AllocationError, ShotSchedule};
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::error::PipelineError;
-use qcut::cutting::execution::gather_scheduled;
+use qcut::cutting::execution::gather;
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::observable::{pauli_expectation, DiagonalObservable};
 use qcut::cutting::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
-use qcut::cutting::tomography::ExperimentPlan;
 use qcut::cutting::variance::variance_from_schedule;
 use qcut::prelude::*;
 
@@ -28,18 +25,13 @@ fn weighted_allocation_reconstructs_correctly() {
     let (circuit, cut) = GoldenAnsatz::new(5, 101).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
     let backend = IdealBackend::new(41);
 
-    let sched = schedule(
-        &basis,
-        &experiment,
-        ShotAllocation::WeightedByUsage { total: 120_000 },
-    )
-    .unwrap();
+    let sched =
+        schedule_for_plan(&basis, ShotAllocation::WeightedByUsage { total: 120_000 }).unwrap();
     assert!(sched.min_shots() > 0);
     assert_eq!(sched.total(), 120_000);
-    let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+    let data = gather(&backend, &frags, &basis, &sched).unwrap();
     assert_eq!(data.total_shots, sched.total());
 
     let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
@@ -56,7 +48,6 @@ fn equal_budget_uniform_vs_weighted_accuracy() {
     let (circuit, cut) = GoldenAnsatz::new(5, 103).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
     let truth = Distribution::from_values(5, StateVector::from_circuit(&circuit).probabilities());
     let total = 90_000;
     for alloc in [
@@ -64,9 +55,9 @@ fn equal_budget_uniform_vs_weighted_accuracy() {
         ShotAllocation::WeightedByUsage { total },
     ] {
         let backend = IdealBackend::new(43);
-        let sched = schedule(&basis, &experiment, alloc).unwrap();
+        let sched = schedule_for_plan(&basis, alloc).unwrap();
         assert_eq!(sched.total(), total, "{alloc:?} must spend exactly");
-        let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+        let data = gather(&backend, &frags, &basis, &sched).unwrap();
         let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
         let d = total_variation_distance(&recon, &truth);
         assert!(d < 0.05, "{alloc:?}: off by {d}");
@@ -110,6 +101,104 @@ fn uniform_allocation_is_bit_identical_to_default_path() {
         default_path.report.jobs_executed,
         explicit.report.jobs_executed
     );
+}
+
+/// The offline `gather` is the pipeline's gather: on a same-seed backend
+/// it executes the same graph in the same job order, so reconstructing
+/// its data reproduces the pipeline's raw distribution bit for bit.
+#[test]
+fn offline_gather_is_the_pipelines_gather() {
+    use qcut::cutting::pipeline::PostProcess;
+    let shots_per_setting = 2000u64;
+    let cases = [
+        GoldenAnsatz::new(5, 211).build(),
+        MultiCutAnsatz::new(2, 5).build(),
+    ];
+    for (circuit, cut) in cases {
+        let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+        let basis = BasisPlan::standard(frags.num_cuts);
+        let sched =
+            schedule_for_plan(&basis, ShotAllocation::Uniform { shots_per_setting }).unwrap();
+        let data = gather(&IdealBackend::new(77), &frags, &basis, &sched).unwrap();
+        let offline = reconstruct(&frags, &basis, &data);
+
+        let backend = IdealBackend::new(77);
+        let run = CutExecutor::new(&backend)
+            .run(
+                &circuit,
+                &cut,
+                GoldenPolicy::Disabled,
+                &ExecutionOptions {
+                    shots_per_setting,
+                    postprocess: PostProcess::Raw,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(
+            offline.values(),
+            run.distribution.values(),
+            "K = {}: offline gather diverged from the pipeline",
+            frags.num_cuts
+        );
+    }
+}
+
+/// The SIC gather is the same `gather_graph` the pipeline executes:
+/// contracting its channels on a same-seed backend reproduces the
+/// pipeline's raw SIC distribution bit for bit.
+#[test]
+fn offline_sic_gather_is_the_pipelines_gather() {
+    use qcut::cutting::execution::FragmentData;
+    use qcut::cutting::jobgraph::Channel;
+    use qcut::cutting::pipeline::PostProcess;
+    use qcut::cutting::planner::gather_graph;
+    use qcut::cutting::reconstruction::{contract, upstream_tensor};
+    use qcut::cutting::sic::sic_downstream_tensor;
+
+    let shots_per_setting = 2000u64;
+    let cases = [
+        GoldenAnsatz::new(5, 211).build(),
+        MultiCutAnsatz::new(2, 5).build(),
+    ];
+    for (circuit, cut) in cases {
+        let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+        let basis = BasisPlan::standard(frags.num_cuts);
+        let sched = schedule_sic(&basis, ShotAllocation::Uniform { shots_per_setting }).unwrap();
+        let graph = gather_graph(&frags, &basis, ReconstructionMethod::Sic, &sched, true);
+        let mut gathered = graph.execute(&IdealBackend::new(77), true).unwrap();
+        let sic = gathered.take_channel(Channel::SicPrep);
+        let data = FragmentData::from_counts(
+            gathered.take_channel(Channel::UpstreamMeas),
+            Default::default(),
+            gathered.stats.simulated_device_time,
+            gathered.stats.host_time,
+        );
+        let up = upstream_tensor(&frags.upstream, &basis, &data);
+        let down = sic_downstream_tensor(&frags.downstream, &basis, &sic);
+        let offline = contract(&frags, &basis, &up, &down);
+
+        let backend = IdealBackend::new(77);
+        let run = CutExecutor::new(&backend)
+            .run(
+                &circuit,
+                &cut,
+                GoldenPolicy::Disabled,
+                &ExecutionOptions {
+                    shots_per_setting,
+                    method: ReconstructionMethod::Sic,
+                    postprocess: PostProcess::Raw,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(
+            offline.values(),
+            run.distribution.values(),
+            "K = {}: offline SIC gather diverged from the pipeline",
+            frags.num_cuts
+        );
+    }
 }
 
 /// ISSUE 4 acceptance (b): weighted budgets compose with engine dedup —
@@ -419,20 +508,19 @@ proptest! {
         let (circuit, cut) = GoldenAnsatz::new(5, seed).build();
         let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
         let basis = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &basis);
         let sched = ShotSchedule {
             upstream: shots[..3].to_vec(),
             downstream: shots[3..].to_vec(),
         };
         let backend = IdealBackend::new(seed);
-        let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+        let data = gather(&backend, &frags, &basis, &sched).unwrap();
         prop_assert_eq!(data.total_shots, sched.total());
-        for (i, v) in experiment.upstream.iter().enumerate() {
-            let key = qcut::cutting::basis::encode_meas(&v.setting);
+        for (i, setting) in basis.all_meas_settings().iter().enumerate() {
+            let key = qcut::cutting::basis::encode_meas(setting);
             prop_assert_eq!(data.shots_for_meas(key), sched.upstream[i]);
         }
-        for (i, v) in experiment.downstream.iter().enumerate() {
-            let key = qcut::cutting::basis::encode_prep(&v.preparation);
+        for (i, preparation) in basis.all_prep_settings().iter().enumerate() {
+            let key = qcut::cutting::basis::encode_prep(preparation);
             prop_assert_eq!(data.shots_for_prep(key), sched.downstream[i]);
         }
     }
@@ -726,12 +814,13 @@ fn seeded_refine_round_delivers_the_merge_of_both_passes() {
     use qcut::cutting::allocation::{pilot_schedule, refine_schedule};
     use qcut::cutting::basis::{encode_meas, encode_prep};
     use qcut::cutting::execution::FragmentData;
-    use qcut::cutting::jobgraph::{Channel, JobGraph};
+    use qcut::cutting::jobgraph::Channel;
+    use qcut::cutting::planner::gather_graph;
+    use qcut::cutting::tomography::{build_downstream_circuit, build_upstream_circuit};
 
     let (circuit, cut) = GoldenAnsatz::new(5, 313).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
 
     let pilot_sched = pilot_schedule(3, 6, 1800).unwrap();
     let scores_up = [3.0, 1.0, 2.0];
@@ -754,35 +843,29 @@ fn seeded_refine_round_delivers_the_merge_of_both_passes() {
 
     // Two independent single-round gathers …
     let backend = IdealBackend::new(131);
-    let mut merged = gather_scheduled(&backend, &experiment, &pilot_sched, true).unwrap();
-    let fresh = gather_scheduled(&backend, &experiment, &increments, true).unwrap();
+    let mut merged = gather(&backend, &frags, &basis, &pilot_sched).unwrap();
+    let fresh = gather(&backend, &frags, &basis, &increments).unwrap();
     merged.merge(&fresh);
 
     // … versus a pilot + seeded engine round requesting the cumulative
     // targets, on a fresh same-seed backend so both arms draw identical
     // per-job RNG streams (sub-seeds advance with every executed job).
     let backend = IdealBackend::new(131);
-    let pilot = gather_scheduled(&backend, &experiment, &pilot_sched, true).unwrap();
-    let mut graph = JobGraph::new();
-    for (i, v) in experiment.upstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::UpstreamMeas, encode_meas(&v.setting)),
-            cumulative.upstream[i],
-        );
+    let pilot = gather(&backend, &frags, &basis, &pilot_sched).unwrap();
+    let mut graph = gather_graph(
+        &frags,
+        &basis,
+        ReconstructionMethod::Eigenstate,
+        &cumulative,
+        true,
+    );
+    for setting in basis.all_meas_settings() {
+        let circuit = build_upstream_circuit(&frags.upstream, &setting);
+        graph.seed_counts(&circuit, &pilot.upstream[&encode_meas(&setting)]);
     }
-    for (i, v) in experiment.downstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::DownstreamPrep, encode_prep(&v.preparation)),
-            cumulative.downstream[i],
-        );
-    }
-    for v in &experiment.upstream {
-        graph.seed_counts(&v.circuit, &pilot.upstream[&encode_meas(&v.setting)]);
-    }
-    for v in &experiment.downstream {
-        graph.seed_counts(&v.circuit, &pilot.downstream[&encode_prep(&v.preparation)]);
+    for preparation in basis.all_prep_settings() {
+        let circuit = build_downstream_circuit(&frags.downstream, &preparation);
+        graph.seed_counts(&circuit, &pilot.downstream[&encode_prep(&preparation)]);
     }
     let mut run = graph.execute(&backend, true).unwrap();
     assert_eq!(run.stats.shots_executed, increments.total());
