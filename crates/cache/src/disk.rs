@@ -20,9 +20,12 @@
 //!
 //! Decoding is corruption-tolerant by construction: every read is
 //! bounds-checked, every field is validated (gate tags, arities, qubit
-//! ranges, outcome widths, count overflow), and any failure surfaces as a
-//! typed [`CacheFileError`] — the caller degrades to a cold start, never a
-//! panic.
+//! ranges, histogram width against the circuit's, outcome widths, count
+//! overflow), and any failure surfaces as a typed [`CacheFileError`] — the
+//! caller degrades to a cold start, never a panic. Only canonical files
+//! decode: outcomes strictly increasing, counts nonzero, no entry repeated.
+//! So every file that loads under a budget holding all of it re-encodes
+//! to the same bytes.
 
 use qcut_circuit::circuit::{Circuit, Instruction};
 use qcut_circuit::gate::Gate;
@@ -337,10 +340,18 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, CacheFileError> {
     ))
 }
 
-fn read_counts(r: &mut Reader<'_>) -> Result<Counts, CacheFileError> {
+/// Reads the histogram of a circuit `width` qubits wide. Outcomes must be
+/// strictly increasing with nonzero counts — the only form [`encode`]
+/// writes — so every accepted record re-encodes to the same bytes.
+fn read_counts(r: &mut Reader<'_>, width: usize) -> Result<Counts, CacheFileError> {
     let num_bits = r.u16()? as usize;
     if num_bits == 0 || num_bits > 63 {
         return Err(CacheFileError::Malformed("histogram width out of range"));
+    }
+    if num_bits != width {
+        return Err(CacheFileError::Malformed(
+            "histogram width does not match its circuit",
+        ));
     }
     let distinct = r.u32()?;
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity((distinct as usize).min(65536));
@@ -351,12 +362,19 @@ fn read_counts(r: &mut Reader<'_>) -> Result<Counts, CacheFileError> {
         if outcome >> num_bits != 0 {
             return Err(CacheFileError::Malformed("outcome exceeds histogram width"));
         }
+        if pairs.last().is_some_and(|&(prev, _)| outcome <= prev) {
+            return Err(CacheFileError::Malformed(
+                "outcomes not strictly increasing",
+            ));
+        }
+        if count == 0 {
+            return Err(CacheFileError::Malformed("zero count"));
+        }
         total = total
             .checked_add(count)
             .ok_or(CacheFileError::Malformed("histogram total overflows"))?;
         pairs.push((outcome, count));
     }
-    let _ = total;
     Ok(Counts::from_pairs(num_bits, pairs))
 }
 
@@ -394,9 +412,14 @@ pub fn decode(bytes: &[u8], byte_budget: u64) -> Result<HistogramCache, CacheFil
             discipline: r.u64()?,
         };
         let circuit = read_circuit(&mut r)?;
-        let counts = read_counts(&mut r)?;
+        let counts = read_counts(&mut r, circuit.num_qubits())?;
         if key.structural_hash != circuit.structural_hash() {
             return Err(CacheFileError::Malformed("key does not match its circuit"));
+        }
+        // Caught while the first copy is held: a budget that already
+        // evicted it loads the repeat as a fresh entry.
+        if store.holds(&key, &circuit) {
+            return Err(CacheFileError::Malformed("duplicate entry"));
         }
         store.store(&key, &circuit, counts);
     }
@@ -492,5 +515,156 @@ mod tests {
         // Budget for roughly one entry: the older of the two must go.
         let reloaded = decode(&bytes, store.bytes_used() - 1).expect("loads");
         assert_eq!(reloaded.len(), 1);
+    }
+
+    /// A record as the tests spell it: key, circuit, histogram width and
+    /// `(outcome, count)` pairs in file order.
+    type RawEntry<'a> = (CacheKey, &'a Circuit, u16, &'a [(u64, u64)]);
+
+    /// Hand-assembles a file image, so records `encode` never writes can
+    /// be fed to the decoder.
+    fn image(entries: &[RawEntry<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        push_u16(&mut out, VERSION);
+        push_u32(&mut out, entries.len() as u32);
+        for &(key, circuit, num_bits, pairs) in entries {
+            push_u64(&mut out, key.structural_hash);
+            push_u64(&mut out, key.backend_fingerprint);
+            push_u64(&mut out, key.discipline);
+            push_u16(&mut out, circuit.num_qubits() as u16);
+            push_u32(&mut out, circuit.len() as u32);
+            for inst in circuit.instructions() {
+                push_instruction(&mut out, inst);
+            }
+            push_u16(&mut out, num_bits);
+            push_u32(&mut out, pairs.len() as u32);
+            for &(outcome, count) in pairs {
+                push_u64(&mut out, outcome);
+                push_u64(&mut out, count);
+            }
+        }
+        with_checksum(out)
+    }
+
+    /// Appends the FNV-1a trailer to `content`.
+    fn with_checksum(mut content: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&content);
+        push_u64(&mut content, sum);
+        content
+    }
+
+    /// The fuzz property: `decode` returns (it never panics), and any
+    /// store it accepts re-encodes to exactly the input bytes.
+    fn assert_decodes_only_fixed_points(bytes: &[u8]) {
+        if let Ok(store) = decode(bytes, u64::MAX) {
+            assert_eq!(encode(&store), bytes, "an accepted file is canonical");
+        }
+    }
+
+    fn two_qubit_circuit() -> (CacheKey, Circuit) {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let key = CacheKey::new(c.structural_hash(), 11, ShotDiscipline::Multinomial);
+        (key, c)
+    }
+
+    #[test]
+    fn hand_assembled_canonical_image_matches_encode() {
+        let (key, c) = two_qubit_circuit();
+        let bytes = image(&[(key, &c, 2, &[(0, 4), (3, 6)])]);
+        let store = decode(&bytes, u64::MAX).expect("canonical image loads");
+        assert_eq!(encode(&store), bytes);
+    }
+
+    #[test]
+    fn histogram_width_must_match_its_circuit() {
+        let (key, c) = two_qubit_circuit();
+        for num_bits in [1, 3] {
+            assert_eq!(
+                decode(&image(&[(key, &c, num_bits, &[(0, 4)])]), u64::MAX).err(),
+                Some(CacheFileError::Malformed(
+                    "histogram width does not match its circuit"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn non_canonical_records_are_malformed() {
+        let (key, c) = two_qubit_circuit();
+        let unsorted = image(&[(key, &c, 2, &[(3, 6), (0, 4)])]);
+        let repeated = image(&[(key, &c, 2, &[(1, 2), (1, 2)])]);
+        let zero = image(&[(key, &c, 2, &[(0, 4), (1, 0)])]);
+        let duplicate = image(&[(key, &c, 2, &[(0, 4)]), (key, &c, 2, &[(1, 4)])]);
+        for (bytes, what) in [
+            (unsorted, "outcomes not strictly increasing"),
+            (repeated, "outcomes not strictly increasing"),
+            (zero, "zero count"),
+            (duplicate, "duplicate entry"),
+        ] {
+            assert_eq!(
+                decode(&bytes, u64::MAX).err(),
+                Some(CacheFileError::Malformed(what))
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_image_decodes_only_fixed_points() {
+        let bytes = encode(&sample_store());
+        let content = &bytes[..bytes.len() - 8];
+        for cut in 0..bytes.len() {
+            assert_decodes_only_fixed_points(&bytes[..cut]);
+        }
+        // With the trailer recomputed the parser itself meets every cut.
+        for cut in 0..content.len() {
+            assert_decodes_only_fixed_points(&with_checksum(content[..cut].to_vec()));
+        }
+    }
+
+    /// Every single-byte mutation of a valid image, with the checksum
+    /// recomputed so the parser rather than the trailer meets it.
+    #[test]
+    fn every_single_byte_mutation_decodes_only_fixed_points() {
+        let bytes = encode(&sample_store());
+        let content = &bytes[..bytes.len() - 8];
+        for at in 0..content.len() {
+            for byte in 0..=u8::MAX {
+                let mut mutated = content.to_vec();
+                mutated[at] = byte;
+                assert_decodes_only_fixed_points(&with_checksum(mutated));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, arbitrary content behind a valid header, and
+        /// two-byte mutations of a valid image (checksum recomputed) never
+        /// panic the decoder, and whatever it accepts re-encodes to the
+        /// same bytes.
+        #[test]
+        fn decode_never_panics_and_accepts_only_canonical_files(
+            noise in proptest::collection::vec(0u16..256, 0..160),
+            edits in ((0usize..4096, 0u16..256), (0usize..4096, 0u16..256)),
+        ) {
+            let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+            assert_decodes_only_fixed_points(&noise);
+
+            let mut headed = MAGIC.to_vec();
+            push_u16(&mut headed, VERSION);
+            headed.extend_from_slice(&noise);
+            assert_decodes_only_fixed_points(&with_checksum(headed));
+
+            let bytes = encode(&sample_store());
+            let mut content = bytes[..bytes.len() - 8].to_vec();
+            let len = content.len();
+            for (at, byte) in [edits.0, edits.1] {
+                content[at % len] = byte as u8;
+            }
+            assert_decodes_only_fixed_points(&with_checksum(content));
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod disk;
 pub mod histogram;
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qcut_circuit::circuit::Circuit;
 use qcut_sim::counts::Counts;
@@ -206,20 +206,28 @@ impl WarmCache {
         &self.config
     }
 
+    /// Locks the store. A lock poisoned by a panic elsewhere is recovered,
+    /// not propagated: no section holding either of this cache's guards
+    /// can panic between two of its mutations (they bump counters, move
+    /// values, and update the map and the recency index in step), so a
+    /// recovered guard always sees a consistent store.
+    fn locked(&self) -> MutexGuard<'_, HistogramCache> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Takes the load-degradation notice, if opening fell back to a cold
     /// start. Returns `Some` at most once.
     pub fn take_degradation(&self) -> Option<String> {
-        self.degraded.lock().expect("cache lock poisoned").take()
+        self.degraded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// Looks up the cumulative histogram for `circuit` under `key`,
     /// confirming instruction-level equality. Touches LRU recency.
     pub fn lookup(&self, key: &CacheKey, circuit: &Circuit) -> Option<Counts> {
-        self.inner
-            .lock()
-            .expect("cache lock poisoned")
-            .lookup(key, circuit)
-            .cloned()
+        self.locked().lookup(key, circuit).cloned()
     }
 
     /// Stores (replacing any previous entry for the same key + circuit) the
@@ -227,20 +235,17 @@ impl WarmCache {
     /// data — a warm run's delivered histogram already contains the cached
     /// shots it was seeded with, so storing replaces rather than merges.
     pub fn store(&self, key: &CacheKey, circuit: &Circuit, counts: &Counts) {
-        self.inner
-            .lock()
-            .expect("cache lock poisoned")
-            .store(key, circuit, counts.clone());
+        self.locked().store(key, circuit, counts.clone());
     }
 
     /// Number of entries currently held.
     pub fn entries(&self) -> usize {
-        self.inner.lock().expect("cache lock poisoned").len()
+        self.locked().len()
     }
 
     /// Estimated bytes currently held (the on-disk encoded size).
     pub fn bytes_used(&self) -> u64 {
-        self.inner.lock().expect("cache lock poisoned").bytes_used()
+        self.locked().bytes_used()
     }
 
     /// Writes the store to the configured path (no-op without one). The
@@ -251,7 +256,7 @@ impl WarmCache {
             return Ok(());
         };
         let bytes = {
-            let store = self.inner.lock().expect("cache lock poisoned");
+            let store = self.locked();
             disk::encode(&store)
         };
         let tmp = path.with_extension("tmp");
@@ -310,6 +315,35 @@ mod tests {
         let got = cache.lookup(&key, &c).expect("entry present");
         assert_eq!(got.total(), 150);
         assert_eq!(cache.entries(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_store_lock_still_serves_lookup_store_and_persist() {
+        let path = std::env::temp_dir().join(format!(
+            "qcut-cache-test-poisoned-{}.qwc",
+            std::process::id()
+        ));
+        let cache = WarmCache::open(CacheConfig::at_path(&path));
+        let c = circuit(0.6);
+        let key = CacheKey::new(c.structural_hash(), 1, ShotDiscipline::Multinomial);
+        cache.store(&key, &c, &counts(&[(0, 7)]));
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.inner.lock();
+                panic!("a panic while holding the store lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(cache.inner.is_poisoned());
+
+        assert_eq!(cache.lookup(&key, &c).map(|h| h.total()), Some(7));
+        cache.store(&key, &c, &counts(&[(0, 7), (2, 3)]));
+        assert_eq!(cache.entries(), 1);
+        cache.persist().expect("persist through a poisoned lock");
+        let reopened = WarmCache::open(CacheConfig::at_path(&path));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(reopened.lookup(&key, &c).map(|h| h.total()), Some(10));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use qcut_sim::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Noiseless state-vector backend with shot sampling.
@@ -30,7 +30,9 @@ pub struct IdealBackend {
     timing: TimingModel,
     prefix_sharing: bool,
     /// Warm-start tier 2: fork states kept across batches (and runs) so
-    /// repeated prefixes re-simulate only their divergent suffixes.
+    /// repeated prefixes re-simulate only their divergent suffixes. A lock
+    /// poisoned by a panic elsewhere is recovered: the cache's `lookup` and
+    /// `store` cannot panic between two mutations, so it stays consistent.
     state_cache: Option<Mutex<ForkStateCache<StateVector>>>,
 }
 
@@ -85,7 +87,7 @@ impl IdealBackend {
     pub fn cached_states(&self) -> usize {
         self.state_cache
             .as_ref()
-            .map(|c| c.lock().expect("state cache poisoned").len())
+            .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).len())
             .unwrap_or(0)
     }
 

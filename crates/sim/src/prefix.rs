@@ -44,7 +44,7 @@
 use qcut_circuit::circuit::{Circuit, Instruction};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A simulation state that can be evolved instruction-by-instruction and
 /// forked (cloned) at trie branch points.
@@ -413,6 +413,12 @@ impl<'c> PrefixForest<'c> {
     /// Determinism: a cached state is bit-identical to what re-applying the
     /// (equality-confirmed) prefix to the init state would produce, so
     /// results are bit-identical to [`PrefixForest::simulate_with`].
+    ///
+    /// A `cache` lock poisoned by a panic elsewhere is recovered rather
+    /// than propagated: neither [`ForkStateCache::lookup`] nor
+    /// [`ForkStateCache::store`] can panic between two of its mutations
+    /// (they bump the clock, clone and move states, and edit the map), so
+    /// the recovered cache is consistent.
     pub fn simulate_with_reuse<S, I, V, T>(
         &self,
         init: I,
@@ -519,7 +525,7 @@ where
                 let prefix = &forest.circuits[node.exemplar].instructions()[..node.end];
                 let hit = cache
                     .lock()
-                    .expect("fork-state cache poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .lookup(node.width, link, prefix);
                 match hit {
                     Some(cached) => {
@@ -533,7 +539,7 @@ where
                         for inst in segment {
                             state.apply(inst);
                         }
-                        cache.lock().expect("fork-state cache poisoned").store(
+                        cache.lock().unwrap_or_else(PoisonError::into_inner).store(
                             node.width,
                             link,
                             prefix,

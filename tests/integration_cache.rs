@@ -234,6 +234,104 @@ fn corrupt_cache_file_degrades_to_cold_start_with_diagnostic() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Rewrites every entry's histogram width in a cache file image to one
+/// more than its circuit's, then recomputes the FNV-1a trailer, so the
+/// file passes every check but the width one. Walks the record layout
+/// documented in `qcut_cache::disk`.
+fn widen_every_histogram(bytes: &mut [u8]) {
+    fn u16_at(b: &[u8], at: usize) -> usize {
+        u16::from_le_bytes([b[at], b[at + 1]]) as usize
+    }
+    fn u32_at(b: &[u8], at: usize) -> usize {
+        u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]) as usize
+    }
+    let content = bytes.len() - 8;
+    let entries = u32_at(bytes, 10);
+    let mut at = 14;
+    for _ in 0..entries {
+        at += 24; // key
+        let instructions = u32_at(bytes, at + 2);
+        at += 6;
+        for _ in 0..instructions {
+            let (params, arity) = match bytes[at] {
+                0..=9 => (0, 1),
+                10..=13 => (8, 1),
+                14 => (24, 1),
+                15 => (64, 1),
+                16..=20 => (0, 2),
+                21..=24 => (8, 2),
+                25 => (256, 2),
+                tag => panic!("unknown gate tag {tag}"),
+            };
+            at += 1 + params + 2 * arity;
+        }
+        let num_bits = u16_at(bytes, at) as u16 + 1;
+        bytes[at..at + 2].copy_from_slice(&num_bits.to_le_bytes());
+        at += 6 + 16 * u32_at(bytes, at + 2);
+    }
+    assert_eq!(at, content, "walked every record");
+    let mut sum: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &bytes[..content] {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[content..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A cache file whose histograms are one bit wider than their circuits
+/// (checksum intact) must not reach the engine: merging a cached
+/// histogram into a fresh one of another width panics. The decoder
+/// rejects it, so the run starts cold with a QA403 warning.
+#[test]
+fn a_width_mismatched_cache_file_degrades_to_a_cold_start() {
+    let (circuit, cut) = workload();
+    let path =
+        std::env::temp_dir().join(format!("qcut-integration-width-{}.qwc", std::process::id()));
+    let options = |cache: Arc<WarmCache>, shots_per_setting: u64| ExecutionOptions {
+        shots_per_setting,
+        cache: Some(cache),
+        ..Default::default()
+    };
+    let primed = Arc::new(WarmCache::open(CacheConfig::at_path(&path)));
+    CutExecutor::new(&IdealBackend::new(5))
+        .run(
+            &circuit,
+            &cut,
+            GoldenPolicy::Disabled,
+            &options(primed.clone(), 1000),
+        )
+        .unwrap();
+    assert!(primed.entries() > 0);
+    let mut bytes = std::fs::read(&path).unwrap();
+    widen_every_histogram(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let reopened = Arc::new(WarmCache::open(CacheConfig::at_path(&path)));
+    let run = CutExecutor::new(&IdealBackend::new(6))
+        .run(
+            &circuit,
+            &cut,
+            GoldenPolicy::Disabled,
+            &options(reopened, 2000),
+        )
+        .expect("a bad cache file never fails the run");
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(run.report.cache_shots_reused, 0, "cold start");
+    let degraded: Vec<_> = run
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == LintCode::CacheDegraded)
+        .collect();
+    assert!(
+        !degraded.is_empty(),
+        "a rejected cache file must surface a QA403 warning: {:?}",
+        run.report.diagnostics
+    );
+    assert!(degraded.iter().all(|d| d.severity == Severity::Warn));
+}
+
 /// The adaptive policy treats cached histograms as a free pilot: on a
 /// warm rerun the pilot round executes nothing, only the refine
 /// increments run, and the shot invariant holds with the cache term.
