@@ -36,12 +36,10 @@ use qcut_sim::counts::Counts;
 use crate::histogram::HistogramCache;
 use crate::CacheKey;
 
-/// The 8-byte file magic every cache file starts with. Public so static
-/// checks (e.g. the `QA403` lint) can validate a header without pulling in
-/// the full decoder.
-pub const MAGIC: &[u8; 8] = b"QCUTWSC\0";
+/// The 8-byte file magic every cache file starts with.
+pub(crate) const MAGIC: &[u8; 8] = b"QCUTWSC\0";
 /// The format version this build writes and accepts.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Why a cache file could not be loaded. Every variant degrades to a cold
 /// start at the call site.
@@ -381,7 +379,22 @@ fn read_counts(r: &mut Reader<'_>, width: usize) -> Result<Counts, CacheFileErro
 /// Parses a cache file image into a store with the given byte budget
 /// (which may evict entries a smaller budget no longer affords — oldest
 /// first, since entries are stored in recency order).
+///
+/// The header is checked before the checksum, so a foreign file is
+/// [`CacheFileError::BadMagic`] and a file of another format version is
+/// [`CacheFileError::UnsupportedVersion`], whatever their trailers hold.
+/// A file too short to show either is [`CacheFileError::Truncated`].
 pub fn decode(bytes: &[u8], byte_budget: u64) -> Result<HistogramCache, CacheFileError> {
+    let magic = &bytes[..bytes.len().min(MAGIC.len())];
+    if magic != &MAGIC[..magic.len()] {
+        return Err(CacheFileError::BadMagic);
+    }
+    if let Some(&[lo, hi]) = bytes.get(MAGIC.len()..MAGIC.len() + 2) {
+        let version = u16::from_le_bytes([lo, hi]);
+        if version != VERSION {
+            return Err(CacheFileError::UnsupportedVersion(version));
+        }
+    }
     if bytes.len() < MAGIC.len() + 2 + 4 + 8 {
         return Err(CacheFileError::Truncated);
     }
@@ -394,15 +407,8 @@ pub fn decode(bytes: &[u8], byte_budget: u64) -> Result<HistogramCache, CacheFil
     }
     let mut r = Reader {
         buf: content,
-        pos: 0,
+        pos: MAGIC.len() + 2,
     };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(CacheFileError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(CacheFileError::UnsupportedVersion(version));
-    }
     let count = r.u32()?;
     let mut store = HistogramCache::new(byte_budget);
     for _ in 0..count {
@@ -506,6 +512,33 @@ mod tests {
             decode(&bytes, u64::MAX).expect_err("version checked"),
             CacheFileError::UnsupportedVersion(_)
         ));
+    }
+
+    /// The header names a foreign or other-version file before the
+    /// checksum is read, so the error says what the file is.
+    #[test]
+    fn header_errors_take_precedence_over_the_checksum() {
+        for foreign in [&b"definitely not a cache file"[..], b"PNG", b"QCUTWSC\x01"] {
+            assert_eq!(
+                decode(foreign, u64::MAX).err(),
+                Some(CacheFileError::BadMagic)
+            );
+        }
+        let mut bytes = encode(&sample_store());
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(
+            decode(&bytes, u64::MAX).err(),
+            Some(CacheFileError::UnsupportedVersion(2))
+        );
+        assert_eq!(
+            decode(&bytes[..10], u64::MAX).err(),
+            Some(CacheFileError::UnsupportedVersion(2))
+        );
+        // A valid header too short for a checksum is truncated.
+        assert_eq!(
+            decode(&encode(&sample_store())[..12], u64::MAX).err(),
+            Some(CacheFileError::Truncated)
+        );
     }
 
     #[test]

@@ -215,6 +215,16 @@ impl WarmCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The load-degradation notice, if opening fell back to a cold start,
+    /// left in place (the analysis gate's `QA403` reads it; a run then
+    /// drains it with [`WarmCache::take_degradation`]).
+    pub fn degradation(&self) -> Option<String> {
+        self.degraded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
     /// Takes the load-degradation notice, if opening fell back to a cold
     /// start. Returns `Some` at most once.
     pub fn take_degradation(&self) -> Option<String> {

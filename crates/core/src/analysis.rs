@@ -45,7 +45,7 @@ use crate::jobgraph::JobGraph;
 use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
 use crate::planner::{schedule, RunPlan};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use qcut_cache::CacheConfig;
+use qcut_cache::WarmCache;
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
 use qcut_circuit::gate::Gate;
@@ -139,8 +139,10 @@ pub enum LintCode {
     /// histogram entry: every store immediately evicts (thrash) and the
     /// cache can never serve a warm hit.
     CacheByteBudgetThrash,
-    /// `QA403` — the configured cache file exists but its header is not a
-    /// loadable current-format cache, so the run degrades to a cold start.
+    /// `QA403` — the configured cache file exists but did not load (it
+    /// is unreadable, foreign, of another format version, or corrupt), so
+    /// the run degrades to a cold start. The message is the opened
+    /// cache's own load notice.
     CacheDegraded,
     /// `QA501` — the backend injects faults but retries are disabled
     /// (`max_attempts ≤ 1`): every transient fault is immediately
@@ -477,8 +479,8 @@ struct AnalysisContext<'a> {
     method: ReconstructionMethod,
     /// The plan's job graph (never executed by analysis).
     graph: Option<&'a JobGraph>,
-    /// The warm-start cache configuration, when one is enabled.
-    cache: Option<&'a CacheConfig>,
+    /// The opened warm-start cache, when one is enabled.
+    cache: Option<&'a WarmCache>,
     /// Whether the backend guarantees deterministic seeding (known only
     /// on the [`analyze_with_backend`] path — [`analyze`] stays
     /// backend-free and leaves this `None`, so backend-dependent cache
@@ -1005,7 +1007,7 @@ fn cache_byte_budget_thrash(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
         })
         .max();
     if let Some(worst) = worst {
-        if worst > cache.byte_budget {
+        if worst > cache.config().byte_budget {
             sink.report(
                 LintCode::CacheByteBudgetThrash,
                 format!(
@@ -1013,73 +1015,21 @@ fn cache_byte_budget_thrash(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
                      planned node's estimated histogram entry ({worst} B); \
                      every store of that node immediately evicts it and \
                      warm runs stay cold",
-                    cache.byte_budget
+                    cache.config().byte_budget
                 ),
             );
         }
     }
 }
 
-// Bounded IO exception to the "analysis is pure" rule: this lint reads
-// at most the 10-byte header (magic + version) of the one configured
-// cache file — never the body, never the backend. A missing file is
-// *not* a finding (a cold start is the normal first run).
+// Reads the load notice of the opened cache: `WarmCache::open` already
+// decoded the file, so the lint does no IO of its own. A missing file
+// leaves no notice (a cold start is the normal first run).
 fn cache_degraded(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-    use std::io::Read as _;
-    let Some(path) = ctx.cache.and_then(|c| c.path.as_ref()) else {
-        return;
-    };
-    let file = match std::fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return,
-        Err(e) => {
-            sink.report(
-                LintCode::CacheDegraded,
-                format!(
-                    "cache file {} is unreadable ({e}); the run degrades \
-                     to a cold start",
-                    path.display()
-                ),
-            );
-            return;
-        }
-    };
-    let mut header = Vec::with_capacity(10);
-    if let Err(e) = file.take(10).read_to_end(&mut header) {
+    if let Some(why) = ctx.cache.and_then(WarmCache::degradation) {
         sink.report(
             LintCode::CacheDegraded,
-            format!(
-                "cache file {} failed to read ({e}); the run degrades to a \
-                 cold start",
-                path.display()
-            ),
-        );
-        return;
-    }
-    let version = if header.len() == 10 {
-        u16::from_le_bytes([header[8], header[9]])
-    } else {
-        0
-    };
-    if header.len() < 10 || &header[..8] != qcut_cache::disk::MAGIC {
-        sink.report(
-            LintCode::CacheDegraded,
-            format!(
-                "cache file {} is not a warm-start cache (bad or \
-                 truncated header); the run degrades to a cold start and \
-                 will not overwrite it until a successful persist",
-                path.display()
-            ),
-        );
-    } else if version != qcut_cache::disk::VERSION {
-        sink.report(
-            LintCode::CacheDegraded,
-            format!(
-                "cache file {} has format version {version}, this build \
-                 reads version {}; the run degrades to a cold start",
-                path.display(),
-                qcut_cache::disk::VERSION
-            ),
+            format!("warm-start cache degraded to a cold start: {why}"),
         );
     }
 }
@@ -1355,11 +1305,10 @@ fn run_layer(layer: Layer, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 
 /// Statically analyzes a workload: the circuit, the cut against it, the
 /// standard plan's shot schedule and job graph, and the warm-start cache
-/// configuration. Pure up to one bounded exception — nothing executes,
-/// no backend is touched, and the graph is planned by the same
-/// [`RunPlan`] builder a run executes from, under
-/// [`GoldenPolicy::Disabled`]; the sole IO is `QA403`'s 10-byte header
-/// read of a configured cache file.
+/// configuration. Pure: nothing executes, no backend is touched, no
+/// file is read (`QA403` reads the opened cache's load notice), and the
+/// graph is planned through the same [`RunPlan`] a run executes from,
+/// under [`GoldenPolicy::Disabled`].
 ///
 /// Layers run in order and stop descending when a premise is broken:
 /// malformed IR (`QA001`) stops before fragmenting, an invalid cut
@@ -1447,7 +1396,7 @@ fn analyze_inner(
         schedule: None,
         method: options.method,
         graph: None,
-        cache: options.cache.as_deref().map(qcut_cache::WarmCache::config),
+        cache: options.cache.as_deref(),
         backend_deterministic,
         retry: Some(&options.retry),
         failure: Some(options.failure),
@@ -1511,6 +1460,7 @@ pub fn lint_graph(graph: &JobGraph, config: &AnalysisConfig) -> Diagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcut_cache::CacheConfig;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_circuit::circuit::Instruction;
 

@@ -25,6 +25,9 @@
 //! detection, and [`CutExecutor::run_uncut`] — flows through
 //! [`crate::jobgraph::JobGraph`], so the [`RunReport`] carries unified
 //! dedup accounting (`jobs_planned` / `jobs_executed` / `shots_saved`).
+//! Inside `run`, every round executes through one helper that applies
+//! the retry and failure policies, and the detection seeds, pilot seeds
+//! and warm-cache store-back all read what the executed graph delivered.
 
 use crate::allocation::{
     pilot_schedule, pilot_total, refine_schedule, ShotAllocation, ShotSchedule,
@@ -40,8 +43,8 @@ use crate::planner::{gather_graph, uncut_graph, RunPlan};
 use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic, sic_downstream_tensor};
-use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
+use crate::sic::{all_sic_settings, encode_sic, sic_downstream_tensor};
+use crate::tomography::build_upstream_circuit;
 use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
 use qcut_circuit::circuit::Circuit;
@@ -51,7 +54,7 @@ use qcut_math::Pauli;
 use qcut_sim::counts::Counts;
 use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -201,19 +204,44 @@ pub struct CutExecutor<'b, B: Backend + ?Sized> {
     backend: &'b B,
 }
 
-/// Delivered channels + engine accounting of one gather round.
-struct GatherRound {
+/// One executed engine round: the delivered channels, the engine
+/// accounting, and the graph that ran.
+struct Round {
     upstream: HashMap<u64, Counts>,
     downstream: HashMap<u64, Counts>,
     sic_counts: HashMap<u64, Counts>,
+    detection: HashMap<u64, Counts>,
     stats: GraphStats,
-    /// Structural hash → the fingerprint each delivered histogram is
-    /// stored under in the warm cache: the member that measured it (empty
-    /// when no cache is configured). A histogram that mixes two members'
-    /// shots has no entry and is never stored.
-    store_keys: HashMap<u64, u64>,
     /// The executed graph: which circuit fed which consumers.
     graph: JobGraph,
+    /// Per node of `graph`, the warm-cache fingerprint of the member that
+    /// measured its histogram (empty when no cache is configured). A
+    /// histogram that mixes two members' shots has `None` and is never
+    /// stored.
+    measured_by: Vec<Option<u64>>,
+}
+
+impl Round {
+    /// The one walk over an executed round: each delivered node in graph
+    /// order, with its circuit, the histogram its consumers received, and
+    /// its [`Round::measured_by`] fingerprint. A failed node delivered
+    /// nothing and is skipped.
+    fn delivered(&self) -> impl Iterator<Item = (&Circuit, &Counts, Option<u64>)> + '_ {
+        let nodes = self.graph.node_jobs().enumerate();
+        nodes.filter_map(|(node, (circuit, consumers))| {
+            let (channel, key) = consumers.first()?.0;
+            let counts = match channel {
+                Channel::UpstreamMeas => &self.upstream,
+                Channel::DownstreamPrep => &self.downstream,
+                Channel::SicPrep => &self.sic_counts,
+                Channel::Detection => &self.detection,
+                Channel::Uncut => return None,
+            }
+            .get(&key)?;
+            let measured_by = self.measured_by.get(node).copied().flatten();
+            Some((circuit, counts, measured_by))
+        })
+    }
 }
 
 /// A histogram measured earlier in the run (an online-detection batch,
@@ -225,6 +253,37 @@ struct Seed {
     /// of its shots; `None` once members with different fingerprints
     /// contributed. A node seeded by another member is never stored.
     measured_by: Option<u64>,
+}
+
+/// Adds an executed round's deliveries to the same-run `seeds`, keyed by
+/// structural hash. A circuit seeded before merges the new shots in and
+/// keeps its [`Seed::measured_by`] only while the same member measured
+/// them. Merging needs true structural equality: a 64-bit hash collision
+/// must not mix another circuit's histogram in.
+fn add_seeds<'r>(
+    seeds: &mut HashMap<u64, Seed>,
+    delivered: impl Iterator<Item = (&'r Circuit, &'r Counts, Option<u64>)>,
+) {
+    for (circuit, counts, measured_by) in delivered {
+        match seeds.entry(circuit.structural_hash()) {
+            Entry::Occupied(mut e) => {
+                let seed = e.get_mut();
+                if seed.circuit == *circuit {
+                    seed.counts.merge(counts);
+                    if seed.measured_by != measured_by {
+                        seed.measured_by = None;
+                    }
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(Seed {
+                    circuit: circuit.clone(),
+                    counts: counts.clone(),
+                    measured_by,
+                });
+            }
+        }
+    }
 }
 
 /// Merges one channel's histograms into another (the dedup-off refine
@@ -351,10 +410,17 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let mut run_plan = planned?;
 
         // A cache that failed to load (corrupt/truncated/foreign file)
-        // silently became a cold start at open time; surface that as a
-        // typed runtime warning so sweeps notice the lost warm state.
-        if let Some(cache) = self.warm_cache(options) {
-            if let Some(why) = cache.take_degradation() {
+        // became a cold start at open time. Drain that notice so the next
+        // run on this cache does not repeat it, and report it here only
+        // when the gate did not (analysis disabled, or QA403 allowed).
+        if let Some(why) = self
+            .warm_cache(options)
+            .and_then(WarmCache::take_degradation)
+        {
+            if !diagnostics
+                .iter()
+                .any(|d| d.code == LintCode::CacheDegraded)
+            {
                 diagnostics.push(Diagnostic {
                     code: LintCode::CacheDegraded,
                     severity: Severity::Warn,
@@ -415,7 +481,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         } else {
             // The graph the gate linted (or, after online detection
             // shrank the plan, its replanned successor).
-            let round = self.gather_round(
+            let round = self.execute_round(
                 run_plan.take_gather(options)?.graph,
                 options,
                 &detection_cache,
@@ -424,37 +490,22 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             )?;
             (round, 0, 1)
         };
-        let RunPlan {
-            fragments,
-            basis: plan,
-            ..
-        } = run_plan;
-        let GatherRound {
-            upstream,
-            downstream,
-            sic_counts,
-            stats: gather_stats,
-            store_keys,
-            ..
-        } = gather;
         let gather_seconds = gather_started.elapsed().as_secs_f64();
 
-        // Store the delivered cumulative histograms back into the warm
-        // cache so the next run (or sweep point) starts from them, then
-        // persist. Delivered totals already include everything — cached,
-        // detection-seeded, and fresh shots — and `store` replaces, so
-        // re-running never duplicates samples.
+        // Store each delivered node of the final round's graph back into
+        // the warm cache, under the member that measured it, so the next
+        // run (or sweep point) starts from it; then persist. Delivered
+        // totals already include everything — cached, detection-seeded,
+        // and fresh shots — and `store` replaces, so re-running never
+        // duplicates samples.
         if let Some(cache) = self.warm_cache(options) {
-            self.store_back(
-                cache,
-                &fragments,
-                &plan,
-                options.method,
-                &upstream,
-                &downstream,
-                &sic_counts,
-                &store_keys,
-            );
+            for (circuit, counts, measured_by) in gather.delivered() {
+                if let Some(fingerprint) = measured_by {
+                    let hash = circuit.structural_hash();
+                    let key = CacheKey::new(hash, fingerprint, ShotDiscipline::Multinomial);
+                    cache.store(&key, circuit, counts);
+                }
+            }
             if cache.config().path.is_some() {
                 if let Err(e) = cache.persist() {
                     diagnostics.push(Diagnostic {
@@ -468,6 +519,18 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 }
             }
         }
+        let RunPlan {
+            fragments,
+            basis: plan,
+            ..
+        } = run_plan;
+        let Round {
+            upstream,
+            downstream,
+            sic_counts,
+            stats: gather_stats,
+            ..
+        } = gather;
 
         // Graceful degradation: when nodes failed permanently under
         // FailurePolicy::Degrade, shrink the plan until no lost consumer
@@ -614,97 +677,37 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         options.cache.as_deref().filter(|_| options.dedup)
     }
 
-    /// Stores each delivered setting histogram back into the warm cache,
-    /// keyed by `(structural hash, fingerprint, discipline)` with the
-    /// fingerprint from `store_keys`. First delivery wins per structural
-    /// hash: deduplicated settings hand back the *same* merged node
-    /// histogram, which must be stored once.
-    ///
-    /// On a [`qcut_device::pool::BackendPool`] backend the fingerprint is
-    /// the *delivering member's*, never the pool aggregate — so a later
-    /// run against any one member (or a re-shuffled pool) only ever
-    /// warm-starts from histograms that member actually measured.
-    #[allow(clippy::too_many_arguments)]
-    fn store_back(
-        &self,
-        cache: &WarmCache,
-        fragments: &Fragments,
-        plan: &BasisPlan,
-        method: ReconstructionMethod,
-        upstream: &HashMap<u64, Counts>,
-        downstream: &HashMap<u64, Counts>,
-        sic_counts: &HashMap<u64, Counts>,
-        store_keys: &HashMap<u64, u64>,
-    ) {
-        let mut stored: HashSet<u64> = HashSet::new();
-        let mut store = |circuit: Circuit, counts: &Counts| {
-            let hash = circuit.structural_hash();
-            if let Some(&fingerprint) = store_keys.get(&hash) {
-                if stored.insert(hash) {
-                    let key = CacheKey::new(hash, fingerprint, ShotDiscipline::Multinomial);
-                    cache.store(&key, &circuit, counts);
-                }
-            }
-        };
-        for setting in plan.all_meas_settings() {
-            if let Some(counts) = upstream.get(&encode_meas(&setting)) {
-                store(
-                    build_upstream_circuit(&fragments.upstream, &setting),
-                    counts,
-                );
-            }
-        }
-        match method {
-            ReconstructionMethod::Eigenstate => {
-                for prep in plan.all_prep_settings() {
-                    if let Some(counts) = downstream.get(&encode_prep(&prep)) {
-                        store(
-                            build_downstream_circuit(&fragments.downstream, &prep),
-                            counts,
-                        );
-                    }
-                }
-            }
-            ReconstructionMethod::Sic => {
-                for states in all_sic_settings(fragments.num_cuts) {
-                    if let Some(counts) = sic_counts.get(&encode_sic(&states)) {
-                        store(build_sic_circuit(&fragments.downstream, &states), counts);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one planned gather round through the engine: seeds
-    /// `graph` with prior measurements (online-detection batches for a
-    /// first round, the pilot's histograms for an adaptive refine round),
-    /// then with any matching `warm` cross-run cache entries, and returns
-    /// the delivered channels plus accounting. The engine executes only
-    /// each node's missing shots, so same-run seeds count toward the
-    /// round's budget as `shots_saved` and warm-cache seeds as
+    /// Executes one engine round, the one place `run` submits to the
+    /// backend: seeds `graph` with prior measurements (online-detection
+    /// batches for a first gather round, the pilot's histograms for an
+    /// adaptive refine round), then with any matching `warm` cross-run
+    /// cache entries, and executes it. The engine executes only each
+    /// node's missing shots, so same-run seeds count toward the round's
+    /// budget as `shots_saved` and warm-cache seeds as
     /// `cache_shots_reused`.
+    ///
+    /// The engine honors [`ExecutionOptions::retry`]. What still fails
+    /// either aborts the round ([`FailurePolicy::Fail`]) or is pushed
+    /// onto `failures` while the salvaged sibling data is delivered
+    /// ([`FailurePolicy::Degrade`]).
     ///
     /// Warm-cache keys are per engine member: each node is looked up under
     /// the fingerprint of the member [`JobGraph::assign_members`] assigns
-    /// it, and [`GatherRound::store_keys`] keys it by the member that
-    /// delivered its fresh shots (`GraphRun::delivered_by`). A node that
-    /// executed nothing keeps its lookup key. Two kinds of node are not
-    /// stored, because their histograms mix two devices: a cache-seeded
-    /// node that failed over to a sibling, and a node whose same-run
-    /// seed another member measured ([`Seed::measured_by`]).
-    ///
-    /// The engine honors [`ExecutionOptions::retry`]; what still fails
-    /// permanently either aborts the round
-    /// ([`FailurePolicy::Fail`]) or is pushed onto `failures` while the
-    /// salvaged sibling data is delivered ([`FailurePolicy::Degrade`]).
-    fn gather_round(
+    /// it, and [`Round::measured_by`] names the member that delivered its
+    /// fresh shots (`GraphRun::delivered_by`). A node that executed nothing
+    /// keeps its lookup member. Two kinds of node get no fingerprint,
+    /// because their histograms mix two devices: a cache-seeded node that
+    /// failed over to a sibling, and a node whose same-run seed another
+    /// member measured ([`Seed::measured_by`]). Among nodes sharing a
+    /// structural hash only the first gets one.
+    fn execute_round(
         &self,
         mut graph: JobGraph,
         options: &ExecutionOptions,
         seeds: &HashMap<u64, Seed>,
         warm: Option<&WarmCache>,
         failures: &mut Vec<NodeFailure>,
-    ) -> Result<GatherRound, PipelineError> {
+    ) -> Result<Round, PipelineError> {
         for seed in seeds.values() {
             graph.seed_counts(&seed.circuit, &seed.counts);
         }
@@ -714,61 +717,63 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         } else {
             Vec::new()
         };
+        let hashes: Vec<u64> = if caching {
+            graph
+                .node_circuits()
+                .map(Circuit::structural_hash)
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut cache_seeded = vec![false; graph.num_nodes()];
         if let Some(cache) = warm {
             let node_circuits: Vec<Circuit> = graph.node_circuits().cloned().collect();
             for (i, circuit) in node_circuits.iter().enumerate() {
                 let fingerprint = self.member_fingerprint(assigned[i]);
-                let key = CacheKey::new(
-                    circuit.structural_hash(),
-                    fingerprint,
-                    ShotDiscipline::Multinomial,
-                );
+                let key = CacheKey::new(hashes[i], fingerprint, ShotDiscipline::Multinomial);
                 if let Some(counts) = cache.lookup(&key, circuit) {
                     cache_seeded[i] = graph.seed_counts_from_cache(circuit, &counts);
                 }
             }
         }
-        let mut grun = match graph.execute_with(self.backend, options.parallel, &options.retry) {
-            Ok(run) => run,
-            Err(failure) => match options.failure {
-                FailurePolicy::Fail => return Err(failure.into()),
-                FailurePolicy::Degrade => {
-                    let GraphFailure {
-                        failures: failed,
-                        salvage,
-                    } = *failure;
-                    failures.extend(failed);
-                    salvage
-                }
-            },
+        let executed = graph.execute_with(self.backend, options.parallel, &options.retry);
+        let mut run = match (executed, options.failure) {
+            (Ok(run), _) => run,
+            (Err(failure), FailurePolicy::Fail) => return Err(failure.into()),
+            (Err(failure), FailurePolicy::Degrade) => {
+                let GraphFailure {
+                    failures: failed,
+                    salvage,
+                } = *failure;
+                failures.extend(failed);
+                salvage
+            }
         };
-        let mut store_keys: HashMap<u64, u64> = HashMap::new();
-        if caching {
-            for (i, circuit) in graph.node_circuits().enumerate() {
-                let member = match grun.delivered_by(i) {
+        let mut claimed: HashMap<u64, usize> = HashMap::new();
+        let measured_by = hashes
+            .iter()
+            .enumerate()
+            .map(|(i, &hash)| {
+                let member = match run.delivered_by(i) {
                     None => assigned[i],
-                    Some(m) if cache_seeded[i] && assigned[i] != Some(m) => continue,
+                    Some(m) if cache_seeded[i] && assigned[i] != Some(m) => return None,
                     Some(m) => Some(m),
                 };
-                let hash = circuit.structural_hash();
                 let fingerprint = self.member_fingerprint(member);
-                if seeds
+                let foreign_seed = seeds
                     .get(&hash)
-                    .is_some_and(|seed| seed.measured_by != Some(fingerprint))
-                {
-                    continue;
-                }
-                store_keys.entry(hash).or_insert(fingerprint);
-            }
-        }
-        Ok(GatherRound {
-            upstream: grun.take_channel(Channel::UpstreamMeas),
-            downstream: grun.take_channel(Channel::DownstreamPrep),
-            sic_counts: grun.take_channel(Channel::SicPrep),
-            stats: grun.stats,
-            store_keys,
+                    .is_some_and(|seed| seed.measured_by != Some(fingerprint));
+                (!foreign_seed && *claimed.entry(hash).or_insert(i) == i).then_some(fingerprint)
+            })
+            .collect();
+        Ok(Round {
+            upstream: run.take_channel(Channel::UpstreamMeas),
+            downstream: run.take_channel(Channel::DownstreamPrep),
+            sic_counts: run.take_channel(Channel::SicPrep),
+            detection: run.take_channel(Channel::Detection),
+            stats: run.stats,
             graph,
+            measured_by,
         })
     }
 
@@ -812,7 +817,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         total: u64,
         detection_cache: &HashMap<u64, Seed>,
         failures: &mut Vec<NodeFailure>,
-    ) -> Result<(GatherRound, u64, usize), PipelineError> {
+    ) -> Result<(Round, u64, usize), PipelineError> {
         let num_cuts = fragments.num_cuts;
         let n_up = plan.all_meas_settings().len();
         let n_down = match options.method {
@@ -829,7 +834,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let pilot = pilot_total(pilot_fraction, total);
         let pilot_sched = pilot_schedule(n_up, n_down, pilot)?;
         let failures_before_pilot = failures.len();
-        let pilot_run = self.gather_round(
+        let pilot_run = self.execute_round(
             gather_graph(fragments, plan, options.method, &pilot_sched, options.dedup),
             options,
             detection_cache,
@@ -885,28 +890,11 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let mut refine_run = if options.dedup {
             // A degraded pilot delivered nothing for its failed nodes,
             // which then simply have no seed to ride. Each seed carries
-            // the pilot's store key, so a merged histogram is stored only
-            // when both rounds measured it on the same member.
+            // the pilot's fingerprint, so a merged histogram is stored
+            // only when both rounds measured it on the same member.
             let mut seeds: HashMap<u64, Seed> = HashMap::new();
-            for (circuit, consumers) in pilot_run.graph.node_jobs() {
-                let delivered = consumers.iter().find_map(|&((channel, key), _)| {
-                    match channel {
-                        Channel::UpstreamMeas => &pilot_run.upstream,
-                        Channel::DownstreamPrep => &pilot_run.downstream,
-                        _ => &pilot_run.sic_counts,
-                    }
-                    .get(&key)
-                });
-                if let Some(counts) = delivered {
-                    let hash = circuit.structural_hash();
-                    seeds.entry(hash).or_insert_with(|| Seed {
-                        circuit: circuit.clone(),
-                        counts: counts.clone(),
-                        measured_by: pilot_run.store_keys.get(&hash).copied(),
-                    });
-                }
-            }
-            self.gather_round(
+            add_seeds(&mut seeds, pilot_run.delivered());
+            self.execute_round(
                 gather_graph(fragments, plan, options.method, &cumulative, options.dedup),
                 options,
                 &seeds,
@@ -928,7 +916,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     .map(|(&c, &p)| c - p)
                     .collect(),
             };
-            let mut run = self.gather_round(
+            let mut run = self.execute_round(
                 gather_graph(fragments, plan, options.method, &increments, options.dedup),
                 options,
                 &HashMap::new(),
@@ -1000,7 +988,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         failures: &mut Vec<NodeFailure>,
     ) -> Result<BasisPlan, PipelineError> {
         let num_cuts = fragments.num_cuts;
-        let caching = self.warm_cache(options).is_some();
         let mut plan = BasisPlan::standard(num_cuts);
         for cut in 0..num_cuts {
             let mut detector = OnlineDetector::new(&fragments.upstream, cut, num_cuts, config);
@@ -1019,85 +1006,31 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                             });
                         }
                         let settings = detector.required_settings();
-                        let circuits: Vec<Circuit> = settings
-                            .iter()
-                            .map(|s| build_upstream_circuit(&fragments.upstream, s))
-                            .collect();
                         let mut graph = JobGraph::with_dedup(options.dedup);
-                        for (setting, circuit) in settings.iter().zip(&circuits) {
+                        for setting in &settings {
                             graph.add_job(
-                                circuit.clone(),
+                                build_upstream_circuit(&fragments.upstream, setting),
                                 (Channel::Detection, encode_meas(setting)),
                                 config.batch_shots,
                             );
                         }
-                        let mut grun = match graph.execute_with(
-                            self.backend,
-                            options.parallel,
-                            &options.retry,
-                        ) {
-                            Ok(run) => run,
-                            Err(failure) => match options.failure {
-                                FailurePolicy::Fail => return Err(failure.into()),
-                                FailurePolicy::Degrade => {
-                                    let GraphFailure {
-                                        failures: failed,
-                                        salvage,
-                                    } = *failure;
-                                    failures.extend(failed);
-                                    stats.absorb(&salvage.stats);
-                                    // NotGolden fallback: keep the full
-                                    // basis set for this cut.
-                                    break;
-                                }
-                            },
-                        };
-                        let mut batch = grun.take_channel(Channel::Detection);
-                        stats.absorb(&grun.stats);
-                        // The fingerprint of the member that measured each
-                        // node of this batch; only a warm cache reads it.
-                        let measured_by: HashMap<u64, u64> = if caching {
-                            graph
-                                .node_circuits()
-                                .enumerate()
-                                .filter_map(|(i, c)| {
-                                    let member = grun.delivered_by(i)?;
-                                    let fingerprint = self.member_fingerprint(Some(member));
-                                    Some((c.structural_hash(), fingerprint))
-                                })
-                                .collect()
-                        } else {
-                            HashMap::new()
-                        };
-                        for (setting, circuit) in settings.iter().zip(circuits) {
-                            let counts = batch
-                                .remove(&encode_meas(setting))
-                                .ok_or(PipelineError::Backend(BackendError::Unavailable))?;
-                            detector.feed(setting, &counts);
-                            let hash = circuit.structural_hash();
-                            let by = measured_by.get(&hash).copied();
-                            match cache.entry(hash) {
-                                Entry::Occupied(mut e) => {
-                                    let seed = e.get_mut();
-                                    // Merge only on true structural equality —
-                                    // a 64-bit hash collision must not mix
-                                    // another circuit's histogram in.
-                                    if seed.circuit == circuit {
-                                        seed.counts.merge(&counts);
-                                        if seed.measured_by != by {
-                                            seed.measured_by = None;
-                                        }
-                                    }
-                                }
-                                Entry::Vacant(e) => {
-                                    e.insert(Seed {
-                                        circuit,
-                                        counts,
-                                        measured_by: by,
-                                    });
-                                }
-                            }
+                        let failed_before = failures.len();
+                        let round =
+                            self.execute_round(graph, options, &HashMap::new(), None, failures)?;
+                        stats.absorb(&round.stats);
+                        if failures.len() > failed_before {
+                            // NotGolden fallback: keep the full basis set
+                            // for this cut.
+                            break;
                         }
+                        for setting in &settings {
+                            let counts = round
+                                .detection
+                                .get(&encode_meas(setting))
+                                .ok_or(PipelineError::Backend(BackendError::Unavailable))?;
+                            detector.feed(setting, counts);
+                        }
+                        add_seeds(cache, round.delivered());
                     }
                 }
             }

@@ -14,9 +14,9 @@
 //! * SIC gather = upstream jobs + SIC jobs (no downstream eigenstate job is
 //!   ever constructed);
 //! * online detection registers its per-round jobs inline in
-//!   [`crate::pipeline`] (it needs the built circuits for the reuse cache),
-//!   seeds the measured counts back into the gather graph, and
-//!   [`RunPlan::replan`]s when it neglects a basis;
+//!   [`crate::pipeline`], seeds the counts each executed batch delivered
+//!   back into the gather graph, and [`RunPlan::replan`]s when it
+//!   neglects a basis;
 //! * an adaptive pilot or refine round builds [`gather_graph`] for its own
 //!   schedule and seeds the refine round with the pilot's histograms
 //!   (see [`crate::pipeline::CutExecutor::run`]);
@@ -223,14 +223,19 @@ pub fn gather_graph(
 /// registered). Building a forest is one FNV pass over the instruction
 /// stream plus trie insertion — noise next to simulating even one gate on
 /// a realistic state, so paying it per layer keeps the seams simple.
+/// Jobs are sorted by their rank in the DFS order, so each is emitted
+/// exactly once even without trusting that order to be a permutation.
 fn trie_local_jobs(jobs: Vec<(Circuit, ConsumerKey, u64)>) -> Vec<(Circuit, ConsumerKey, u64)> {
     let refs: Vec<&Circuit> = jobs.iter().map(|(c, _, _)| c).collect();
     let order = PrefixForest::build(&refs).dfs_job_order();
-    let mut slots: Vec<Option<(Circuit, ConsumerKey, u64)>> = jobs.into_iter().map(Some).collect();
-    order
-        .into_iter()
-        .map(|i| slots[i].take().expect("DFS emits every job exactly once"))
-        .collect()
+    let mut rank = vec![0; jobs.len()];
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut ranked: Vec<(usize, (Circuit, ConsumerKey, u64))> =
+        rank.into_iter().zip(jobs).collect();
+    ranked.sort_unstable_by_key(|&(r, _)| r);
+    ranked.into_iter().map(|(_, job)| job).collect()
 }
 
 /// Registers one job per setting, in trie-locality order. `shots[i]`

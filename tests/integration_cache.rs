@@ -370,3 +370,78 @@ fn adaptive_warm_rerun_gets_a_free_pilot() {
         "exact accounting with the cache term"
     );
 }
+
+/// A corrupt cache file surfaces exactly one QA403 per run, whether the
+/// analysis gate reports it (from the opened cache's load notice) or,
+/// with analysis disabled, the run itself does. The text is the
+/// decoder's verdict on the file.
+#[test]
+fn a_degraded_cache_file_reports_qa403_once_per_run() {
+    let (circuit, cut) = workload();
+    let path = std::env::temp_dir().join(format!(
+        "qcut-integration-qa403-once-{}.qwc",
+        std::process::id()
+    ));
+    for analysis in [AnalysisConfig::default(), AnalysisConfig::disabled()] {
+        std::fs::write(&path, b"definitely not a cache file").unwrap();
+        let options = ExecutionOptions {
+            shots_per_setting: 1000,
+            cache: Some(Arc::new(WarmCache::open(CacheConfig::at_path(&path)))),
+            analysis,
+            ..Default::default()
+        };
+        let run = CutExecutor::new(&IdealBackend::new(19))
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        let degraded: Vec<_> = run
+            .report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::CacheDegraded)
+            .collect();
+        assert_eq!(degraded.len(), 1, "{:?}", run.report.diagnostics);
+        assert!(
+            degraded[0].message.contains("bad magic"),
+            "{}",
+            degraded[0].message
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The SIC method stores its upstream and SIC nodes like the eigenstate
+/// method stores its own: a cold run leaves one entry per executed job,
+/// and a warm rerun executes nothing and reconstructs bit-identically.
+#[test]
+fn sic_warm_rerun_is_bit_identical_and_executes_nothing() {
+    let (circuit, cut) = workload();
+    for method in [ReconstructionMethod::Eigenstate, ReconstructionMethod::Sic] {
+        let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+        let options = ExecutionOptions {
+            method,
+            ..options_with_cache(Some(cache.clone()))
+        };
+        let cold = CutExecutor::new(&IdealBackend::new(41))
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        assert_eq!(cache.entries(), cold.report.jobs_executed, "{method:?}");
+        if method != ReconstructionMethod::Sic {
+            continue;
+        }
+        // 3 upstream settings + 4 SIC preparations.
+        assert_eq!(cache.entries(), 7);
+
+        let warm = CutExecutor::new(&IdealBackend::new(42))
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        assert_eq!(warm.report.jobs_executed, 0);
+        assert_eq!(warm.report.total_shots, 0);
+        assert_eq!(warm.report.cache_hits, 7);
+        assert_eq!(warm.report.cache_shots_reused, warm.report.shots_requested);
+        assert_eq!(
+            warm.distribution.values(),
+            cold.distribution.values(),
+            "warm SIC reconstruction must be bit-identical to the cold run"
+        );
+    }
+}

@@ -236,6 +236,62 @@ fn failover_delivery_is_cached_under_the_delivering_member() {
     );
 }
 
+/// A node the warm cache topped up that then failed over delivers a
+/// histogram mixing the cached shots of its assigned member with the
+/// sibling's fresh ones. It is stored under neither member: the cached
+/// entry stays as it was and the sibling gets none.
+#[test]
+fn cache_seeded_failover_is_not_cached() {
+    let (circuit, cut) = GoldenAnsatz::new(5, 1).build();
+    let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+    let y_circuit = build_upstream_circuit(&frags.upstream, &[MeasBasis::Y]);
+    let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+    let opts = |shots_per_setting| ExecutionOptions {
+        shots_per_setting,
+        cache: Some(cache.clone()),
+        ..Default::default()
+    };
+    let pool = |faults| {
+        BackendPool::new(PlacementPolicy::Pinned(vec![0]))
+            .with_backend(
+                FaultInjectingBackend::new(IdealBackend::new(3)).fail_circuit(&y_circuit, faults),
+            )
+            .with_backend(presets::very_noisy(17))
+    };
+    let key = |pool: &BackendPool, member: usize| {
+        CacheKey::new(
+            y_circuit.structural_hash(),
+            pool.member(member).cache_fingerprint(),
+            ShotDiscipline::Multinomial,
+        )
+    };
+
+    let clean = pool(0);
+    CutExecutor::new(&clean)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &opts(2000))
+        .unwrap();
+    let primed = cache.lookup(&key(&clean, 0), &y_circuit).unwrap();
+    assert_eq!(primed.total(), 2000);
+
+    // At twice the budget the Y node is seeded with member 0's 2000
+    // cached shots; its 2000-shot increment fails over to member 1.
+    let flaky = pool(1);
+    let run = CutExecutor::new(&flaky)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &opts(4000))
+        .unwrap();
+    assert_eq!(run.report.jobs_failed_over, 1);
+    assert!(run.report.cache_hits > 0);
+    assert_eq!(
+        cache.lookup(&key(&flaky, 0), &y_circuit),
+        Some(primed),
+        "the mixed histogram must not replace member 0's entry"
+    );
+    assert!(
+        cache.lookup(&key(&flaky, 1), &y_circuit).is_none(),
+        "member 1 measured only half of the mixed histogram"
+    );
+}
+
 /// An adaptive run's final histograms merge both rounds' shots. When the
 /// pilot's Y node failed over to the sibling and the refine round ran it
 /// on its assigned member, the merged histogram belongs to neither
