@@ -1,10 +1,14 @@
 //! Micro-benchmarks of the simulation substrate: gate kernels, circuit
-//! execution, sampling.
+//! execution, sampling, density-matrix noise kernels and one noisy
+//! fragment job.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use qcut_circuit::ansatz::GoldenAnsatz;
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::gate::Gate;
 use qcut_circuit::random::{random_circuit, RandomCircuitConfig};
+use qcut_core::fragment::Fragmenter;
+use qcut_device::presets;
 use qcut_sim::density::DensityMatrix;
 use qcut_sim::noise::KrausChannel;
 use qcut_sim::statevector::StateVector;
@@ -70,6 +74,7 @@ fn bench_density_noise(c: &mut Criterion) {
     let mut group = c.benchmark_group("density_matrix");
     let depol = KrausChannel::depolarizing(0.01);
     let depol2 = KrausChannel::depolarizing_two(0.01);
+    let depol2_superop = depol2.superoperator();
     for n in [3usize, 5, 7] {
         group.bench_with_input(BenchmarkId::new("kraus_1q", n), &n, |b, &n| {
             let mut dm = DensityMatrix::zero_state(n);
@@ -79,7 +84,26 @@ fn bench_density_noise(c: &mut Criterion) {
             let mut dm = DensityMatrix::zero_state(n);
             b.iter(|| dm.apply_kraus_two(depol2.operators(), 0, 1));
         });
+        group.bench_with_input(BenchmarkId::new("superop_2q", n), &n, |b, &n| {
+            let mut dm = DensityMatrix::zero_state(n);
+            b.iter(|| dm.apply_superop(&depol2_superop, &[0, 1]));
+        });
     }
+    // One noisy fragment job's exact distribution: the 4-qubit upstream
+    // fragment of the 7-qubit golden ansatz on the ibm_7q preset.
+    let (circuit, cut) = GoldenAnsatz::new(7, 7).build();
+    let fragment = Fragmenter::fragment(&circuit, &cut)
+        .expect("the golden ansatz's own cut is valid")
+        .upstream
+        .circuit;
+    let device = presets::ibm_7q(0);
+    group.bench_with_input(
+        BenchmarkId::new("noisy_fragment", fragment.num_qubits()),
+        &fragment,
+        |b, fragment| {
+            b.iter(|| device.exact_probabilities(fragment));
+        },
+    );
     group.finish();
 }
 

@@ -174,12 +174,21 @@ pub enum BackendError {
     },
     /// The backend is (temporarily) not accepting work at all.
     Unavailable,
+    /// An instruction of the circuit is structurally malformed (see
+    /// [`Circuit::malformed_instructions`]): the first such instruction.
+    MalformedCircuit {
+        /// Position of the instruction in the circuit.
+        index: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl BackendError {
     /// True for failures worth re-submitting: the job itself is fine, the
-    /// delivery failed. `CircuitTooWide` and `NoShots` are deterministic
-    /// misconfigurations — retrying them can only fail identically.
+    /// delivery failed. `CircuitTooWide`, `NoShots` and `MalformedCircuit`
+    /// are deterministic misconfigurations — retrying them can only fail
+    /// identically.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -208,11 +217,23 @@ impl fmt::Display for BackendError {
                 elapsed.as_secs_f64()
             ),
             BackendError::Unavailable => write!(f, "backend is not accepting work"),
+            BackendError::MalformedCircuit { index, reason } => {
+                write!(f, "malformed instruction {index}: {reason}")
+            }
         }
     }
 }
 
 impl std::error::Error for BackendError {}
+
+/// Rejects a circuit with a malformed instruction — the simulators' block
+/// kernels assume every instruction is well-formed.
+pub(crate) fn check_well_formed(circuit: &Circuit) -> Result<(), BackendError> {
+    match circuit.malformed_instructions().next() {
+        Some((index, reason)) => Err(BackendError::MalformedCircuit { index, reason }),
+        None => Ok(()),
+    }
+}
 
 /// SplitMix64-style mixing of (backend seed, job index) into a per-job
 /// sub-seed. Shared by the seed-deterministic backends so the
@@ -458,7 +479,8 @@ pub trait Backend: Sync {
         None
     }
 
-    /// Validates a job without running it.
+    /// Validates a job without running it: the circuit fits, asks for at
+    /// least one shot, and has no malformed instruction.
     fn check(&self, circuit: &Circuit, shots: u64) -> Result<(), BackendError> {
         if circuit.num_qubits() > self.num_qubits() {
             return Err(BackendError::CircuitTooWide {
@@ -469,7 +491,7 @@ pub trait Backend: Sync {
         if shots == 0 {
             return Err(BackendError::NoShots);
         }
-        Ok(())
+        check_well_formed(circuit)
     }
 }
 

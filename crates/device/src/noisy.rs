@@ -3,10 +3,17 @@
 //! argument).
 //!
 //! Evolution is exact density-matrix simulation with the configured
-//! [`NoiseModel`]: after every gate a depolarizing channel plus optional
-//! thermal relaxation is applied to the operand qubits; at measurement the
+//! [`NoiseModel`]: every gate is followed by a depolarizing channel plus
+//! optional thermal relaxation on its operand qubits; at measurement the
 //! readout confusion matrix acts on the outcome probabilities, and shots
 //! are sampled from the corrupted distribution.
+//!
+//! The gate noise is folded once, at construction, into one
+//! [`Superoperator`] per gate arity (thermal ∘ depolarizing; for two-qubit
+//! gates the thermal part is thermal ⊗ thermal). Each instruction composes
+//! its gate's `U ⊗ Ū` with that map and applies the fused result to ρ in
+//! one block pass, so a noisy gate costs one pass over ρ however many Kraus
+//! operators its noise has.
 
 use crate::backend::{
     mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError, BatchRun, BatchStats,
@@ -14,10 +21,9 @@ use crate::backend::{
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::{Circuit, Instruction};
-use qcut_math::Matrix;
 use qcut_sim::counts::sample_counts;
 use qcut_sim::density::DensityMatrix;
-use qcut_sim::noise::{KrausChannel, NoiseModel};
+use qcut_sim::noise::{KrausChannel, NoiseModel, Superoperator, ThermalSpec};
 use qcut_sim::prefix::ForkState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,14 +39,20 @@ pub struct NoisyBackend {
     timing: TimingModel,
     seed: u64,
     job_counter: AtomicU64,
-    /// Pre-built thermal channels (1q and 2q gate durations).
-    thermal_1q: Option<KrausChannel>,
-    thermal_2q: Option<KrausChannel>,
+    /// The noise after every one-qubit gate: thermal ∘ depolarizing.
+    noise_1q: Superoperator,
+    /// The noise after every two-qubit gate: (thermal ⊗ thermal) ∘
+    /// two-qubit depolarizing.
+    noise_2q: Superoperator,
     prefix_sharing: bool,
 }
 
 impl NoisyBackend {
     /// Builds a noisy backend.
+    ///
+    /// # Panics
+    /// If the model's `one_qubit` channel is not a one-qubit channel or its
+    /// `two_qubit` channel not a two-qubit one.
     pub fn new(
         name: impl Into<String>,
         capacity: usize,
@@ -48,21 +60,22 @@ impl NoisyBackend {
         timing: TimingModel,
         seed: u64,
     ) -> Self {
-        let (thermal_1q, thermal_2q) = match noise.thermal {
-            Some(spec) => (
-                Some(KrausChannel::thermal_relaxation(
-                    spec.t1,
-                    spec.t2,
-                    spec.time_1q,
-                )),
-                Some(KrausChannel::thermal_relaxation(
-                    spec.t1,
-                    spec.t2,
-                    spec.time_2q,
-                )),
-            ),
-            None => (None, None),
+        let map = |channel: Option<&KrausChannel>, arity| {
+            channel.map_or_else(
+                || Superoperator::identity(arity),
+                KrausChannel::superoperator,
+            )
         };
+        let thermal =
+            |spec: ThermalSpec, time| KrausChannel::thermal_relaxation(spec.t1, spec.t2, time);
+        let thermal_1q = noise.thermal.map(|spec| thermal(spec, spec.time_1q));
+        // Thermal relaxation acts independently on each operand qubit.
+        let thermal_2q = noise.thermal.map(|spec| {
+            let th = thermal(spec, spec.time_2q);
+            th.tensor(&th)
+        });
+        let noise_1q = map(noise.one_qubit.as_ref(), 1).then(&map(thermal_1q.as_ref(), 1));
+        let noise_2q = map(noise.two_qubit.as_ref(), 2).then(&map(thermal_2q.as_ref(), 2));
         NoisyBackend {
             name: name.into(),
             capacity,
@@ -70,8 +83,8 @@ impl NoisyBackend {
             timing,
             seed,
             job_counter: AtomicU64::new(0),
-            thermal_1q,
-            thermal_2q,
+            noise_1q,
+            noise_2q,
             prefix_sharing: true,
         }
     }
@@ -110,48 +123,34 @@ impl NoisyBackend {
         })
     }
 
-    /// Applies one unitary instruction followed by the configured noise
-    /// channels on its operand qubits — the single evolution step shared by
+    /// Applies one instruction with its gate noise as one fused
+    /// superoperator — the single evolution step shared by
     /// [`NoisyBackend::exact_probabilities`] and the prefix-shared batch
     /// walk (both must perform the identical operation sequence for the
     /// batched-equals-sequential contract).
     fn apply_noisy_instruction(&self, dm: &mut DensityMatrix, inst: &Instruction) {
-        dm.apply_instruction(inst);
-        match inst.qubits.len() {
-            1 => {
-                if let Some(ch) = &self.noise.one_qubit {
-                    dm.apply_kraus_one(ch.operators(), inst.qubits[0]);
-                }
-                if let Some(th) = &self.thermal_1q {
-                    dm.apply_kraus_one(th.operators(), inst.qubits[0]);
-                }
-            }
-            2 => {
-                if let Some(ch) = &self.noise.two_qubit {
-                    dm.apply_kraus_two(ch.operators(), inst.qubits[0], inst.qubits[1]);
-                }
-                if let Some(th) = &self.thermal_2q {
-                    // Thermal relaxation acts independently per qubit.
-                    dm.apply_kraus_one(th.operators(), inst.qubits[0]);
-                    dm.apply_kraus_one(th.operators(), inst.qubits[1]);
-                }
-            }
-            _ => unreachable!(),
-        }
+        let noise = if inst.qubits.len() == 1 {
+            &self.noise_1q
+        } else {
+            &self.noise_2q
+        };
+        dm.apply_superop(&noise.after_unitary(&inst.gate.matrix()), &inst.qubits);
     }
 
     /// Readout-corrupted outcome distribution of an evolved density matrix
     /// (the per-leaf finalisation of the batch walk).
     fn readout_probabilities(&self, dm: &DensityMatrix) -> Vec<f64> {
-        let mut dm = dm.clone();
-        dm.renormalize();
-        let probs = dm.probabilities();
+        let probs = dm.normalized_probabilities();
         self.noise.readout.apply_to_probs(&probs, dm.num_qubits())
     }
 
     /// Exact noisy output distribution (before shot sampling): density
     /// matrix evolution + readout confusion. Exposed for tests and for
     /// infinite-shot analyses.
+    ///
+    /// # Panics
+    /// On a malformed circuit ([`Circuit::malformed_instructions`]);
+    /// [`Backend::run`] rejects one with [`BackendError::MalformedCircuit`].
     pub fn exact_probabilities(&self, circuit: &Circuit) -> Vec<f64> {
         let mut dm = DensityMatrix::zero_state(circuit.num_qubits());
         for inst in circuit.instructions() {
@@ -197,7 +196,7 @@ impl Backend for NoisyBackend {
     }
 
     /// Native batched execution. The expensive per-backend noise setup (the
-    /// pre-built thermal Kraus channels) is shared across the whole batch,
+    /// pre-built noise superoperators) is shared across the whole batch,
     /// sub-seeds are assigned by batch position (batched results are
     /// bit-identical to a sequential loop over [`Backend::run`]), and with
     /// prefix sharing on the density-matrix evolution of shared circuit
@@ -295,20 +294,11 @@ pub fn tvd(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
-#[allow(dead_code)]
-fn _assert_traits()
-where
-    NoisyBackend: Sync,
-{
-    // NoisyBackend must stay Sync for rayon fan-out; Matrix is only used
-    // behind &self.
-    let _ = std::mem::size_of::<Matrix>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcut_sim::noise::{ReadoutError, ThermalSpec};
+    use qcut_math::Matrix;
+    use qcut_sim::noise::ReadoutError;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -451,6 +441,136 @@ mod tests {
             b.run(&wide, 10),
             Err(BackendError::CircuitTooWide { .. })
         ));
+    }
+
+    /// ρ ← Σ_m K_m ρ K_m† with every operator kron-expanded to the full
+    /// `2^n × 2^n` space — the reference the fused block kernel must match.
+    fn dense_channel(rho: &Matrix, ops: &[Matrix], qubits: &[usize], n: usize) -> Matrix {
+        let mut out = Matrix::zeros(rho.rows(), rho.cols());
+        for k in ops {
+            let full = match *qubits {
+                [q] => Matrix::embed_one_qubit(k, n, q),
+                [q0, q1] => Matrix::embed_two_qubit(k, n, q0, q1),
+                _ => unreachable!("gates act on one or two qubits"),
+            };
+            out = &out + &full.matmul(rho).matmul(&full.adjoint());
+        }
+        out
+    }
+
+    /// The noisy evolution of `circuit` under `model`, gate by gate and
+    /// channel by channel in the model's documented order (gate, then
+    /// depolarizing, then thermal relaxation on each operand), plus the
+    /// readout-corrupted outcome distribution.
+    fn dense_oracle(model: &NoiseModel, circuit: &Circuit) -> (Matrix, Vec<f64>) {
+        let n = circuit.num_qubits();
+        let dim = 1usize << n;
+        let mut rho = Matrix::zeros(dim, dim);
+        rho[(0, 0)] = qcut_math::Complex::ONE;
+        for inst in circuit.instructions() {
+            let q = &inst.qubits;
+            rho = dense_channel(&rho, &[inst.gate.matrix()], q, n);
+            let depolarizing = if q.len() == 1 {
+                &model.one_qubit
+            } else {
+                &model.two_qubit
+            };
+            if let Some(ch) = depolarizing {
+                rho = dense_channel(&rho, ch.operators(), q, n);
+            }
+            if let Some(spec) = model.thermal {
+                let time = if q.len() == 1 {
+                    spec.time_1q
+                } else {
+                    spec.time_2q
+                };
+                let th = KrausChannel::thermal_relaxation(spec.t1, spec.t2, time);
+                for &qubit in q {
+                    rho = dense_channel(&rho, th.operators(), &[qubit], n);
+                }
+            }
+        }
+        let truth: Vec<f64> = (0..dim).map(|i| rho[(i, i)].re).collect();
+        let ro = model.readout;
+        let flip = |measured: usize, true_bit: usize| match (measured, true_bit) {
+            (0, 0) => 1.0 - ro.p01,
+            (1, 0) => ro.p01,
+            (0, _) => ro.p10,
+            _ => 1.0 - ro.p10,
+        };
+        let probs = (0..dim)
+            .map(|m| {
+                (0..dim)
+                    .map(|t| {
+                        (0..n)
+                            .map(|b| flip((m >> b) & 1, (t >> b) & 1))
+                            .product::<f64>()
+                            * truth[t]
+                    })
+                    .sum()
+            })
+            .collect();
+        (rho, probs)
+    }
+
+    fn oracle_models() -> Vec<NoiseModel> {
+        vec![
+            crate::presets::ibm_7q(0).noise().clone(),
+            crate::presets::very_noisy(0).noise().clone(),
+            NoiseModel::depolarizing(0.03, 0.1, 0.0),
+            NoiseModel {
+                one_qubit: None,
+                two_qubit: None,
+                // Exaggerated: each gate lasts 1–6% of T1.
+                thermal: Some(ThermalSpec {
+                    t1: 50.0,
+                    t2: 40.0,
+                    time_1q: 0.5,
+                    time_2q: 3.0,
+                }),
+                readout: ReadoutError::none(),
+            },
+            NoiseModel::noiseless(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The fused per-instruction superoperator reproduces dense Kraus
+        /// evolution under every noise model, and ρ stays a state.
+        #[test]
+        fn fused_superoperators_match_a_dense_kraus_oracle(
+            width in 1usize..5,
+            depth in 1usize..6,
+            model in 0usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            use qcut_circuit::random::{random_circuit, RandomCircuitConfig};
+            let circuit = random_circuit(
+                width,
+                RandomCircuitConfig { depth, two_qubit_prob: 0.5 },
+                seed,
+            );
+            let noise = oracle_models().swap_remove(model);
+            let (want_rho, want) = dense_oracle(&noise, &circuit);
+            let backend =
+                NoisyBackend::new("oracle", 4, noise, TimingModel::instantaneous(), 0);
+
+            let mut dm = DensityMatrix::zero_state(width);
+            for inst in circuit.instructions() {
+                backend.apply_noisy_instruction(&mut dm, inst);
+            }
+            let rho = dm.matrix();
+            proptest::prop_assert!(rho.max_abs_diff(&want_rho) < 1e-12);
+            proptest::prop_assert!(rho.is_hermitian(1e-12));
+            proptest::prop_assert!((dm.trace() - 1.0).abs() < 1e-12);
+
+            let got = backend.exact_probabilities(&circuit);
+            for (g, w) in got.iter().zip(&want) {
+                proptest::prop_assert!((g - w).abs() < 1e-12, "{g} vs {w}");
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! semantics without failover.
 
 use crate::backend::{
-    Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
+    check_well_formed, Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult,
+    JobSpec,
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::Circuit;
@@ -496,7 +497,7 @@ impl Backend for BackendPool {
         if self.feasible_members(circuit.num_qubits()).is_empty() {
             return Err(self.infeasible_error(circuit));
         }
-        Ok(())
+        check_well_formed(circuit)
     }
 
     fn as_pool(&self) -> Option<&BackendPool> {

@@ -2,15 +2,48 @@
 //!
 //! The noisy "hardware" backends (our substitute for the paper's IBM
 //! devices) evolve a density matrix so that Kraus noise channels can be
-//! applied exactly. Unitary gates act by block kernels — `O(4^n)` per gate
-//! instead of the naive `O(8^n)` of building and conjugating full
-//! operators.
+//! applied exactly. Everything that acts on ρ — a unitary gate, a Kraus
+//! channel, or a noisy gate fused with its noise — is one [`Superoperator`]
+//! applied by [`DensityMatrix::apply_superop`]: one block walker per arity
+//! maps each 2×2 or 4×4 block of ρ the operand qubits index. That is
+//! `O(4^n)` per instruction instead of the naive `O(8^n)` of building and
+//! conjugating full operators, and one pass per instruction however many
+//! Kraus operators were folded into the map.
 
 use crate::counts::{sample_counts, Counts};
-use crate::noise::KrausChannel;
+use crate::noise::{KrausChannel, Superoperator};
 use qcut_circuit::circuit::{Circuit, Instruction};
 use qcut_math::{c64, Complex, Matrix};
 use rand::Rng;
+
+/// `index` with a zero bit inserted at position `bit`: the `index`-th
+/// integer whose bit `bit` is clear.
+#[inline(always)]
+fn insert_zero_bit(index: usize, bit: usize) -> usize {
+    let low = index & ((1 << bit) - 1);
+    ((index >> bit) << (bit + 1)) | low
+}
+
+/// A channel applied to a number of qubits other than its arity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArityMismatch {
+    /// Qubits the channel acts on.
+    pub arity: usize,
+    /// Operand qubits given.
+    pub operands: usize,
+}
+
+impl std::fmt::Display for ArityMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "channel arity {} does not match {} operand qubits",
+            self.arity, self.operands
+        )
+    }
+}
+
+impl std::error::Error for ArityMismatch {}
 
 /// A mixed `n`-qubit state ρ as a dense `2^n × 2^n` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,12 +117,11 @@ impl DensityMatrix {
 
     /// Applies one unitary instruction.
     pub fn apply_instruction(&mut self, inst: &Instruction) {
-        let m = inst.gate.matrix();
-        match inst.qubits.len() {
-            1 => self.apply_one_qubit(&m, inst.qubits[0]),
-            2 => self.apply_two_qubit(&m, inst.qubits[0], inst.qubits[1]),
-            _ => unreachable!(),
-        }
+        let u = inst.gate.matrix();
+        self.apply_superop(
+            &Superoperator::from_kraus(std::slice::from_ref(&u)),
+            &inst.qubits,
+        );
     }
 
     /// ρ ← U ρ U† for a 2×2 unitary on `target`.
@@ -102,124 +134,93 @@ impl DensityMatrix {
         self.apply_kraus_two(std::slice::from_ref(u), q0, q1);
     }
 
-    /// Applies a single-qubit Kraus channel `ρ ← Σ_m K_m ρ K_m†` on
-    /// `target`. Works block-wise on 2×2 sub-blocks of ρ.
+    /// Applies a single-qubit Kraus map `ρ ← Σ_m K_m ρ K_m†` (2×2
+    /// operators) on `target`.
     pub fn apply_kraus_one(&mut self, kraus: &[Matrix], target: usize) {
-        assert!(target < self.num_qubits, "target out of range");
-        for k in kraus {
-            assert_eq!((k.rows(), k.cols()), (2, 2), "Kraus op must be 2x2");
-        }
-        let dim = 1usize << self.num_qubits;
-        let bit = 1usize << target;
-
-        // Row indices (i0, i1) and column indices (j0, j1) form 2×2 blocks
-        // B = [ρ(i0,j0) ρ(i0,j1); ρ(i1,j0) ρ(i1,j1)]; B ← Σ K B K†.
-        for i0 in 0..dim {
-            if i0 & bit != 0 {
-                continue;
-            }
-            let i1 = i0 | bit;
-            for j0 in 0..dim {
-                if j0 & bit != 0 {
-                    continue;
-                }
-                let j1 = j0 | bit;
-                let b = [
-                    [self.rho[(i0, j0)], self.rho[(i0, j1)]],
-                    [self.rho[(i1, j0)], self.rho[(i1, j1)]],
-                ];
-                let mut out = [[Complex::ZERO; 2]; 2];
-                for k in kraus {
-                    // K B K†, all 2×2.
-                    let kb = [
-                        [
-                            k[(0, 0)] * b[0][0] + k[(0, 1)] * b[1][0],
-                            k[(0, 0)] * b[0][1] + k[(0, 1)] * b[1][1],
-                        ],
-                        [
-                            k[(1, 0)] * b[0][0] + k[(1, 1)] * b[1][0],
-                            k[(1, 0)] * b[0][1] + k[(1, 1)] * b[1][1],
-                        ],
-                    ];
-                    for r in 0..2 {
-                        for c in 0..2 {
-                            // (KB K†)[r][c] = Σ_s KB[r][s] conj(K[c][s])
-                            out[r][c] += kb[r][0] * k[(c, 0)].conj() + kb[r][1] * k[(c, 1)].conj();
-                        }
-                    }
-                }
-                self.rho[(i0, j0)] = out[0][0];
-                self.rho[(i0, j1)] = out[0][1];
-                self.rho[(i1, j0)] = out[1][0];
-                self.rho[(i1, j1)] = out[1][1];
-            }
-        }
+        self.apply_superop(&Superoperator::from_kraus(kraus), &[target]);
     }
 
-    /// Applies a two-qubit Kraus channel on `(q0, q1)` (gate-index
-    /// convention: bit 0 ↔ `q0`).
+    /// Applies a two-qubit Kraus map (4×4 operators) on `(q0, q1)`
+    /// (gate-index convention: bit 0 ↔ `q0`).
     pub fn apply_kraus_two(&mut self, kraus: &[Matrix], q0: usize, q1: usize) {
-        assert!(q0 < self.num_qubits && q1 < self.num_qubits && q0 != q1);
-        for k in kraus {
-            assert_eq!((k.rows(), k.cols()), (4, 4), "Kraus op must be 4x4");
-        }
-        let dim = 1usize << self.num_qubits;
-        let b0 = 1usize << q0;
-        let b1 = 1usize << q1;
-        let offsets = [0usize, b0, b1, b0 | b1];
+        self.apply_superop(&Superoperator::from_kraus(kraus), &[q0, q1]);
+    }
 
-        for ibase in 0..dim {
-            if ibase & (b0 | b1) != 0 {
-                continue;
-            }
-            for jbase in 0..dim {
-                if jbase & (b0 | b1) != 0 {
-                    continue;
-                }
-                // Gather the 4×4 block.
-                let mut b = [[Complex::ZERO; 4]; 4];
-                for (r, &ro) in offsets.iter().enumerate() {
-                    for (c, &co) in offsets.iter().enumerate() {
-                        b[r][c] = self.rho[(ibase + ro, jbase + co)];
-                    }
-                }
-                let mut out = [[Complex::ZERO; 4]; 4];
-                for k in kraus {
-                    let mut kb = [[Complex::ZERO; 4]; 4];
-                    for r in 0..4 {
-                        for c in 0..4 {
-                            let mut acc = Complex::ZERO;
-                            for s in 0..4 {
-                                acc = acc.mul_add(k[(r, s)], b[s][c]);
-                            }
-                            kb[r][c] = acc;
-                        }
-                    }
-                    for r in 0..4 {
-                        for c in 0..4 {
-                            let mut acc = Complex::ZERO;
-                            for s in 0..4 {
-                                acc = acc.mul_add(kb[r][s], k[(c, s)].conj());
-                            }
-                            out[r][c] += acc;
-                        }
-                    }
-                }
-                for (r, &ro) in offsets.iter().enumerate() {
-                    for (c, &co) in offsets.iter().enumerate() {
-                        self.rho[(ibase + ro, jbase + co)] = out[r][c];
-                    }
-                }
-            }
+    /// Applies a [`KrausChannel`] to the given qubits, or reports that the
+    /// number of qubits does not match the channel's arity.
+    pub fn apply_channel(
+        &mut self,
+        channel: &KrausChannel,
+        qubits: &[usize],
+    ) -> Result<(), ArityMismatch> {
+        if channel.arity() != qubits.len() {
+            return Err(ArityMismatch {
+                arity: channel.arity(),
+                operands: qubits.len(),
+            });
+        }
+        self.apply_superop(&channel.superoperator(), qubits);
+        Ok(())
+    }
+
+    /// ρ ← S(ρ) for a [`Superoperator`] on `qubits` (bit 0 of the map's
+    /// block index ↔ `qubits[0]`), in one pass over the 2×2 or 4×4 blocks
+    /// of ρ that the operand qubits index.
+    ///
+    /// # Panics
+    /// If the number of qubits differs from the map's arity, or a qubit is
+    /// out of range or repeated.
+    pub fn apply_superop(&mut self, op: &Superoperator, qubits: &[usize]) {
+        assert_eq!(
+            qubits.len(),
+            op.arity(),
+            "map arity does not match the operand count"
+        );
+        for (i, &q) in qubits.iter().enumerate() {
+            assert!(q < self.num_qubits, "qubit {q} out of range");
+            assert!(!qubits[..i].contains(&q), "qubit {q} repeated");
+        }
+        if let [target] = *qubits {
+            self.map_blocks::<2, 4>(op, [0, 1 << target], |i| insert_zero_bit(i, target));
+        } else {
+            let (q0, q1) = (qubits[0], qubits[1]);
+            let (lo, hi) = (q0.min(q1), q0.max(q1));
+            self.map_blocks::<4, 16>(op, [0, 1 << q0, 1 << q1, (1 << q0) | (1 << q1)], |i| {
+                insert_zero_bit(insert_zero_bit(i, lo), hi)
+            });
         }
     }
 
-    /// Applies a [`KrausChannel`] to the given qubits.
-    pub fn apply_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
-        match (channel.arity(), qubits.len()) {
-            (1, 1) => self.apply_kraus_one(channel.operators(), qubits[0]),
-            (2, 2) => self.apply_kraus_two(channel.operators(), qubits[0], qubits[1]),
-            (a, q) => panic!("channel arity {a} does not match {q} operand qubits"),
+    /// The block walker, monomorphised per arity: every `D × D` block of ρ
+    /// with rows `base(i) + offsets[r]` and columns `base(j) + offsets[c]`
+    /// is replaced by `S · vec(block)` (`N = D²` entries).
+    fn map_blocks<const D: usize, const N: usize>(
+        &mut self,
+        op: &Superoperator,
+        offsets: [usize; D],
+        base: impl Fn(usize) -> usize,
+    ) {
+        let s = op.matrix().as_slice();
+        let dim = 1usize << self.num_qubits;
+        let rho = self.rho.as_mut_slice();
+        for i in 0..dim / D {
+            let row = base(i);
+            for j in 0..dim / D {
+                let col = base(j);
+                let idx: [usize; N] =
+                    std::array::from_fn(|k| (row + offsets[k / D]) * dim + col + offsets[k % D]);
+                let block = idx.map(|k| rho[k]);
+                let mut out = [Complex::ZERO; N];
+                for (o, s_row) in out.iter_mut().zip(s.chunks_exact(N)) {
+                    *o = s_row
+                        .iter()
+                        .zip(&block)
+                        .fold(Complex::ZERO, |acc, (&m, &x)| acc.mul_add(m, x));
+                }
+                for (k, v) in idx.into_iter().zip(out) {
+                    rho[k] = v;
+                }
+            }
         }
     }
 
@@ -227,6 +228,21 @@ impl DensityMatrix {
     pub fn probabilities(&self) -> Vec<f64> {
         let dim = 1usize << self.num_qubits;
         (0..dim).map(|i| self.rho[(i, i)].re.max(0.0)).collect()
+    }
+
+    /// [`DensityMatrix::probabilities`] of the state after
+    /// [`DensityMatrix::renormalize`], without changing or copying ρ.
+    pub fn normalized_probabilities(&self) -> Vec<f64> {
+        let t = self.trace();
+        let scale = if t > 0.0 && (t - 1.0).abs() > 1e-14 {
+            1.0 / t
+        } else {
+            1.0
+        };
+        let dim = 1usize << self.num_qubits;
+        (0..dim)
+            .map(|i| (self.rho[(i, i)].re * scale).max(0.0))
+            .collect()
     }
 
     /// Expectation `tr(Oρ)` of a Hermitian operator.
@@ -341,7 +357,7 @@ mod tests {
         c.h(0).cx(0, 1);
         dm.apply_circuit(&c);
         let ch = KrausChannel::depolarizing(0.2);
-        dm.apply_channel(&ch, &[0]);
+        dm.apply_channel(&ch, &[0]).unwrap();
         assert!(
             (dm.trace() - 1.0).abs() < TOL,
             "trace drifted: {}",
@@ -356,7 +372,7 @@ mod tests {
         // p = 3/4 (not p = 1, where the output is (ρ + 2·mixed)/3-ish).
         let mut dm = DensityMatrix::zero_state(1);
         let ch = KrausChannel::depolarizing(0.75);
-        dm.apply_channel(&ch, &[0]);
+        dm.apply_channel(&ch, &[0]).unwrap();
         assert!((dm.matrix()[(0, 0)].re - 0.5).abs() < TOL);
         assert!((dm.matrix()[(1, 1)].re - 0.5).abs() < TOL);
         assert!(dm.matrix()[(0, 1)].abs() < TOL);
@@ -367,7 +383,8 @@ mod tests {
         // At p = 1 the channel is the uniform Pauli twirl: |0><0| maps to
         // diag(1/3, 2/3).
         let mut dm = DensityMatrix::zero_state(1);
-        dm.apply_channel(&KrausChannel::depolarizing(1.0), &[0]);
+        dm.apply_channel(&KrausChannel::depolarizing(1.0), &[0])
+            .unwrap();
         assert!((dm.matrix()[(0, 0)].re - 1.0 / 3.0).abs() < TOL);
         assert!((dm.matrix()[(1, 1)].re - 2.0 / 3.0).abs() < TOL);
     }
@@ -377,7 +394,7 @@ mod tests {
         let mut dm = DensityMatrix::zero_state(1);
         dm.apply_one_qubit(&qcut_circuit::gate::Gate::X.matrix(), 0); // |1>
         let ch = KrausChannel::amplitude_damping(0.3);
-        dm.apply_channel(&ch, &[0]);
+        dm.apply_channel(&ch, &[0]).unwrap();
         // P(|1>) = 1 - gamma.
         assert!((dm.probabilities()[1] - 0.7).abs() < TOL);
         assert!((dm.trace() - 1.0).abs() < TOL);
@@ -404,6 +421,30 @@ mod tests {
     }
 
     #[test]
+    fn channel_arity_mismatch_is_a_typed_error() {
+        let mut dm = DensityMatrix::zero_state(2);
+        let before = dm.clone();
+        let err = dm
+            .apply_channel(&KrausChannel::depolarizing(0.1), &[0, 1])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ArityMismatch {
+                arity: 1,
+                operands: 2
+            }
+        );
+        assert_eq!(
+            dm.apply_channel(&KrausChannel::depolarizing_two(0.1), &[1]),
+            Err(ArityMismatch {
+                arity: 2,
+                operands: 1
+            })
+        );
+        assert_eq!(dm, before, "a rejected channel leaves ρ untouched");
+    }
+
+    #[test]
     fn partial_trace_matches_statevector_reduction() {
         let c = random_circuit(4, RandomCircuitConfig::default(), 5);
         let sv = StateVector::from_circuit(&c);
@@ -421,8 +462,10 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         dm.apply_circuit(&c);
-        dm.apply_channel(&KrausChannel::amplitude_damping(0.1), &[0]);
-        dm.apply_channel(&KrausChannel::phase_damping(0.2), &[1]);
+        dm.apply_channel(&KrausChannel::amplitude_damping(0.1), &[0])
+            .unwrap();
+        dm.apply_channel(&KrausChannel::phase_damping(0.2), &[1])
+            .unwrap();
         let total: f64 = dm.probabilities().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }

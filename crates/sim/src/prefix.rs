@@ -94,8 +94,10 @@ impl ForkState for crate::density::DensityMatrix {
 /// before it gets a thread of its own. A two-way split through the rayon
 /// stub spawns one scoped thread; on a 2-vCPU x86-64 VM that costs about
 /// 50 µs, while one amplitude update costs about 4 ns (state vector, 8–12
-/// qubits) to 9 ns (density matrix, 3–7 qubits). 16K updates is 65–150 µs
-/// of work: at least one spawn's worth.
+/// qubits) to 9–13 ns (density matrix, one fused noisy gate of the
+/// `ibm_7q` preset at 4–7 qubits; about 30 ns at 3 qubits, where composing
+/// the gate's superoperator weighs more). 16K updates is 65–210 µs of
+/// work: at least one spawn's worth.
 const SPAWN_WORK: u64 = 1 << 14;
 
 /// One trie node: a maximal shared instruction segment.

@@ -137,3 +137,102 @@ fn fragments_fit_where_the_full_circuit_does_not_noisy() {
     let d = total_variation_distance(&run.distribution, &truth_of(&circuit));
     assert!(d < 0.4, "7q-on-5q noisy reconstruction off by {d}");
 }
+
+/// FNV-1a over the bit patterns of a distribution's values: equal digests
+/// mean bit-identical distributions (up to 64-bit hashing).
+fn bits_digest(distribution: &Distribution) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in distribution.values() {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn noisy_online_detection_outputs_are_pinned() {
+    // The `noisy_detect` setting: a 7-qubit GoldenAnsatz on the noisy
+    // ibm_7q preset with online detection. A change to the density-matrix
+    // kernels that moves any sampled count moves these values, so a
+    // faster simulation must leave them bit for bit where they are.
+    let detection = GoldenPolicy::DetectOnline(qcut::cutting::golden::OnlineConfig {
+        max_shots: 60_000,
+        ..Default::default()
+    });
+    let options = ExecutionOptions {
+        shots_per_setting: 1000,
+        ..Default::default()
+    };
+    // (circuit and backend seed, detection shots, gather shots, digest);
+    // every seed detects Y golden.
+    let pinned = [
+        (0, 5500, 6000, 0x4c74_5929_a25c_aed8),
+        (1, 9000, 6000, 0xf2db_7a3f_defd_8416),
+        (2, 7000, 6000, 0x7a4c_1f5e_cf7a_2a5b),
+        (3, 5500, 6000, 0x3a48_9bc4_6305_5a5e),
+    ];
+    for (seed, detection_shots, total_shots, digest) in pinned {
+        let (circuit, cut) = GoldenAnsatz::new(7, seed).build();
+        let backend = presets::ibm_7q(seed);
+        let run = CutExecutor::new(&backend)
+            .run(&circuit, &cut, detection.clone(), &options)
+            .unwrap();
+        assert_eq!(run.report.neglected, vec![vec![Pauli::Y]], "seed {seed}");
+        assert_eq!(run.report.detection_shots, detection_shots, "seed {seed}");
+        assert_eq!(run.report.total_shots, total_shots, "seed {seed}");
+        assert_eq!(bits_digest(&run.distribution), digest, "seed {seed}");
+    }
+}
+
+#[test]
+fn malformed_circuits_are_typed_errors_on_every_backend() {
+    use qcut::circuit::circuit::Instruction;
+    use qcut::device::backend::{BackendError, JobSpec};
+
+    // A two-qubit gate on one qubit twice: the unchecked import seam lets
+    // it through, and the simulators' block kernels cannot apply it.
+    let bad = Circuit::from_instructions_unchecked(
+        3,
+        vec![Instruction {
+            gate: Gate::Cx,
+            qubits: vec![1, 1],
+        }],
+    );
+    let mut good = Circuit::new(3);
+    good.h(0).cx(0, 1);
+    let pool = BackendPool::new(PlacementPolicy::RoundRobin)
+        .with_member(Box::new(IdealBackend::new(1)))
+        .with_member(Box::new(presets::ibm_7q(1)));
+    let ideal = IdealBackend::new(1);
+    let noisy = presets::ibm_7q(1);
+    let backends: [&dyn qcut::device::backend::Backend; 3] = [&ideal, &noisy, &pool];
+    for backend in backends {
+        let name = backend.name().to_string();
+        let err = backend.run(&bad, 10).unwrap_err();
+        assert!(
+            matches!(err, BackendError::MalformedCircuit { index: 0, .. }),
+            "{name}: {err:?}"
+        );
+        assert!(
+            !err.is_transient(),
+            "{name}: a malformed circuit is permanent"
+        );
+        let jobs = [
+            JobSpec::new(&good, 10),
+            JobSpec::new(&bad, 10),
+            JobSpec::new(&good, 10),
+        ];
+        let results = backend.run_batch(&jobs);
+        assert!(results[0].is_ok() && results[2].is_ok(), "{name}");
+        assert!(
+            matches!(
+                results[1],
+                Err(BackendError::MalformedCircuit { index: 0, .. })
+            ),
+            "{name}: {:?}",
+            results[1]
+        );
+    }
+}
