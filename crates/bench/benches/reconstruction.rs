@@ -4,6 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
+use qcut_circuit::circuit::Circuit;
+use qcut_circuit::cut::CutSpec;
 use qcut_core::allocation::{schedule_for_plan, ShotAllocation};
 use qcut_core::basis::BasisPlan;
 use qcut_core::execution::{gather, FragmentData};
@@ -62,6 +64,31 @@ fn bench_contract_standard_vs_golden(c: &mut Criterion) {
                 b.iter(|| contract(&frags, &plan, &up, &down))
             });
         }
+    }
+    // The same 19-qubit golden case with its outputs reordered, so the
+    // contiguous runs of fragment outputs in the global order differ:
+    // downstream first (`q → (q + 10) mod 19`, a 9-bit run), and
+    // interleaved (upstream qubits on the even bits, 1-bit runs).
+    let downstream_first: Vec<usize> = (0..19).map(|q| (q + 10) % 19).collect();
+    let interleaved: Vec<usize> = (0..19)
+        .map(|q| if q <= 9 { 2 * q } else { 2 * (q - 10) + 1 })
+        .collect();
+    let plan = BasisPlan::with_neglected(vec![Some(Pauli::Y)]);
+    let (circuit, spec) = GoldenAnsatz::new(19, 7).build();
+    let cut = spec.cuts()[0];
+    for (label, perm) in [
+        ("golden_3_terms_downstream_first", downstream_first),
+        ("golden_3_terms_interleaved", interleaved),
+    ] {
+        let mut relabelled = Circuit::new(19);
+        relabelled.extend_mapped(&circuit, &perm);
+        let spec = CutSpec::single(perm[cut.qubit], cut.after_op);
+        let frags = Fragmenter::fragment(&relabelled, &spec).unwrap();
+        let up = exact_upstream_tensor(&frags.upstream, &plan);
+        let down = exact_downstream_tensor(&frags.downstream, &plan);
+        group.bench_with_input(BenchmarkId::new(label, 19), &19, |b, _| {
+            b.iter(|| contract(&frags, &plan, &up, &down))
+        });
     }
     group.finish();
 }

@@ -13,9 +13,14 @@
 //! The distribution is then the contraction
 //! `p(b1 ⊕ b2) = 2^{-K} Σ_M A[M][b1] · D[M][b2]`. It is dense and
 //! output-chunked: the final `2^n` buffer is split into one contiguous
-//! chunk per thread, and every entry `x` is written once, its `b1(x)` and
-//! `b2(x)` read from two half-width lookup tables. No per-`b1` rows and no
-//! scatter are allocated.
+//! chunk per thread and written in place. One fragment's first outputs
+//! usually sit at the lowest global bits, in order. Over a sub-run of
+//! `2^R` consecutive outputs, that fragment's index then counts up from a
+//! base while the other's stays fixed. So each term adds a contiguous row
+//! of one vector, times a single scalar of the other, to the sub-run: a
+//! plain slice loop. Each sub-run's base and scalar index come from
+//! half-width lookup tables. No per-`b1` rows and no scatter are
+//! allocated.
 //!
 //! **Determinism.** Every sum runs in a fixed order: the joint statistics
 //! are dense arrays folded over `r` in ascending order, and each output
@@ -271,8 +276,21 @@ const MIN_OUTPUTS_PER_THREAD: usize = 1 << 16;
 /// full circuit's qubits: `p(b) = 2^{-K} Σ_M A[M][b1] D[M][b2]` with `b1`
 /// and `b2` read from `b`'s bits at the fragments' global output positions.
 ///
-/// Each entry is written once, straight into the returned buffer; its
-/// terms are summed in plan string order, skipping `A[M][b1] == 0`.
+/// The *run fragment* is the one whose first `R` outputs are the global
+/// bits `0..R`, in order, with `R` as long as possible and at most `n/2`.
+/// Across a sub-run of `2^R` consecutive outputs its local index counts up
+/// from a base, and the other fragment's index stays put. So one term's
+/// share of a sub-run is a contiguous row of the run fragment's vector
+/// times one scalar of the other's: `out[..] += row[base..base + 2^R] · s`.
+/// The output buffer is split into one chunk per thread, and each chunk
+/// into blocks of `2^{⌊n/2⌋}` outputs. Within a block the terms are added
+/// in plan string order, each to every sub-run, with `2^{-K}` applied in
+/// the last term's pass. A term whose scalar is zero is skipped.
+///
+/// Each entry is thus `(0 + t_1 + … + t_T) · 2^{-K}` in plan order, the
+/// sum of the one-output-at-a-time definition. A skipped zero scalar, or a
+/// zero row entry, adds ±0 to a sum that is never −0 (the tensors are
+/// finite), so the result is bit-identical on every output layout.
 pub fn contract(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -286,25 +304,40 @@ pub fn contract(
     assert_eq!(downstream.num_outputs(), n2);
     assert_eq!(n1 + n2, n, "fragment outputs must cover the circuit");
 
+    let low_bits = n / 2;
+    let block = 1usize << low_bits;
+    let up_globals = &fragments.upstream.output_globals;
+    let down_globals = &fragments.downstream.output_globals;
+    let upstream_runs = leading_run(up_globals) >= leading_run(down_globals);
+    let (run_globals, other_globals) = if upstream_runs {
+        (up_globals, down_globals)
+    } else {
+        (down_globals, up_globals)
+    };
+    let run = 1usize << leading_run(run_globals).min(low_bits);
+
     let scale = 0.5f64.powi(plan.num_cuts() as i32);
-    // Pre-resolve the tensor vectors in string order.
+    // Pre-resolve the tensor vectors in string order, as (rows, scalars):
+    // rows from the run fragment, scalars from the other one.
     let terms: Vec<(&[f64], &[f64])> = plan
         .all_recon_strings()
         .iter()
         .map(|m| {
-            (
-                upstream.get(m).expect("upstream tensor entry"),
-                downstream.get(m).expect("downstream tensor entry"),
-            )
+            let a = upstream.get(m).expect("upstream tensor entry");
+            let d = downstream.get(m).expect("downstream tensor entry");
+            if upstream_runs {
+                (a, d)
+            } else {
+                (d, a)
+            }
         })
         .collect();
 
     // `extract_bits` is an OR over bits, so `b(x) = b(x_lo) | b(x_hi)`:
-    // one table per half of `x` gives both local indices in two loads.
-    let low_bits = n / 2;
-    let block = 1usize << low_bits;
-    let (lo1, hi1) = half_tables(&fragments.upstream.output_globals, low_bits, n);
-    let (lo2, hi2) = half_tables(&fragments.downstream.output_globals, low_bits, n);
+    // one table per half of `x` gives a sub-run's base, or the other
+    // fragment's index, in two loads.
+    let (lo_run, hi_run) = half_tables(run_globals, low_bits, n, run);
+    let (lo_other, hi_other) = half_tables(other_globals, low_bits, n, run);
 
     // One chunk per thread, each a whole number of low-half blocks.
     let blocks = 1usize << (n - low_bits);
@@ -320,22 +353,44 @@ pub fn contract(
         .for_each(|(chunk_index, chunk)| {
             for (j, out) in chunk.chunks_mut(block).enumerate() {
                 let hi = chunk_index * blocks_per_chunk + j;
-                let (h1, h2) = (hi1[hi], hi2[hi]);
-                for ((slot, &l1), &l2) in out.iter_mut().zip(&lo1).zip(&lo2) {
-                    let (b1, b2) = (h1 | l1, h2 | l2);
-                    let mut acc = 0.0f64;
-                    for (a, d) in &terms {
-                        let coeff = a[b1];
-                        if coeff == 0.0 {
+                let (h_run, h_other) = (hi_run[hi], hi_other[hi]);
+                for (t, &(rows, scalars)) in terms.iter().enumerate() {
+                    let last = t + 1 == terms.len();
+                    let sub_runs = out.chunks_exact_mut(run).zip(&lo_run).zip(&lo_other);
+                    for ((out, &l_run), &l_other) in sub_runs {
+                        let s = scalars[h_other | l_other];
+                        if s == 0.0 {
+                            if last {
+                                out.iter_mut().for_each(|o| *o *= scale);
+                            }
                             continue;
                         }
-                        acc += coeff * d[b2];
+                        let base = h_run | l_run;
+                        let row = &rows[base..base + run];
+                        if last {
+                            for (o, &r) in out.iter_mut().zip(row) {
+                                *o = (*o + r * s) * scale;
+                            }
+                        } else {
+                            for (o, &r) in out.iter_mut().zip(row) {
+                                *o += r * s;
+                            }
+                        }
                     }
-                    *slot = acc * scale;
                 }
             }
         });
     Distribution::from_values(n, values)
+}
+
+/// How many of a fragment's first outputs sit at global bits `0, 1, 2, …`
+/// in order.
+fn leading_run(globals: &[usize]) -> usize {
+    globals
+        .iter()
+        .enumerate()
+        .take_while(|&(i, &g)| i == g)
+        .count()
 }
 
 /// Full pipeline step: tensors from data, then contraction.
@@ -366,10 +421,17 @@ pub fn extract_bits(value: u64, positions: &[usize]) -> u64 {
 }
 
 /// Local-index lookup tables for the low `low_bits` bits of an `n`-bit
-/// global index and for its high bits: `extract_bits(x, globals)` equals
-/// `lo[x & mask] | hi[x >> low_bits]`.
-fn half_tables(globals: &[usize], low_bits: usize, n: usize) -> (Vec<usize>, Vec<usize>) {
+/// global index, at every multiple of `step`, and for its high bits:
+/// `extract_bits(x, globals)` equals `lo[(x & mask) / step] | hi[x >> low_bits]`
+/// when `step` divides `x & mask`.
+fn half_tables(
+    globals: &[usize],
+    low_bits: usize,
+    n: usize,
+    step: usize,
+) -> (Vec<usize>, Vec<usize>) {
     let lo = (0..1u64 << low_bits)
+        .step_by(step)
         .map(|x| extract_bits(x, globals) as usize)
         .collect();
     let hi = (0..1u64 << (n - low_bits))
@@ -693,6 +755,112 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `circuit` and `spec` with qubit `q` renamed `perm[q]`. Each wire
+    /// keeps its instruction timeline, so every cut stays after the same op.
+    fn relabel(circuit: &Circuit, spec: &CutSpec, perm: &[usize]) -> (Circuit, CutSpec) {
+        use qcut_circuit::cut::CutLocation;
+        let mut out = Circuit::new(circuit.num_qubits());
+        out.extend_mapped(circuit, perm);
+        let cuts = spec
+            .cuts()
+            .iter()
+            .map(|cut| CutLocation::new(perm[cut.qubit], cut.after_op))
+            .collect();
+        (out, CutSpec::new(cuts))
+    }
+
+    /// Asserts `contract ≡ naive_contract` bit for bit on sampled upstream
+    /// data (exact zeros exercise the skip), eigenstate and SIC downstream
+    /// tensors, under the standard and all-Y-golden plans.
+    fn assert_contract_is_naive(name: &str, circuit: &Circuit, spec: &CutSpec, seed: u64) {
+        use crate::allocation::{schedule_for_plan, ShotAllocation};
+        use crate::execution::gather;
+        use crate::sic::exact_sic_downstream_tensor;
+        use qcut_device::ideal::IdealBackend;
+
+        let frags = Fragmenter::fragment(circuit, spec).unwrap();
+        let k = frags.num_cuts;
+        for plan in [
+            BasisPlan::standard(k),
+            BasisPlan::with_neglected(vec![Some(Pauli::Y); k]),
+        ] {
+            let uniform = ShotAllocation::Uniform {
+                shots_per_setting: 300,
+            };
+            let schedule = schedule_for_plan(&plan, uniform).unwrap();
+            let data = gather(&IdealBackend::new(seed), &frags, &plan, &schedule).unwrap();
+            let up = upstream_tensor(&frags.upstream, &plan, &data);
+            let downs = [
+                (
+                    "eigenstate",
+                    downstream_tensor(&frags.downstream, &plan, &data),
+                ),
+                ("sic", exact_sic_downstream_tensor(&frags.downstream, &plan)),
+            ];
+            for (method, down) in downs {
+                let got = contract(&frags, &plan, &up, &down);
+                let want = naive_contract(&frags, &plan, &up, &down);
+                assert_eq!(
+                    to_bits(got.values()),
+                    to_bits(&want),
+                    "{name}, {:?}, {method}",
+                    plan.neglected()
+                );
+            }
+        }
+    }
+
+    /// The 19-qubit `GoldenAnsatz` relabelled so its downstream outputs
+    /// come first (`q → (q + 10) mod 19`), and interleaved with the
+    /// upstream qubits on the even bits. At `2^19` outputs the buffer is
+    /// split across threads, so chunk boundaries are covered too.
+    #[test]
+    fn contract_matches_naive_on_every_19_qubit_layout() {
+        let (circuit, spec) = GoldenAnsatz::new(19, 3).build();
+        let downstream_first: Vec<usize> = (0..19).map(|q| (q + 10) % 19).collect();
+        // Upstream qubits 0..=9 (the cut wire 9 included) on the even bits,
+        // downstream-only qubits 10..19 on the odd ones.
+        let interleaved: Vec<usize> = (0..19)
+            .map(|q| if q <= 9 { 2 * q } else { 2 * (q - 10) + 1 })
+            .collect();
+        for (name, perm) in [
+            ("downstream-first", downstream_first),
+            ("interleaved", interleaved),
+        ] {
+            let (circuit, spec) = relabel(&circuit, &spec, &perm);
+            assert_contract_is_naive(name, &circuit, &spec, 11);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// `contract ≡ naive_contract` under a random relabelling of the
+        /// qubits of `GoldenAnsatz` (widths 5–13) and `MultiCutAnsatz`
+        /// (K = 1–3), whatever order the fragments' outputs land in.
+        #[test]
+        fn contract_matches_naive_under_random_relabellings(
+            family in 0usize..8,
+            seed in 0u64..1_000,
+            shuffle_seed in 0u64..u64::MAX,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let (circuit, spec) = if family < 5 {
+                GoldenAnsatz::new(5 + 2 * family, seed).build()
+            } else {
+                MultiCutAnsatz::new(family - 4, seed).build()
+            };
+            // Fisher–Yates over the qubit labels.
+            let mut perm: Vec<usize> = (0..circuit.num_qubits()).collect();
+            let mut rng = StdRng::seed_from_u64(shuffle_seed);
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_range(0..i + 1));
+            }
+            let (circuit, spec) = relabel(&circuit, &spec, &perm);
+            assert_contract_is_naive(&format!("family {family}, {perm:?}"), &circuit, &spec, seed);
         }
     }
 }

@@ -138,10 +138,13 @@ impl Distribution {
     /// [`clip_renormalize`](Self::clip_renormalize) without a copy: the
     /// entries are overwritten.
     pub fn clip_renormalize_in_place(&mut self) {
+        // One pass clips and sums. `-0.0` is the start `f64: Sum` uses, so
+        // the mass is bit-identical to summing the clipped entries.
+        let mut mass = -0.0f64;
         for v in &mut self.values {
             *v = v.max(0.0);
+            mass += *v;
         }
-        let mass: f64 = self.values.iter().sum();
         if mass <= 0.0 {
             self.fill_uniform();
             return;
