@@ -1,13 +1,17 @@
 //! Micro-benchmarks of the simulation substrate: gate kernels, circuit
-//! execution, sampling, density-matrix noise kernels and one noisy
-//! fragment job.
+//! execution, sampling, density-matrix noise kernels, one noisy
+//! fragment job and one online-detection look with and without the noisy
+//! backend's state cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::gate::Gate;
 use qcut_circuit::random::{random_circuit, RandomCircuitConfig};
+use qcut_core::basis::MeasBasis;
 use qcut_core::fragment::Fragmenter;
+use qcut_core::tomography::build_upstream_circuit;
+use qcut_device::backend::{Backend, JobSpec};
 use qcut_device::presets;
 use qcut_sim::density::DensityMatrix;
 use qcut_sim::noise::KrausChannel;
@@ -101,9 +105,42 @@ fn bench_density_noise(c: &mut Criterion) {
         BenchmarkId::new("noisy_fragment", fragment.num_qubits()),
         &fragment,
         |b, fragment| {
-            b.iter(|| device.exact_probabilities(fragment));
+            b.iter(|| {
+                device
+                    .exact_probabilities(fragment)
+                    .expect("the fragment is well formed")
+            });
         },
     );
+    group.finish();
+}
+
+/// One look of online golden detection on the `noisy_detect` setting: a
+/// one-job, 500-shot batch of the 4-qubit Y-detection circuit of the
+/// 7-qubit golden ansatz on `ibm_7q`. Cold evolves each job on its own,
+/// which bypasses the state cache; warm resumes from the ρ an earlier look
+/// left in the cache, leaving readout, the CDF table and sampling.
+fn bench_noisy_detection_look(c: &mut Criterion) {
+    let mut group = c.benchmark_group("noisy_detection_look");
+    let (circuit, cut) = GoldenAnsatz::new(7, 7).build();
+    let upstream = Fragmenter::fragment(&circuit, &cut)
+        .expect("the golden ansatz's own cut is valid")
+        .upstream;
+    let detection = build_upstream_circuit(&upstream, &[MeasBasis::Y]);
+    let jobs = [JobSpec::new(&detection, 500)];
+    let cold = presets::ibm_7q(0).with_prefix_sharing(false);
+    let warm = presets::ibm_7q(0);
+    // The cache admits the look's ρ the second time it is evolved.
+    for _ in 0..2 {
+        warm.run_batch(&jobs);
+    }
+    let width = detection.num_qubits();
+    group.bench_with_input(BenchmarkId::new("cold", width), &jobs, |b, jobs| {
+        b.iter(|| cold.run_batch(jobs));
+    });
+    group.bench_with_input(BenchmarkId::new("warm", width), &jobs, |b, jobs| {
+        b.iter(|| warm.run_batch(jobs));
+    });
     group.finish();
 }
 
@@ -112,6 +149,7 @@ criterion_group!(
     bench_single_gate_kernels,
     bench_circuit_execution,
     bench_sampling,
-    bench_density_noise
+    bench_density_noise,
+    bench_noisy_detection_look
 );
 criterion_main!(benches);

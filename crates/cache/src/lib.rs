@@ -18,7 +18,11 @@
 //!   in-memory simulator states keyed by `prefix_hash_chain` links, so a
 //!   sweep that varies only late-circuit parameters re-simulates just the
 //!   divergent suffixes even across separate `CutExecutor::run` calls.
-//!   Tier 2 lives next to [`PrefixForest`](qcut_sim::prefix::PrefixForest)
+//!   `IdealBackend::with_state_reuse` attaches it. Every `NoisyBackend`,
+//!   the presets (`ibm_5q`, `ibm_7q`, `very_noisy`) included, owns one
+//!   that keeps up to 32 density matrices whose prefix it has evolved
+//!   twice, so the repeated looks of online golden detection stop
+//!   re-evolving theirs. Tier 2 lives next to [`PrefixForest`](qcut_sim::prefix::PrefixForest)
 //!   because the states it stores are the simulator's; this crate owns the
 //!   configuration and the tier-1 store.
 //!

@@ -991,6 +991,16 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let mut plan = BasisPlan::standard(num_cuts);
         for cut in 0..num_cuts {
             let mut detector = OnlineDetector::new(&fragments.upstream, cut, num_cuts, config);
+            // The settings are fixed per cut, so every look resubmits the
+            // same circuits.
+            let settings: Vec<_> = detector
+                .required_settings()
+                .into_iter()
+                .map(|setting| {
+                    let circuit = build_upstream_circuit(&fragments.upstream, &setting);
+                    (setting, circuit)
+                })
+                .collect();
             loop {
                 match detector.verdict() {
                     GoldenVerdict::Golden => {
@@ -1005,11 +1015,10 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                                 shots_spent: detector.min_shots(),
                             });
                         }
-                        let settings = detector.required_settings();
                         let mut graph = JobGraph::with_dedup(options.dedup);
-                        for setting in &settings {
+                        for (setting, circuit) in &settings {
                             graph.add_job(
-                                build_upstream_circuit(&fragments.upstream, setting),
+                                circuit.clone(),
                                 (Channel::Detection, encode_meas(setting)),
                                 config.batch_shots,
                             );
@@ -1023,7 +1032,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                             // for this cut.
                             break;
                         }
-                        for setting in &settings {
+                        for (setting, _) in &settings {
                             let counts = round
                                 .detection
                                 .get(&encode_meas(setting))

@@ -14,21 +14,49 @@
 //! its gate's `U ⊗ Ū` with that map and applies the fused result to ρ in
 //! one block pass, so a noisy gate costs one pass over ρ however many Kraus
 //! operators its noise has.
+//!
+//! The two maps live in one shared `GateNoise` value. Every density
+//! matrix the batch walk evolves holds a handle to it, so an evolving
+//! state owns everything it needs and can outlive the batch. Each backend
+//! keeps up to 32 evolved states in a tier-2 [`ForkStateCache`] (fewer on
+//! a device wider than 8 qubits, so the cache stays within 32 MiB). The
+//! cache admits a state the second time a batch evolves its prefix
+//! ([`ForkStateCache::admitting_repeats`]), so traffic that never repeats
+//! a prefix copies no ρ into it. A later batch that repeats a prefix
+//! resumes from the cached ρ and re-evolves only what follows it. Each
+//! look of online golden detection resubmits the same circuits, so from
+//! the third look on it pays only readout, the CDF table and sampling.
 
 use crate::backend::{
-    mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError, BatchRun, BatchStats,
-    ExecutionResult, JobResult, JobSpec,
+    check_well_formed, mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError,
+    BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::{Circuit, Instruction};
 use qcut_sim::counts::sample_counts;
 use qcut_sim::density::DensityMatrix;
 use qcut_sim::noise::{KrausChannel, NoiseModel, Superoperator, ThermalSpec};
-use qcut_sim::prefix::ForkState;
+use qcut_sim::prefix::{ForkState, ForkStateCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Most density matrices a backend's tier-2 cache keeps. The cache must
+/// hold every trie node of one online-detection look, or least-recently-
+/// used eviction drops each state just before the next look asks for it.
+/// A K-cut look submits 3^(K-1) circuits, whose prefix forest has fewer
+/// than 2·3^(K-1) nodes: at most 17 at K = 3, which leaves room for the
+/// fragment prefixes of the other cuts' looks. A K = 4 look (up to 53
+/// nodes) outgrows it.
+const MAX_CACHED_STATES: usize = 32;
+
+/// Memory ceiling of a backend's tier-2 cache. A density matrix of n
+/// qubits takes 16·4^n bytes, and the cache is sized for the device's
+/// widest circuit: up to 8 qubits it keeps `MAX_CACHED_STATES` states,
+/// at 10 qubits 2, and from 11 qubits on none.
+const STATE_CACHE_BYTES: usize = 32 << 20;
 
 /// Density-matrix backend with gate noise, thermal relaxation and readout
 /// error.
@@ -39,16 +67,46 @@ pub struct NoisyBackend {
     timing: TimingModel,
     seed: u64,
     job_counter: AtomicU64,
+    /// The fused noise after every gate, shared with every evolving state.
+    gate_noise: Arc<GateNoise>,
+    prefix_sharing: bool,
+    /// Warm-start tier 2: fork states kept across batches (and runs) so
+    /// repeated prefixes re-simulate only their divergent suffixes; `None`
+    /// when not one density matrix of the device's width fits in
+    /// `STATE_CACHE_BYTES`. A lock poisoned by a panic elsewhere is
+    /// recovered: the cache's `lookup`, `admits` and `store` cannot panic
+    /// between two mutations, so it stays consistent.
+    state_cache: Option<Mutex<ForkStateCache<NoisyEvolution>>>,
+}
+
+/// The gate noise of a [`NoiseModel`], folded into one superoperator per
+/// gate arity.
+struct GateNoise {
     /// The noise after every one-qubit gate: thermal ∘ depolarizing.
-    noise_1q: Superoperator,
+    one_qubit: Superoperator,
     /// The noise after every two-qubit gate: (thermal ⊗ thermal) ∘
     /// two-qubit depolarizing.
-    noise_2q: Superoperator,
-    prefix_sharing: bool,
+    two_qubit: Superoperator,
+}
+
+impl GateNoise {
+    /// Applies one instruction with its gate noise as one fused
+    /// superoperator — the single evolution step of both the per-job path
+    /// and the prefix-shared batch walk (both must perform the identical
+    /// operation sequence for the batched-equals-sequential contract).
+    fn apply(&self, dm: &mut DensityMatrix, inst: &Instruction) {
+        let noise = if inst.qubits.len() == 1 {
+            &self.one_qubit
+        } else {
+            &self.two_qubit
+        };
+        dm.apply_superop(&noise.after_unitary(&inst.gate.matrix()), &inst.qubits);
+    }
 }
 
 impl NoisyBackend {
-    /// Builds a noisy backend.
+    /// Builds a noisy backend with an empty tier-2 state cache (see the
+    /// module docs). Counts do not depend on the cache.
     ///
     /// # Panics
     /// If the model's `one_qubit` channel is not a one-qubit channel or its
@@ -74,8 +132,17 @@ impl NoisyBackend {
             let th = thermal(spec, spec.time_2q);
             th.tensor(&th)
         });
-        let noise_1q = map(noise.one_qubit.as_ref(), 1).then(&map(thermal_1q.as_ref(), 1));
-        let noise_2q = map(noise.two_qubit.as_ref(), 2).then(&map(thermal_2q.as_ref(), 2));
+        let gate_noise = GateNoise {
+            one_qubit: map(noise.one_qubit.as_ref(), 1).then(&map(thermal_1q.as_ref(), 1)),
+            two_qubit: map(noise.two_qubit.as_ref(), 2).then(&map(thermal_2q.as_ref(), 2)),
+        };
+        let max_states = u32::try_from(capacity)
+            .ok()
+            .and_then(|n| 4usize.checked_pow(n))
+            .and_then(|entries| entries.checked_mul(16))
+            .map_or(0, |rho_bytes| {
+                (STATE_CACHE_BYTES / rho_bytes).min(MAX_CACHED_STATES)
+            });
         NoisyBackend {
             name: name.into(),
             capacity,
@@ -83,9 +150,10 @@ impl NoisyBackend {
             timing,
             seed,
             job_counter: AtomicU64::new(0),
-            noise_1q,
-            noise_2q,
+            gate_noise: Arc::new(gate_noise),
             prefix_sharing: true,
+            state_cache: (max_states > 0)
+                .then(|| Mutex::new(ForkStateCache::admitting_repeats(max_states))),
         }
     }
 
@@ -95,7 +163,8 @@ impl NoisyBackend {
     }
 
     /// Toggles prefix-shared batch simulation (on by default; `false` is
-    /// the per-job ablation baseline). Counts are bit-identical either way.
+    /// the per-job ablation baseline, which also bypasses the tier-2 state
+    /// cache). Counts are bit-identical either way.
     pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
         self.prefix_sharing = enabled;
         self
@@ -113,7 +182,7 @@ impl NoisyBackend {
     ) -> Result<ExecutionResult, BackendError> {
         self.check(circuit, shots)?;
         let started = Instant::now();
-        let probs = self.exact_probabilities(circuit);
+        let probs = self.evolve(circuit);
         let mut rng = StdRng::seed_from_u64(job_seed);
         let counts = sample_counts(circuit.num_qubits(), &probs, shots, &mut rng);
         Ok(ExecutionResult {
@@ -123,20 +192,6 @@ impl NoisyBackend {
         })
     }
 
-    /// Applies one instruction with its gate noise as one fused
-    /// superoperator — the single evolution step shared by
-    /// [`NoisyBackend::exact_probabilities`] and the prefix-shared batch
-    /// walk (both must perform the identical operation sequence for the
-    /// batched-equals-sequential contract).
-    fn apply_noisy_instruction(&self, dm: &mut DensityMatrix, inst: &Instruction) {
-        let noise = if inst.qubits.len() == 1 {
-            &self.noise_1q
-        } else {
-            &self.noise_2q
-        };
-        dm.apply_superop(&noise.after_unitary(&inst.gate.matrix()), &inst.qubits);
-    }
-
     /// Readout-corrupted outcome distribution of an evolved density matrix
     /// (the per-leaf finalisation of the batch walk).
     fn readout_probabilities(&self, dm: &DensityMatrix) -> Vec<f64> {
@@ -144,33 +199,42 @@ impl NoisyBackend {
         self.noise.readout.apply_to_probs(&probs, dm.num_qubits())
     }
 
+    /// The exact noisy output distribution of a circuit the caller has
+    /// already found well formed.
+    fn evolve(&self, circuit: &Circuit) -> Vec<f64> {
+        let mut dm = DensityMatrix::zero_state(circuit.num_qubits());
+        for inst in circuit.instructions() {
+            self.gate_noise.apply(&mut dm, inst);
+        }
+        self.readout_probabilities(&dm)
+    }
+
     /// Exact noisy output distribution (before shot sampling): density
     /// matrix evolution + readout confusion. Exposed for tests and for
     /// infinite-shot analyses.
     ///
-    /// # Panics
-    /// On a malformed circuit ([`Circuit::malformed_instructions`]);
-    /// [`Backend::run`] rejects one with [`BackendError::MalformedCircuit`].
-    pub fn exact_probabilities(&self, circuit: &Circuit) -> Vec<f64> {
-        let mut dm = DensityMatrix::zero_state(circuit.num_qubits());
-        for inst in circuit.instructions() {
-            self.apply_noisy_instruction(&mut dm, inst);
-        }
-        self.readout_probabilities(&dm)
+    /// # Errors
+    /// [`BackendError::MalformedCircuit`] for an instruction the simulator
+    /// cannot apply ([`Circuit::malformed_instructions`]). The device
+    /// capacity is not checked: any width the host can hold is evolved.
+    pub fn exact_probabilities(&self, circuit: &Circuit) -> Result<Vec<f64>, BackendError> {
+        check_well_formed(circuit)?;
+        Ok(self.evolve(circuit))
     }
 }
 
-/// A density matrix evolving under this backend's noise model — the
-/// [`ForkState`] the prefix-shared batch walk clones at trie branch points.
+/// A density matrix evolving under a backend's gate noise — the
+/// [`ForkState`] the prefix-shared batch walk clones at trie branch points
+/// and the tier-2 cache holds across batches.
 #[derive(Clone)]
-struct NoisyEvolution<'b> {
-    backend: &'b NoisyBackend,
+struct NoisyEvolution {
+    noise: Arc<GateNoise>,
     dm: DensityMatrix,
 }
 
-impl ForkState for NoisyEvolution<'_> {
+impl ForkState for NoisyEvolution {
     fn apply(&mut self, inst: &Instruction) {
-        self.backend.apply_noisy_instruction(&mut self.dm, inst);
+        self.noise.apply(&mut self.dm, inst);
     }
 
     fn gate_cost(num_qubits: usize) -> u64 {
@@ -201,7 +265,8 @@ impl Backend for NoisyBackend {
     /// bit-identical to a sequential loop over [`Backend::run`]), and with
     /// prefix sharing on the density-matrix evolution of shared circuit
     /// prefixes — the dominant `O(4^n)`-per-gate cost — runs once per
-    /// prefix, forking at trie branch points.
+    /// prefix, forking at trie branch points. The walk also resumes from
+    /// the states earlier batches left in the tier-2 cache.
     fn run_batch_stats(&self, jobs: &[JobSpec<'_>]) -> BatchRun {
         if !self.prefix_sharing {
             let results = run_batch_indexed(&self.job_counter, jobs, |job, idx| {
@@ -216,15 +281,12 @@ impl Backend for NoisyBackend {
             jobs,
             |c, s| self.check(c, s),
             |width| NoisyEvolution {
-                backend: self,
+                noise: Arc::clone(&self.gate_noise),
                 dm: DensityMatrix::zero_state(width),
             },
-            |state: &NoisyEvolution<'_>| self.readout_probabilities(&state.dm),
+            |state: &NoisyEvolution| self.readout_probabilities(&state.dm),
             &self.timing,
-            // No tier-2 state cache: `NoisyEvolution` borrows the backend,
-            // so caching it inside the backend would be self-referential;
-            // density matrices are also the least rewarding states to hold.
-            None,
+            self.state_cache.as_ref(),
         )
     }
 
@@ -275,10 +337,7 @@ impl Backend for NoisyBackend {
         if probe_width > 1 {
             probe.cx(0, 1);
         }
-        tvd(
-            &self.exact_probabilities(&probe),
-            &ideal_probabilities(&probe),
-        )
+        tvd(&self.evolve(&probe), &ideal_probabilities(&probe))
     }
 }
 
@@ -319,7 +378,7 @@ mod tests {
     #[test]
     fn noise_perturbs_but_does_not_destroy() {
         let b = noisy(1);
-        let noisy_probs = b.exact_probabilities(&bell());
+        let noisy_probs = b.exact_probabilities(&bell()).unwrap();
         let ideal = ideal_probabilities(&bell());
         let d = tvd(&noisy_probs, &ideal);
         assert!(d > 1e-4, "noise had no effect (tvd = {d})");
@@ -331,7 +390,7 @@ mod tests {
     #[test]
     fn probabilities_remain_normalised() {
         let b = noisy(2);
-        let probs = b.exact_probabilities(&bell());
+        let probs = b.exact_probabilities(&bell()).unwrap();
         let total: f64 = probs.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(probs.iter().all(|&p| p >= 0.0));
@@ -353,7 +412,7 @@ mod tests {
         let b = NoisyBackend::new("thermal", 2, model, TimingModel::ibm_like(), 0);
         let mut c = Circuit::new(1);
         c.x(0); // |1>
-        let probs = b.exact_probabilities(&c);
+        let probs = b.exact_probabilities(&c).unwrap();
         assert!(probs[0] > 0.15, "expected decay toward |0>, got {probs:?}");
         assert!(probs[1] < 0.85);
     }
@@ -368,7 +427,7 @@ mod tests {
         };
         let b = NoisyBackend::new("ro", 1, model, TimingModel::ibm_like(), 0);
         let c = Circuit::new(1); // |0> always
-        let probs = b.exact_probabilities(&c);
+        let probs = b.exact_probabilities(&c).unwrap();
         assert!((probs[1] - 0.05).abs() < 1e-9);
     }
 
@@ -430,6 +489,74 @@ mod tests {
         }
         assert!(shared.stats.gates_applied < shared.stats.gates_naive);
         assert_eq!(shared.stats.unique_states, 3);
+    }
+
+    #[test]
+    fn state_reuse_is_bit_identical_and_skips_repeated_evolution() {
+        // Online detection's shape: one fragment measured in one basis,
+        // resubmitted as a one-job batch per look.
+        let mut look = Circuit::new(3);
+        look.h(0).cx(0, 1).ry(0.4, 2).cx(1, 2).sdg(2).h(2);
+        // A variant that extends the look's circuit by a suffix.
+        let mut variant = look.clone();
+        variant.h(1).cx(0, 1);
+        let batches: [&[&Circuit]; 6] = [
+            &[&look],
+            &[&look],
+            &[&look],
+            &[&look, &variant],
+            &[&look, &variant],
+            &[&variant],
+        ];
+
+        let warm = noisy(41);
+        // Per-job evolution never touches the cache.
+        let cold = noisy(41).with_prefix_sharing(false);
+        for (i, batch) in batches.iter().enumerate() {
+            let jobs: Vec<JobSpec<'_>> = batch.iter().map(|c| JobSpec::new(c, 300)).collect();
+            let run = warm.run_batch_stats(&jobs);
+            for (job, r) in jobs.iter().zip(&run.results) {
+                let want = cold.run(job.circuit, job.shots).unwrap();
+                assert_eq!(r.as_ref().unwrap().counts, want.counts, "batch {i}");
+            }
+            let stats = run.stats;
+            match i {
+                // The first look's ρ is only sighted; the second look
+                // evolves it again and the cache admits it.
+                0 | 1 => assert_eq!(stats.states_reused, 0, "batch {i} is cold"),
+                // The variant resumes from the look's state and applies
+                // only its own two gates, twice before its state is kept.
+                3 | 4 => {
+                    assert_eq!(stats.states_reused, 1, "batch {i}");
+                    assert_eq!(stats.gates_applied, 2, "batch {i}");
+                }
+                _ => {
+                    assert!(stats.states_reused >= 1, "batch {i}: {stats:?}");
+                    assert_eq!(stats.gates_applied, 0, "batch {i}: {stats:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_cache_stays_within_its_memory_ceiling() {
+        let device = |qubits| {
+            let b = NoisyBackend::new(
+                "wide",
+                qubits,
+                NoiseModel::depolarizing(0.002, 0.02, 0.02),
+                TimingModel::ibm_like(),
+                0,
+            );
+            b.state_cache
+                .map(|cache| format!("{:?}", cache.into_inner().unwrap()))
+        };
+        let keeps = |n| Some(format!("ForkStateCache {{ states: 0, max_states: {n} }}"));
+        assert_eq!(device(8), keeps(MAX_CACHED_STATES));
+        assert_eq!(device(9), keeps(8));
+        assert_eq!(device(10), keeps(2));
+        assert_eq!(device(11), None);
+        assert_eq!(device(usize::MAX), None);
     }
 
     #[test]
@@ -559,14 +686,14 @@ mod tests {
 
             let mut dm = DensityMatrix::zero_state(width);
             for inst in circuit.instructions() {
-                backend.apply_noisy_instruction(&mut dm, inst);
+                backend.gate_noise.apply(&mut dm, inst);
             }
             let rho = dm.matrix();
             proptest::prop_assert!(rho.max_abs_diff(&want_rho) < 1e-12);
             proptest::prop_assert!(rho.is_hermitian(1e-12));
             proptest::prop_assert!((dm.trace() - 1.0).abs() < 1e-12);
 
-            let got = backend.exact_probabilities(&circuit);
+            let got = backend.exact_probabilities(&circuit).unwrap();
             for (g, w) in got.iter().zip(&want) {
                 proptest::prop_assert!((g - w).abs() < 1e-12, "{g} vs {w}");
             }
@@ -582,7 +709,7 @@ mod tests {
             TimingModel::instantaneous(),
             0,
         );
-        let probs = b.exact_probabilities(&bell());
+        let probs = b.exact_probabilities(&bell()).unwrap();
         let ideal = ideal_probabilities(&bell());
         assert!(tvd(&probs, &ideal) < 1e-10);
     }

@@ -407,7 +407,8 @@ impl<'c> PrefixForest<'c> {
     /// [`Circuit::prefix_hash_chain`] link, confirmed by instruction
     /// equality); a hit replaces the incoming state and skips the segment's
     /// gate applications. On a miss the freshly evolved state is exported
-    /// back into the cache, so a later batch — in this run or a later
+    /// back into the cache if the cache admits it
+    /// ([`ForkStateCache::admits`]), so a later batch — in this run or a later
     /// `CutExecutor::run` of a sweep — resumes from the deepest prefix any
     /// earlier walk has already evolved and re-simulates only divergent
     /// suffixes.
@@ -417,10 +418,11 @@ impl<'c> PrefixForest<'c> {
     /// results are bit-identical to [`PrefixForest::simulate_with`].
     ///
     /// A `cache` lock poisoned by a panic elsewhere is recovered rather
-    /// than propagated: neither [`ForkStateCache::lookup`] nor
-    /// [`ForkStateCache::store`] can panic between two of its mutations
-    /// (they bump the clock, clone and move states, and edit the map), so
-    /// the recovered cache is consistent.
+    /// than propagated: none of [`ForkStateCache::lookup`],
+    /// [`ForkStateCache::admits`] and [`ForkStateCache::store`] can panic
+    /// between two of its mutations (they bump the clock, clone and move
+    /// states, and edit the map or the sighted set), so the recovered cache
+    /// is consistent.
     pub fn simulate_with_reuse<S, I, V, T>(
         &self,
         init: I,
@@ -541,12 +543,10 @@ where
                         for inst in segment {
                             state.apply(inst);
                         }
-                        cache.lock().unwrap_or_else(PoisonError::into_inner).store(
-                            node.width,
-                            link,
-                            prefix,
-                            state.clone(),
-                        );
+                        let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+                        if cache.admits(node.width, link) {
+                            cache.store(node.width, link, prefix, state.clone());
+                        }
                     }
                 }
             }
@@ -650,7 +650,15 @@ pub struct ForkStateCache<S> {
     entries: std::collections::HashMap<u64, Vec<CachedState<S>>>,
     max_states: usize,
     clock: u64,
+    /// The `(width, link)` pairs [`ForkStateCache::admits`] has been asked
+    /// about, for a cache built by [`ForkStateCache::admitting_repeats`];
+    /// `None` for one that admits every state.
+    sighted: Option<std::collections::HashSet<(usize, u64)>>,
 }
+
+/// Most `(width, link)` pairs an admit-on-repeat cache remembers; the
+/// record is cleared when it fills up.
+const SIGHTED_LINKS: usize = 4096;
 
 impl<S> std::fmt::Debug for ForkStateCache<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -662,13 +670,44 @@ impl<S> std::fmt::Debug for ForkStateCache<S> {
 }
 
 impl<S> ForkStateCache<S> {
-    /// Empty cache holding at most `max_states` states.
+    /// Empty cache holding at most `max_states` states. It admits every
+    /// state a walk exports.
     pub fn new(max_states: usize) -> Self {
         ForkStateCache {
             entries: std::collections::HashMap::new(),
             max_states,
             clock: 0,
+            sighted: None,
         }
+    }
+
+    /// Empty cache holding at most `max_states` states that admits a
+    /// state only the second time a walk evolves its prefix. Traffic that
+    /// never repeats a prefix then pays no state copy; a repeated prefix
+    /// is evolved twice before the cache serves it.
+    pub fn admitting_repeats(max_states: usize) -> Self {
+        ForkStateCache {
+            sighted: Some(std::collections::HashSet::new()),
+            ..ForkStateCache::new(max_states)
+        }
+    }
+
+    /// Whether a walk that has just evolved the prefix ending at `link`
+    /// should export its state. Always true for a cache built by
+    /// [`ForkStateCache::new`]. For one built by
+    /// [`ForkStateCache::admitting_repeats`], true when an earlier call
+    /// named the same `width` and `link`. That record keeps only link
+    /// hashes (a collision admits a state early, which costs a copy and
+    /// cannot serve a wrong state) and is cleared after 4096 pairs, so a
+    /// prefix that returns only after that many others is evolved once more.
+    pub fn admits(&mut self, width: usize, link: u64) -> bool {
+        let Some(sighted) = &mut self.sighted else {
+            return true;
+        };
+        if sighted.len() >= SIGHTED_LINKS {
+            sighted.clear();
+        }
+        !sighted.insert((width, link))
     }
 
     /// States currently held.
@@ -1072,6 +1111,40 @@ mod tests {
             reference.apply(inst);
         }
         assert_eq!(states_ab[1], reference, "unrelated suffix still exact");
+    }
+
+    #[test]
+    fn admit_on_repeat_cache_stores_a_prefix_on_its_second_walk() {
+        let variants = upstream_variants();
+        let refs: Vec<&Circuit> = variants.iter().collect();
+        let forest = PrefixForest::build(&refs);
+        let plain = forest.simulate_with(StateVector::zero_state, |state, members| {
+            members.iter().map(|_| state.clone()).collect()
+        });
+        let cache = Mutex::new(ForkStateCache::admitting_repeats(64));
+        let walk = || {
+            forest.simulate_with_reuse(
+                StateVector::zero_state,
+                |state: &StateVector, members| members.iter().map(|_| state.clone()).collect(),
+                &cache,
+            )
+        };
+        // First walk: every segment is sighted, none stored.
+        let (first, first_stats) = walk();
+        assert_eq!(first_stats.states_reused, 0);
+        assert!(cache.lock().expect("lock").is_empty());
+        // Second walk: every segment misses again and is now stored.
+        let (second, second_stats) = walk();
+        assert_eq!(second_stats.states_reused, 0);
+        assert_eq!(cache.lock().expect("lock").len(), forest.num_nodes() - 1);
+        // Third walk: every segment is a hit.
+        let (third, third_stats) = walk();
+        assert_eq!(third_stats.states_reused as usize, forest.num_nodes() - 1);
+        for (i, want) in plain.iter().enumerate() {
+            assert_eq!(&first[i], want, "first walk diverged on circuit {i}");
+            assert_eq!(&second[i], want, "second walk diverged on circuit {i}");
+            assert_eq!(&third[i], want, "third walk diverged on circuit {i}");
+        }
     }
 
     #[test]

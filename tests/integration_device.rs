@@ -1,6 +1,7 @@
 //! Integration tests of the device layer with the cutting pipeline:
 //! noise ordering, timing accounting, parallel executors, SIC on devices.
 
+use qcut::circuit::ansatz::MultiCutAnsatz;
 use qcut::cutting::pipeline::ReconstructionMethod;
 use qcut::prelude::*;
 
@@ -186,6 +187,72 @@ fn noisy_online_detection_outputs_are_pinned() {
     }
 }
 
+/// Runs online detection on `circuit` twice from seed 1: on `ibm_7q`,
+/// whose tier-2 cache keeps the density matrices a cut's second look
+/// evolves and serves every later look from them, and on the same preset
+/// evolving every job on its own, which never consults the cache. Checks
+/// that the outputs are bit-equal and that every detection job after a
+/// cut's second look resumed from a cached state.
+fn assert_detection_resumes_from_cached_states(circuit: &Circuit, cut: &CutSpec) {
+    let config = qcut::cutting::golden::OnlineConfig {
+        max_shots: 60_000,
+        ..Default::default()
+    };
+    let options = ExecutionOptions {
+        shots_per_setting: 1000,
+        ..Default::default()
+    };
+    let run = |backend: &NoisyBackend| {
+        CutExecutor::new(backend)
+            .run(circuit, cut, GoldenPolicy::DetectOnline(config), &options)
+            .unwrap()
+    };
+    let (hot, plain) = (
+        run(&presets::ibm_7q(1)),
+        run(&presets::ibm_7q(1).with_prefix_sharing(false)),
+    );
+    let num_cuts = cut.num_cuts();
+    // Every look submits one job per setting: 3^(K-1) of them.
+    let settings = 3u64.pow(u32::try_from(num_cuts).unwrap() - 1);
+    let detection_jobs = hot.report.detection_shots / config.batch_shots;
+    let cold_jobs = 2 * num_cuts as u64 * settings;
+    assert!(detection_jobs > cold_jobs, "more than two looks ran");
+    // Each job of a later look ends at a trie node of its own, and the
+    // cache serves every one of those nodes.
+    assert!(
+        hot.report.states_reused >= detection_jobs - cold_jobs,
+        "{} reused for {detection_jobs} detection jobs",
+        hot.report.states_reused
+    );
+    assert_eq!(plain.report.states_reused, 0);
+    assert!(hot.report.gates_applied < plain.report.gates_applied);
+    assert_eq!(hot.report.neglected, plain.report.neglected);
+    assert_eq!(hot.report.detection_shots, plain.report.detection_shots);
+    assert_eq!(hot.report.total_shots, plain.report.total_shots);
+    assert!(hot
+        .distribution
+        .values()
+        .iter()
+        .zip(plain.distribution.values())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+}
+
+#[test]
+fn noisy_online_detection_resumes_from_cached_states() {
+    // One cut: each look resubmits one circuit.
+    let (circuit, cut) = GoldenAnsatz::new(7, 1).build();
+    assert_detection_resumes_from_cached_states(&circuit, &cut);
+}
+
+#[test]
+fn three_cut_noisy_online_detection_resumes_from_cached_states() {
+    // Three cuts: each look submits nine circuits, and the cache holds
+    // the whole prefix forest they share.
+    let (circuit, cut) = MultiCutAnsatz::new(3, 1).build();
+    assert_eq!(cut.num_cuts(), 3);
+    assert_detection_resumes_from_cached_states(&circuit, &cut);
+}
+
 #[test]
 fn malformed_circuits_are_typed_errors_on_every_backend() {
     use qcut::circuit::circuit::Instruction;
@@ -235,4 +302,10 @@ fn malformed_circuits_are_typed_errors_on_every_backend() {
             results[1]
         );
     }
+    // The noisy backend's exact distribution rejects it too.
+    assert!(matches!(
+        noisy.exact_probabilities(&bad),
+        Err(BackendError::MalformedCircuit { index: 0, .. })
+    ));
+    assert!(noisy.exact_probabilities(&good).is_ok());
 }
