@@ -2,7 +2,8 @@
 //! downstream schemes — the trade-off the paper discusses in §II-B
 //! ("the SICC basis … can be used to achieve O(4^K) circuit evaluations
 //! … However, [it] would require more involved implementation, namely,
-//! solving linear systems").
+//! solving linear systems"). Here the SIC expansion is closed-form, so
+//! both schemes assemble through the same exact downstream tensor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
@@ -10,8 +11,7 @@ use qcut_core::basis::BasisPlan;
 use qcut_core::fragment::Fragmenter;
 use qcut_core::golden::GoldenPolicy;
 use qcut_core::pipeline::{CutExecutor, ExecutionOptions, ReconstructionMethod};
-use qcut_core::reconstruction::exact_downstream_tensor;
-use qcut_core::sic::{exact_sic_downstream_tensor, SicFrame};
+use qcut_core::reconstruction::exact_downstream_tensor_for;
 use qcut_device::ideal::IdealBackend;
 
 fn bench_pipeline_method(c: &mut Criterion) {
@@ -42,30 +42,22 @@ fn bench_pipeline_method(c: &mut Criterion) {
 }
 
 fn bench_downstream_assembly(c: &mut Criterion) {
-    // SIC assembly includes the linear-system-derived frame weights.
     let mut group = c.benchmark_group("downstream_assembly");
     for width in [5usize, 7] {
         let (circuit, spec) = GoldenAnsatz::new(width, 9).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        group.bench_with_input(BenchmarkId::new("eigenstate", width), &width, |b, _| {
-            b.iter(|| exact_downstream_tensor(&frags.downstream, &plan))
-        });
-        group.bench_with_input(BenchmarkId::new("sic", width), &width, |b, _| {
-            b.iter(|| exact_sic_downstream_tensor(&frags.downstream, &plan))
-        });
+        for (label, method) in [
+            ("eigenstate", ReconstructionMethod::Eigenstate),
+            ("sic", ReconstructionMethod::Sic),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, width), &width, |b, _| {
+                b.iter(|| exact_downstream_tensor_for(&frags.downstream, &plan, method))
+            });
+        }
     }
     group.finish();
 }
 
-fn bench_frame_solve(c: &mut Criterion) {
-    c.bench_function("sic_frame_solve", |b| b.iter(SicFrame::new));
-}
-
-criterion_group!(
-    benches,
-    bench_pipeline_method,
-    bench_downstream_assembly,
-    bench_frame_solve
-);
+criterion_group!(benches, bench_pipeline_method, bench_downstream_assembly);
 criterion_main!(benches);

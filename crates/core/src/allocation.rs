@@ -48,8 +48,9 @@
 //! );
 //! ```
 
-use crate::basis::{encode_meas, encode_prep, BasisPlan};
-use crate::sic::all_sic_settings;
+use crate::basis::{encode_meas, BasisPlan};
+use crate::frame::PrepFrame;
+use crate::pipeline::ReconstructionMethod;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -165,10 +166,10 @@ impl fmt::Display for AllocationError {
 impl std::error::Error for AllocationError {}
 
 /// Concrete per-setting shot counts, aligned with
-/// [`BasisPlan::all_meas_settings`] / [`BasisPlan::all_prep_settings`]
-/// order, which is the order [`crate::planner::gather_graph`] pairs them
-/// with its jobs in; for SIC schedules the downstream half is aligned with
-/// [`all_sic_settings`].
+/// [`BasisPlan::all_meas_settings`] and the preparation settings of the
+/// run's scheme ([`BasisPlan::all_prep_settings`] for eigenstates, the
+/// `4^K` SIC combinations in the same cartesian order for SIC), which is
+/// the order [`crate::planner::gather_graph`] pairs them with its jobs in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShotSchedule {
     /// Shots for each upstream variant.
@@ -221,23 +222,21 @@ impl ShotSchedule {
 /// How many reconstruction strings read each upstream setting and how many
 /// signed prep combinations read each downstream preparation.
 pub fn usage_counts(plan: &BasisPlan) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
+    usage_in(
+        plan,
+        &PrepFrame::new(ReconstructionMethod::Eigenstate, plan),
+    )
+}
+
+/// [`usage_counts`] over the preparations of `frame`.
+fn usage_in(plan: &BasisPlan, frame: &PrepFrame) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
     let mut upstream: HashMap<u64, u64> = HashMap::new();
     let mut downstream: HashMap<u64, u64> = HashMap::new();
-    let num_cuts = plan.num_cuts();
     for m in plan.all_recon_strings() {
         *upstream
             .entry(encode_meas(&plan.setting_for(&m)))
             .or_insert(0) += 1;
-        // Each string consumes 2^K prep combinations.
-        let pairs: Vec<_> = (0..num_cuts).map(|k| plan.prep_pair(k, m[k])).collect();
-        for combo in 0..(1usize << num_cuts) {
-            let states: Vec<_> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, pair)| pair[(combo >> k) & 1].0)
-                .collect();
-            *downstream.entry(encode_prep(&states)).or_insert(0) += 1;
-        }
+        frame.for_each_term(&m, |key, _| *downstream.entry(key).or_insert(0) += 1);
     }
     (upstream, downstream)
 }
@@ -368,38 +367,53 @@ pub fn refine_schedule(
     }
 }
 
-/// How the downstream settings weigh in under
-/// [`ShotAllocation::WeightedByUsage`].
-#[derive(Clone, Copy)]
-enum DownstreamKeys<'a> {
-    /// Eigenstate preparations, usage-weighted by their [`encode_prep`]
-    /// keys (in emission order).
-    Keyed(&'a [u64]),
-    /// `n` SIC preparations: informationally complete, so every
-    /// reconstruction string reads every preparation through the frame
-    /// solve and their usage is uniform by construction.
-    UniformWeight(usize),
-}
-
-impl DownstreamKeys<'_> {
-    fn len(&self) -> usize {
-        match self {
-            DownstreamKeys::Keyed(keys) => keys.len(),
-            DownstreamKeys::UniformWeight(n) => *n,
-        }
-    }
-}
-
-/// Builds a schedule given the plan's upstream/downstream setting keys (in
-/// emission order) and an allocation policy.
-fn schedule_for_keys(
+/// Builds the eigenstate-gather schedule from a [`BasisPlan`]:
+/// `upstream[i]` pairs with the i-th entry of
+/// [`BasisPlan::all_meas_settings`], `downstream[i]` with the i-th of
+/// [`BasisPlan::all_prep_settings`] — the same order the planner's
+/// [`crate::planner::add_upstream_jobs`]/[`crate::planner::add_downstream_jobs`]
+/// consume.
+pub fn schedule_for_plan(
     basis: &BasisPlan,
-    up_keys: &[u64],
-    down_keys: DownstreamKeys<'_>,
     allocation: ShotAllocation,
 ) -> Result<ShotSchedule, AllocationError> {
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, basis);
+    schedule_for_frame(basis, &frame, allocation)
+}
+
+/// Builds the schedule of `basis` with the downstream preparations of
+/// `frame`, in the planner's emission order. Under
+/// [`ShotAllocation::WeightedByUsage`] and the adaptive surrogate the
+/// downstream half is usage-weighted only when the frame says so.
+pub(crate) fn schedule_for_frame(
+    basis: &BasisPlan,
+    frame: &PrepFrame,
+    allocation: ShotAllocation,
+) -> Result<ShotSchedule, AllocationError> {
+    let up_keys: Vec<u64> = basis
+        .all_meas_settings()
+        .iter()
+        .map(|s| encode_meas(s))
+        .collect();
+    let down_keys: Vec<u64> = frame.settings().iter().map(|s| frame.key(s)).collect();
     let n_up = up_keys.len();
     let n_down = down_keys.len();
+    // The static usage weights shared by WeightedByUsage and the
+    // planning-time Adaptive surrogate.
+    let usage_weights = || {
+        let (up_usage, down_usage) = usage_in(basis, frame);
+        let weights = |keys: &[u64], usage: &HashMap<u64, u64>| -> Vec<f64> {
+            keys.iter()
+                .map(|k| usage.get(k).copied().unwrap_or(1) as f64)
+                .collect()
+        };
+        let down_w = if frame.usage_weighted {
+            weights(&down_keys, &down_usage)
+        } else {
+            vec![1.0; n_down]
+        };
+        (weights(&up_keys, &up_usage), down_w)
+    };
     match allocation.normalized() {
         ShotAllocation::Uniform { shots_per_setting } => {
             Ok(ShotSchedule::uniform(n_up, n_down, shots_per_setting))
@@ -422,7 +436,7 @@ fn schedule_for_keys(
             })
         }
         ShotAllocation::WeightedByUsage { total } => {
-            let (up_w, down_w) = usage_weights(basis, up_keys, &down_keys);
+            let (up_w, down_w) = usage_weights();
             schedule_weighted(total, &up_w, &down_w)
         }
         // Interior pilot fractions (the edges were normalized away above).
@@ -436,89 +450,16 @@ fn schedule_for_keys(
         } => {
             let pilot = pilot_total(pilot_fraction, total);
             let pilot_sched = pilot_schedule(n_up, n_down, pilot)?;
-            let (up_w, down_w) = usage_weights(basis, up_keys, &down_keys);
+            let (up_w, down_w) = usage_weights();
             Ok(refine_schedule(&pilot_sched, &up_w, &down_w, total - pilot))
         }
     }
 }
 
-/// The static usage weights shared by [`ShotAllocation::WeightedByUsage`]
-/// and the planning-time [`ShotAllocation::Adaptive`] surrogate.
-fn usage_weights(
-    basis: &BasisPlan,
-    up_keys: &[u64],
-    down_keys: &DownstreamKeys<'_>,
-) -> (Vec<f64>, Vec<f64>) {
-    let (up_usage, down_usage) = usage_counts(basis);
-    let up_w: Vec<f64> = up_keys
-        .iter()
-        .map(|k| up_usage.get(k).copied().unwrap_or(1) as f64)
-        .collect();
-    let down_w: Vec<f64> = match down_keys {
-        DownstreamKeys::Keyed(keys) => keys
-            .iter()
-            .map(|k| down_usage.get(k).copied().unwrap_or(1) as f64)
-            .collect(),
-        DownstreamKeys::UniformWeight(n) => vec![1.0; *n],
-    };
-    (up_w, down_w)
-}
-
-/// Builds the eigenstate-gather schedule from a [`BasisPlan`]:
-/// `upstream[i]` pairs with the i-th entry of
-/// [`BasisPlan::all_meas_settings`], `downstream[i]` with the i-th of
-/// [`BasisPlan::all_prep_settings`] — the same order the planner's
-/// [`crate::planner::add_upstream_jobs`]/[`crate::planner::add_downstream_jobs`]
-/// consume.
-pub fn schedule_for_plan(
-    basis: &BasisPlan,
-    allocation: ShotAllocation,
-) -> Result<ShotSchedule, AllocationError> {
-    let up_keys: Vec<u64> = basis
-        .all_meas_settings()
-        .iter()
-        .map(|s| encode_meas(s))
-        .collect();
-    let down_keys: Vec<u64> = basis
-        .all_prep_settings()
-        .iter()
-        .map(|s| encode_prep(s))
-        .collect();
-    schedule_for_keys(
-        basis,
-        &up_keys,
-        DownstreamKeys::Keyed(&down_keys),
-        allocation,
-    )
-}
-
-/// Builds the SIC-gather schedule from a [`BasisPlan`]: `upstream[i]`
-/// pairs with the i-th measurement setting, `downstream[i]` with the i-th
-/// of the `4^K` [`all_sic_settings`] combinations. SIC preparations carry
-/// uniform weight under [`ShotAllocation::WeightedByUsage`] (each one
-/// feeds every reconstruction string through the frame solve), so only
-/// the upstream half is skewed.
-pub fn schedule_sic(
-    basis: &BasisPlan,
-    allocation: ShotAllocation,
-) -> Result<ShotSchedule, AllocationError> {
-    let up_keys: Vec<u64> = basis
-        .all_meas_settings()
-        .iter()
-        .map(|s| encode_meas(s))
-        .collect();
-    let n_down = all_sic_settings(basis.num_cuts()).len();
-    schedule_for_keys(
-        basis,
-        &up_keys,
-        DownstreamKeys::UniformWeight(n_down),
-        allocation,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::encode_prep;
     use qcut_math::Pauli;
 
     fn basis_for(golden: bool) -> BasisPlan {
@@ -648,7 +589,12 @@ mod tests {
     #[test]
     fn sic_schedule_shapes_and_totals() {
         let basis = BasisPlan::standard(1);
-        let s = schedule_sic(&basis, ShotAllocation::WeightedByUsage { total: 7001 }).unwrap();
+        let s = crate::planner::schedule(
+            &basis,
+            ReconstructionMethod::Sic,
+            ShotAllocation::WeightedByUsage { total: 7001 },
+        )
+        .unwrap();
         assert_eq!(s.upstream.len(), 3);
         assert_eq!(s.downstream.len(), 4); // 4^1 SIC preps
         assert_eq!(s.total(), 7001);

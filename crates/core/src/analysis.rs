@@ -40,6 +40,7 @@ use crate::allocation::{ShotAllocation, ShotSchedule};
 use crate::basis::BasisPlan;
 use crate::error::PipelineError;
 use crate::fragment::{FragmentError, Fragments};
+use crate::frame::PrepFrame;
 use crate::golden::GoldenPolicy;
 use crate::jobgraph::JobGraph;
 use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
@@ -153,9 +154,10 @@ pub enum LintCode {
     /// attempt is wasted device occupation.
     TimeoutBelowJobDuration,
     /// `QA503` — `FailurePolicy::Degrade` is configured where losing any
-    /// one setting already makes reconstruction impossible (SIC
-    /// preparations are informationally complete; a cut at two neglects
-    /// has no basis left to drop), so degradation can never salvage.
+    /// one setting already makes reconstruction impossible (no basis
+    /// neglect drops a SIC preparation, which every identity term reads;
+    /// a cut at two neglects has no basis left to drop), so degradation
+    /// can never salvage.
     DegradeUnsalvageable,
     /// `QA601` — the chosen cut is Pareto-dominated by another wire edge
     /// under the dataflow cost model (at least as many proven-golden
@@ -621,17 +623,10 @@ pub fn minimal_golden_plan(num_cuts: usize) -> BasisPlan {
 /// Setting count of `plan` without enumerating the cartesian products
 /// (which would be exponential work for large `K`).
 fn estimated_settings(plan: &BasisPlan, method: ReconstructionMethod) -> f64 {
-    let num_cuts = plan.num_cuts();
-    let up: f64 = (0..num_cuts)
+    let up: f64 = (0..plan.num_cuts())
         .map(|k| plan.meas_bases(k).len() as f64)
         .product();
-    let down: f64 = match method {
-        ReconstructionMethod::Eigenstate => (0..num_cuts)
-            .map(|k| plan.prep_states(k).len() as f64)
-            .product(),
-        ReconstructionMethod::Sic => 4f64.powi(num_cuts as i32),
-    };
-    up + down
+    up + PrepFrame::new(method, plan).estimated_settings()
 }
 
 /// Whether `a` then `b` on identical operands is a pair a transpiler
@@ -1092,12 +1087,14 @@ fn degrade_unsalvageable(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
     if ctx.failure != Some(FailurePolicy::Degrade) {
         return;
     }
-    if ctx.method == ReconstructionMethod::Sic {
+    // The scheme's states are the same at every cut, so one cut answers
+    // for any plan — also before the run is planned.
+    if PrepFrame::new(ctx.method, &BasisPlan::standard(1)).has_undroppable_state() {
         sink.report(
             LintCode::DegradeUnsalvageable,
             "FailurePolicy::Degrade is configured with SIC preparations, \
-             but the SIC frame is informationally complete: losing any \
-             one preparation makes the 4×4 solve singular, so a \
+             but the identity term of every cut reads every SIC \
+             preparation, so no basis neglect drops a lost one: a \
              downstream failure can never degrade gracefully — it fails \
              exactly like FailurePolicy::Fail"
                 .to_string(),

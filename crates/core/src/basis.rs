@@ -312,7 +312,7 @@ pub fn encode_paulis(m: &[Pauli]) -> u64 {
 }
 
 /// Cartesian product of per-position option lists.
-fn cartesian<T: Clone, I: Iterator<Item = Vec<T>>>(options: I) -> Vec<Vec<T>> {
+pub(crate) fn cartesian<T: Clone, I: Iterator<Item = Vec<T>>>(options: I) -> Vec<Vec<T>> {
     let mut out: Vec<Vec<T>> = vec![Vec::new()];
     for opts in options {
         let mut next = Vec::with_capacity(out.len() * opts.len());

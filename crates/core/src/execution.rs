@@ -27,8 +27,9 @@ use std::time::Duration;
 pub struct FragmentData {
     /// Upstream counts keyed by [`crate::basis::encode_meas`] of the setting.
     pub upstream: HashMap<u64, Counts>,
-    /// Downstream counts keyed by [`crate::basis::encode_prep`] of the
-    /// preparation.
+    /// Downstream counts keyed by the preparation setting: its state
+    /// indices, cut 0 least significant — [`crate::basis::encode_prep`]
+    /// for eigenstates, base 4 over `SicState::ALL` for SIC.
     pub downstream: HashMap<u64, Counts>,
     /// Realized shots per upstream setting (same keys as
     /// [`FragmentData::upstream`]). Matches the delivered histogram totals,

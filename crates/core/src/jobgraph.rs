@@ -79,11 +79,10 @@ use std::time::Duration;
 pub enum Channel {
     /// Upstream fragment measured in a basis setting (key: `encode_meas`).
     UpstreamMeas,
-    /// Downstream fragment under an eigenstate preparation (key:
-    /// `encode_prep`).
+    /// Downstream fragment under a preparation setting of the run's
+    /// scheme (key: the setting's state indices, cut 0 least significant
+    /// — `encode_prep` for eigenstates).
     DownstreamPrep,
-    /// Downstream fragment under a SIC preparation (key: `encode_sic`).
-    SicPrep,
     /// Online golden detection batch (key: `encode_meas` of the setting).
     Detection,
     /// Uncut reference execution (key: caller-chosen, usually 0).
@@ -1147,13 +1146,13 @@ mod tests {
     fn take_channel_splits_results() {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::UpstreamMeas, 3), 100);
-        g.add_job(ghz(), (Channel::SicPrep, 8), 100);
+        g.add_job(ghz(), (Channel::DownstreamPrep, 8), 100);
         let mut run = g.execute(&IdealBackend::new(2), true).unwrap();
         let up = run.take_channel(Channel::UpstreamMeas);
         assert_eq!(up.len(), 1);
         assert!(up.contains_key(&3));
-        let sic = run.take_channel(Channel::SicPrep);
-        assert!(sic.contains_key(&8));
+        let down = run.take_channel(Channel::DownstreamPrep);
+        assert!(down.contains_key(&8));
         assert!(run.take_channel(Channel::UpstreamMeas).is_empty());
     }
 

@@ -12,6 +12,10 @@
 //!   and how golden cuts shrink them (`3→2`, `6→4`, `4→3` per cut);
 //! * [`tomography`] — the subcircuit of one measurement setting or
 //!   preparation;
+//! * `frame` (private) — the preparation frame: the paper's eigenstate
+//!   scheme and the SIC alternative of §II-B as two values of one set of
+//!   per-cut data (states, expansion coefficients, salvage rules), read
+//!   by the planner, the schedule, the reconstruction and the gate;
 //! * [`jobgraph`] — the batched, deduplicating JobGraph engine every
 //!   backend execution (eigenstate, SIC, online detection, uncut) routes
 //!   through: structurally identical subcircuits execute once and fan back
@@ -36,7 +40,6 @@
 //!   [`golden::GoldenPolicy::ProveStatic`]'s zero-shot symbolic golden
 //!   proofs, and the light-cone domain behind the wire-edge cut adviser
 //!   ([`dataflow::cut_report`]);
-//! * [`sic`] — the SIC-basis preparation alternative discussed in §II-B;
 //! * [`observable`] — Pauli/diagonal observable estimation on top of the
 //!   reconstructed distribution;
 //! * [`retry`] — fault-tolerance policies: [`retry::RetryPolicy`]
@@ -82,6 +85,7 @@ pub mod dataflow;
 pub mod error;
 pub mod execution;
 pub mod fragment;
+mod frame;
 pub mod golden;
 pub mod jobgraph;
 pub mod observable;
@@ -90,7 +94,6 @@ pub mod planner;
 pub mod reconstruction;
 pub mod report;
 pub mod retry;
-pub mod sic;
 pub mod tomography;
 pub mod variance;
 
@@ -103,8 +106,7 @@ pub mod cut {
 /// Common re-exports.
 pub mod prelude {
     pub use crate::allocation::{
-        schedule_for_plan, schedule_sic, usage_counts, AllocationError, ShotAllocation,
-        ShotSchedule,
+        schedule_for_plan, usage_counts, AllocationError, ShotAllocation, ShotSchedule,
     };
     pub use crate::analysis::{
         analyze, analyze_with_backend, lint_graph, AnalysisConfig, Diagnostic, Diagnostics,
@@ -130,16 +132,13 @@ pub mod prelude {
     pub use crate::pipeline::{
         CutExecutor, CutRun, ExecutionOptions, PostProcess, ReconstructionMethod, UncutRun,
     };
-    pub use crate::planner::{
-        add_downstream_jobs, add_sic_jobs, add_upstream_jobs, schedule, uncut_graph,
-    };
+    pub use crate::planner::{add_downstream_jobs, add_upstream_jobs, schedule, uncut_graph};
     pub use crate::reconstruction::{
         contract, downstream_tensor, exact_reconstruct, reconstruct, upstream_tensor,
         CoefficientTensor,
     };
     pub use crate::report::{FailureRecord, RunReport, UncutReport};
     pub use crate::retry::{Backoff, FailurePolicy, RetryPolicy};
-    pub use crate::sic::{sic_downstream_tensor, SicFrame};
     pub use crate::variance::{
         empirical_variance, reconstruction_variance, variance_from_schedule, variance_from_tensors,
         ReconstructionError,
@@ -147,3 +146,64 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+/// End-to-end checks of the SIC preparation frame (paper §II-B's 4-state
+/// alternative to the eigenstate preparations): exact SIC reconstruction is
+/// the uncut distribution. The frame's own unit tests live in `frame`.
+#[cfg(test)]
+mod sic {
+    mod tests {
+        use crate::basis::BasisPlan;
+        use crate::fragment::{Fragmenter, Fragments};
+        use crate::pipeline::ReconstructionMethod;
+        use crate::reconstruction::{contract, exact_downstream_tensor_for, exact_upstream_tensor};
+        use qcut_circuit::ansatz::{GoldenAnsatz, MultiCutAnsatz};
+        use qcut_math::Pauli;
+        use qcut_sim::statevector::StateVector;
+        use qcut_stats::distance::total_variation_distance;
+        use qcut_stats::distribution::Distribution;
+
+        fn exact_sic_reconstruct(frags: &Fragments, plan: &BasisPlan) -> Distribution {
+            let up = exact_upstream_tensor(&frags.upstream, plan);
+            let down =
+                exact_downstream_tensor_for(&frags.downstream, plan, ReconstructionMethod::Sic);
+            contract(frags, plan, &up, &down)
+        }
+
+        #[test]
+        fn exact_sic_reconstruction_equals_uncut() {
+            for seed in 0..4 {
+                let (circuit, spec) = GoldenAnsatz::new(5, seed).build();
+                let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
+                let recon = exact_sic_reconstruct(&frags, &BasisPlan::standard(1));
+                let sv = StateVector::from_circuit(&circuit);
+                let t = Distribution::from_values(5, sv.probabilities());
+                let d = total_variation_distance(&recon, &t);
+                assert!(d < 1e-9, "seed {seed}: SIC reconstruction off by {d}");
+            }
+        }
+
+        #[test]
+        fn sic_with_golden_plan_still_reconstructs() {
+            // Golden plan shrinks the contraction (3 Paulis) while SIC keeps
+            // 4 preparations; result must still be exact on the golden ansatz.
+            let (circuit, spec) = GoldenAnsatz::new(5, 3).build();
+            let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
+            let plan = BasisPlan::with_neglected(vec![Some(Pauli::Y)]);
+            let recon = exact_sic_reconstruct(&frags, &plan);
+            let sv = StateVector::from_circuit(&circuit);
+            let t = Distribution::from_values(5, sv.probabilities());
+            assert!(total_variation_distance(&recon, &t) < 1e-9);
+        }
+
+        #[test]
+        fn multi_cut_sic_reconstruction() {
+            let (circuit, spec) = MultiCutAnsatz::new(2, 5).build();
+            let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
+            let recon = exact_sic_reconstruct(&frags, &BasisPlan::standard(2));
+            let sv = StateVector::from_circuit(&circuit);
+            let t = Distribution::from_values(circuit.num_qubits(), sv.probabilities());
+            assert!(total_variation_distance(&recon, &t) < 1e-9);
+        }
+    }
+}

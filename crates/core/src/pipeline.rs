@@ -21,8 +21,8 @@
 //!   └─ post-process the quasi-distribution
 //! ```
 //!
-//! Every backend interaction — eigenstate gather, SIC gather, online
-//! detection, and [`CutExecutor::run_uncut`] — flows through
+//! Every backend interaction — the gather under either preparation
+//! scheme, online detection, and [`CutExecutor::run_uncut`] — flows through
 //! [`crate::jobgraph::JobGraph`], so the [`RunReport`] carries unified
 //! dedup accounting (`jobs_planned` / `jobs_executed` / `shots_saved`).
 //! Inside `run`, every round executes through one helper that applies
@@ -33,17 +33,17 @@ use crate::allocation::{
     pilot_schedule, pilot_total, refine_schedule, ShotAllocation, ShotSchedule,
 };
 use crate::analysis::{gate, AnalysisConfig, Diagnostic, LintCode, Severity};
-use crate::basis::{decode_meas, decode_prep, encode_meas, encode_prep, BasisPlan};
+use crate::basis::{decode_meas, encode_meas, BasisPlan};
 use crate::error::{ExecutionFailure, PipelineError};
 use crate::execution::FragmentData;
 use crate::fragment::Fragments;
+use crate::frame::PrepFrame;
 use crate::golden::{GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector};
 use crate::jobgraph::{Channel, ConsumerKey, GraphFailure, GraphStats, JobGraph, NodeFailure};
 use crate::planner::{gather_graph, uncut_graph, RunPlan};
-use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
+use crate::reconstruction::{contract, downstream_tensor_for, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use crate::sic::{all_sic_settings, encode_sic, sic_downstream_tensor};
 use crate::tomography::build_upstream_circuit;
 use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
@@ -65,9 +65,22 @@ pub enum ReconstructionMethod {
     /// (the paper's scheme; golden cuts shrink it).
     #[default]
     Eigenstate,
-    /// SIC preparations: always `4^K` subcircuits, linear solve during
-    /// assembly (paper §II-B's alternative).
+    /// SIC preparations: always `4^K` subcircuits, each reconstruction
+    /// Pauli expanded over the four tetrahedral states in closed form
+    /// (paper §II-B's alternative).
     Sic,
+}
+
+impl ReconstructionMethod {
+    /// The expansion `P = Σ c · |ψ><ψ|` of `pauli` over this scheme's
+    /// preparation states at a cut that neglects nothing: its non-zero
+    /// terms `(state, c)`, with `state` indexing
+    /// [`qcut_math::PrepState::ALL`] (eigenstates) or
+    /// [`qcut_math::SicState::ALL`] (SIC).
+    pub fn expansion(self, pauli: Pauli) -> Vec<(usize, f64)> {
+        let frame = PrepFrame::new(self, &BasisPlan::standard(1));
+        frame.terms(0, pauli).to_vec()
+    }
 }
 
 /// Post-processing applied to the reconstructed quasi-distribution.
@@ -209,7 +222,6 @@ pub struct CutExecutor<'b, B: Backend + ?Sized> {
 struct Round {
     upstream: HashMap<u64, Counts>,
     downstream: HashMap<u64, Counts>,
-    sic_counts: HashMap<u64, Counts>,
     detection: HashMap<u64, Counts>,
     stats: GraphStats,
     /// The executed graph: which circuit fed which consumers.
@@ -233,7 +245,6 @@ impl Round {
             let counts = match channel {
                 Channel::UpstreamMeas => &self.upstream,
                 Channel::DownstreamPrep => &self.downstream,
-                Channel::SicPrep => &self.sic_counts,
                 Channel::Detection => &self.detection,
                 Channel::Uncut => return None,
             }
@@ -302,42 +313,44 @@ fn merge_channel(into: &mut HashMap<u64, Counts>, from: HashMap<u64, Counts>) {
 /// cut where [`BasisPlan::try_neglect`] still allows it. Returns `None`
 /// when the damage cannot be absorbed:
 ///
-/// * a SIC preparation was lost — the SIC frame is informationally
-///   complete, so losing any preparation makes the 4×4 solve singular;
+/// * a lost preparation that no neglect drops — every SIC preparation,
+///   which the identity term reads;
 /// * an uncut reference job was lost — there is nothing to renormalize;
 /// * every cut position of a lost setting already neglects two bases
 ///   (dropping the last surviving pair would orphan the identity).
 ///
 /// Detection-channel failures are resolved upstream (the affected cut
 /// falls back to `NotGolden`) and are skipped here.
-fn degrade_plan(plan: &BasisPlan, failures: &[NodeFailure]) -> Option<BasisPlan> {
+fn degrade_plan(
+    plan: &BasisPlan,
+    frame: &PrepFrame,
+    failures: &[NodeFailure],
+) -> Option<BasisPlan> {
     let num_cuts = plan.num_cuts();
     let mut salvaged = plan.clone();
     for failure in failures {
         for &(channel, key) in &failure.consumers {
-            let paulis: Vec<Pauli> = match channel {
+            // Per cut, the basis whose neglect drops this setting there.
+            let bases: Vec<Option<Pauli>> = match channel {
                 Channel::Detection => continue,
-                Channel::Uncut | Channel::SicPrep => return None,
+                Channel::Uncut => return None,
                 Channel::UpstreamMeas => decode_meas(key, num_cuts)
                     .iter()
-                    .map(|b| b.pauli())
+                    .map(|b| Some(b.pauli()))
                     .collect(),
-                Channel::DownstreamPrep => decode_prep(key, num_cuts)
-                    .iter()
-                    .map(|s| s.pauli())
-                    .collect(),
+                Channel::DownstreamPrep => frame.bases_of(key, num_cuts),
             };
             // An earlier neglect may already have dropped this setting
             // from the surviving plan.
-            let needed = paulis
+            let needed = bases
                 .iter()
                 .enumerate()
-                .all(|(c, p)| !salvaged.neglected()[c].contains(p));
+                .all(|(c, p)| p.is_none_or(|p| !salvaged.neglected()[c].contains(&p)));
             if needed
-                && !paulis
+                && !bases
                     .iter()
                     .enumerate()
-                    .any(|(c, &p)| salvaged.try_neglect(c, p))
+                    .any(|(c, p)| p.is_some_and(|p| salvaged.try_neglect(c, p)))
             {
                 return None;
             }
@@ -353,13 +366,11 @@ fn execution_failure(
     failures: &[NodeFailure],
     upstream: &HashMap<u64, Counts>,
     downstream: &HashMap<u64, Counts>,
-    sic_counts: &HashMap<u64, Counts>,
 ) -> PipelineError {
     let mut succeeded: Vec<ConsumerKey> = upstream
         .keys()
         .map(|&k| (Channel::UpstreamMeas, k))
         .chain(downstream.keys().map(|&k| (Channel::DownstreamPrep, k)))
-        .chain(sic_counts.keys().map(|&k| (Channel::SicPrep, k)))
         .collect();
     succeeded.sort_unstable();
     let cause = failures
@@ -527,7 +538,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let Round {
             upstream,
             downstream,
-            sic_counts,
             stats: gather_stats,
             ..
         } = gather;
@@ -536,36 +546,28 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // FailurePolicy::Degrade, shrink the plan until no lost consumer
         // is needed (greedy extra neglects), then verify the surviving
         // plan is fully covered by delivered data. Runs whose damage
-        // cannot be absorbed — a lost SIC preparation (informationally
-        // complete frame), or a cut already at two neglects — fail with
+        // cannot be absorbed — a lost preparation no neglect drops (any
+        // SIC preparation), or a cut already at two neglects — fail with
         // the same typed error the Fail policy raises.
         let planned_terms = plan.all_recon_strings().len();
         let mut degraded = false;
         let plan = if failures.is_empty() {
             plan
         } else {
-            let salvaged = degrade_plan(&plan, &failures)
-                .ok_or_else(|| execution_failure(&failures, &upstream, &downstream, &sic_counts))?;
+            let unsalvageable = || execution_failure(&failures, &upstream, &downstream);
+            let frame = PrepFrame::new(options.method, &plan);
+            let salvaged = degrade_plan(&plan, &frame, &failures).ok_or_else(unsalvageable)?;
+            let frame = PrepFrame::new(options.method, &salvaged);
             let covered = salvaged
                 .all_meas_settings()
                 .iter()
                 .all(|s| upstream.contains_key(&encode_meas(s)))
-                && match options.method {
-                    ReconstructionMethod::Eigenstate => salvaged
-                        .all_prep_settings()
-                        .iter()
-                        .all(|p| downstream.contains_key(&encode_prep(p))),
-                    ReconstructionMethod::Sic => all_sic_settings(fragments.num_cuts)
-                        .iter()
-                        .all(|s| sic_counts.contains_key(&encode_sic(s))),
-                };
+                && frame
+                    .settings()
+                    .iter()
+                    .all(|s| downstream.contains_key(&frame.key(s)));
             if !covered {
-                return Err(execution_failure(
-                    &failures,
-                    &upstream,
-                    &downstream,
-                    &sic_counts,
-                ));
+                return Err(unsalvageable());
             }
             degraded = true;
             salvaged
@@ -580,7 +582,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             failures.iter().map(FailureRecord::from).collect();
 
         let upstream_settings = upstream.len();
-        let downstream_settings = downstream.len() + sic_counts.len();
+        let downstream_settings = downstream.len();
         // The realized per-setting schedule rides in the fragment data
         // (delivered histogram totals — ≥ the requested schedule when
         // detection data was reused or duplicates merged), so downstream
@@ -596,14 +598,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // Reconstruct.
         let recon_started = Instant::now();
         let up = upstream_tensor(&fragments.upstream, &plan, &data);
-        let down = match options.method {
-            ReconstructionMethod::Eigenstate => {
-                downstream_tensor(&fragments.downstream, &plan, &data)
-            }
-            ReconstructionMethod::Sic => {
-                sic_downstream_tensor(&fragments.downstream, &plan, &sic_counts)
-            }
-        };
+        let down = downstream_tensor_for(&fragments.downstream, &plan, options.method, &data);
         let mut distribution = contract(&fragments, &plan, &up, &down);
         match options.postprocess {
             PostProcess::Raw => {}
@@ -769,7 +764,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         Ok(Round {
             upstream: run.take_channel(Channel::UpstreamMeas),
             downstream: run.take_channel(Channel::DownstreamPrep),
-            sic_counts: run.take_channel(Channel::SicPrep),
             detection: run.take_channel(Channel::Detection),
             stats: run.stats,
             graph,
@@ -818,12 +812,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         detection_cache: &HashMap<u64, Seed>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<(Round, u64, usize), PipelineError> {
-        let num_cuts = fragments.num_cuts;
+        let frame = PrepFrame::new(options.method, plan);
         let n_up = plan.all_meas_settings().len();
-        let n_down = match options.method {
-            ReconstructionMethod::Eigenstate => plan.all_prep_settings().len(),
-            ReconstructionMethod::Sic => all_sic_settings(num_cuts).len(),
-        };
+        let n_down = frame.settings().len();
 
         // Round 1: the uniform pilot.
         // The warm cache seeds the pilot only: its histograms become part
@@ -859,21 +850,17 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             (vec![1.0; n_up], vec![1.0; n_down])
         } else {
             let up = upstream_tensor(&fragments.upstream, plan, &pilot_data);
-            match options.method {
-                ReconstructionMethod::Eigenstate => {
-                    let down = downstream_tensor(&fragments.downstream, plan, &pilot_data);
-                    let scores = neyman_scores(fragments, plan, &up, &down);
-                    (scores.upstream, scores.downstream)
-                }
-                ReconstructionMethod::Sic => {
-                    let down =
-                        sic_downstream_tensor(&fragments.downstream, plan, &pilot_run.sic_counts);
-                    let scores = neyman_scores(fragments, plan, &up, &down);
-                    // SIC preparations are informationally complete and read
-                    // uniformly through the frame solve, so only the upstream
-                    // half is adaptively skewed (same rule as WeightedByUsage).
-                    (scores.upstream, vec![1.0; n_down])
-                }
+            let down =
+                downstream_tensor_for(&fragments.downstream, plan, options.method, &pilot_data);
+            let scores = neyman_scores(fragments, plan, &up, &down);
+            // A frame whose preparations are not usage-weighted (SIC:
+            // informationally complete, every preparation read alike)
+            // skews only the upstream half, the same rule as
+            // WeightedByUsage.
+            if frame.usage_weighted {
+                (scores.upstream, scores.downstream)
+            } else {
+                (scores.upstream, vec![1.0; n_down])
             }
         };
 
@@ -925,7 +912,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             )?;
             merge_channel(&mut run.upstream, pilot_data.upstream);
             merge_channel(&mut run.downstream, pilot_data.downstream);
-            merge_channel(&mut run.sic_counts, pilot_run.sic_counts.clone());
             run
         };
 

@@ -7,12 +7,12 @@
 //! planned on demand by [`RunPlan::plan_gather`]: the gate
 //! ([`crate::analysis`]) plans it to lint it, and
 //! [`crate::pipeline::CutExecutor::run`] then executes that same graph.
-//! The eigenstate, SIC, detection and adaptive paths are different
-//! combinations of the same builders over the same engine:
+//! The detection and adaptive paths are different combinations of the
+//! same builders over the same engine:
 //!
-//! * eigenstate gather = upstream jobs + downstream jobs;
-//! * SIC gather = upstream jobs + SIC jobs (no downstream eigenstate job is
-//!   ever constructed);
+//! * a gather = upstream jobs + downstream jobs, one per preparation
+//!   setting of the run's preparation frame: the eigenstate scheme or the
+//!   SIC scheme, chosen by [`ReconstructionMethod`];
 //! * online detection registers its per-round jobs inline in
 //!   [`crate::pipeline`], seeds the counts each executed batch delivered
 //!   back into the gather graph, and [`RunPlan::replan`]s when it
@@ -44,18 +44,16 @@
 //! assert!(gather.graph.prefix_profile().gates_saved() > 0);
 //! ```
 
-use crate::allocation::{
-    schedule_for_plan, schedule_sic, AllocationError, ShotAllocation, ShotSchedule,
-};
-use crate::basis::{encode_meas, encode_prep, BasisPlan};
+use crate::allocation::{schedule_for_frame, AllocationError, ShotAllocation, ShotSchedule};
+use crate::basis::{encode_meas, BasisPlan};
 use crate::dataflow::{plan_from_proofs, prove_golden_bases};
 use crate::error::PipelineError;
-use crate::fragment::{Fragment, Fragmenter, Fragments};
+use crate::fragment::{Fragmenter, Fragments};
+use crate::frame::PrepFrame;
 use crate::golden::{resolve_static_policy, GoldenPolicy};
 use crate::jobgraph::{Channel, ConsumerKey, JobGraph};
 use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
-use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic};
-use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
+use crate::tomography::build_upstream_circuit;
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
 use qcut_math::Pauli;
@@ -166,22 +164,19 @@ fn plan_gather(
     Ok(GatherPlan { schedule, graph })
 }
 
-/// The shot schedule of `plan` under `allocation`, for the eigenstate or
-/// the SIC gather.
+/// The shot schedule of `plan` under `allocation`, for the preparation
+/// scheme `method`.
 pub fn schedule(
     plan: &BasisPlan,
     method: ReconstructionMethod,
     allocation: ShotAllocation,
 ) -> Result<ShotSchedule, AllocationError> {
-    match method {
-        ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
-        ReconstructionMethod::Sic => schedule_sic(plan, allocation),
-    }
+    schedule_for_frame(plan, &PrepFrame::new(method, plan), allocation)
 }
 
 /// The unexecuted gather graph of `plan` at `sched`: upstream jobs plus
-/// either eigenstate downstream jobs or SIC preparations. `dedup` off is
-/// the engine's ablation baseline.
+/// the downstream preparations of `method`. `dedup` off is the engine's
+/// ablation baseline.
 pub fn gather_graph(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -191,17 +186,8 @@ pub fn gather_graph(
 ) -> JobGraph {
     let mut graph = JobGraph::with_dedup(dedup);
     add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
-    match method {
-        ReconstructionMethod::Eigenstate => {
-            add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
-        }
-        ReconstructionMethod::Sic => add_sic_jobs(
-            &mut graph,
-            &fragments.downstream,
-            fragments.num_cuts,
-            &sched.downstream,
-        ),
-    }
+    let frame = PrepFrame::new(method, plan);
+    add_prep_jobs(&mut graph, fragments, &frame, &sched.downstream);
     graph
 }
 
@@ -295,25 +281,17 @@ pub fn add_downstream_jobs(
     plan: &BasisPlan,
     shots: &[u64],
 ) {
-    let preparations = plan.all_prep_settings();
-    add_settings(graph, &preparations, shots, "preparations", |p| {
-        (
-            build_downstream_circuit(&fragments.downstream, p),
-            (Channel::DownstreamPrep, encode_prep(p)),
-        )
-    });
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
+    add_prep_jobs(graph, fragments, &frame, shots);
 }
 
-/// Adds the `4^K` SIC downstream preparation jobs, in trie-locality order.
-/// `shots[i]` pairs with the i-th combination of
-/// [`all_sic_settings`]; a single-element slice is broadcast to every
-/// preparation (the same schedule rule as [`add_upstream_jobs`]).
-pub fn add_sic_jobs(graph: &mut JobGraph, downstream: &Fragment, num_cuts: usize, shots: &[u64]) {
-    let settings = all_sic_settings(num_cuts);
-    add_settings(graph, &settings, shots, "SIC preparations", |states| {
+/// Adds one downstream job per preparation setting of `frame`, delivered
+/// on [`Channel::DownstreamPrep`] under the setting's key.
+fn add_prep_jobs(graph: &mut JobGraph, fragments: &Fragments, frame: &PrepFrame, shots: &[u64]) {
+    add_settings(graph, &frame.settings(), shots, "preparations", |s| {
         (
-            build_sic_circuit(downstream, states),
-            (Channel::SicPrep, encode_sic(states)),
+            frame.circuit(&fragments.downstream, s),
+            (Channel::DownstreamPrep, frame.key(s)),
         )
     });
 }
@@ -361,16 +339,34 @@ mod tests {
 
     #[test]
     fn sic_graph_plans_no_downstream_eigenstate_jobs() {
-        // The satellite fix: the SIC path must never construct the
-        // eigenstate downstream half it used to build and discard.
+        // The SIC gather constructs no eigenstate preparation: its four
+        // downstream jobs are the SIC preparations, keyed 0..4 on the one
+        // preparation channel.
+        use qcut_math::SicState;
+        use qcut_sim::basis_change::sic_prep_circuit;
         let frags = fragments_for(2);
         let plan = BasisPlan::standard(1);
         let mut g = JobGraph::new();
         add_upstream_jobs(&mut g, &frags, &plan, &[1000]);
-        add_sic_jobs(&mut g, &frags.downstream, 1, &[1000]);
+        let sic = PrepFrame::new(ReconstructionMethod::Sic, &plan);
+        add_prep_jobs(&mut g, &frags, &sic, &[1000]);
         assert_eq!(g.jobs_planned(), 3 + 4);
-        assert!(!g.has_channel(Channel::DownstreamPrep));
-        assert!(g.has_channel(Channel::SicPrep));
+        assert!(g.has_channel(Channel::DownstreamPrep));
+        let down = &frags.downstream;
+        let mut preps: Vec<(u64, &Circuit)> = g
+            .node_jobs()
+            .filter(|(_, consumers)| consumers[0].0 .0 == Channel::DownstreamPrep)
+            .map(|(circuit, consumers)| (consumers[0].0 .1, circuit))
+            .collect();
+        preps.sort_by_key(|&(key, _)| key);
+        assert_eq!(preps.len(), 4);
+        for ((key, circuit), (j, s)) in preps.into_iter().zip(SicState::ALL.iter().enumerate()) {
+            let n = down.circuit.num_qubits();
+            let mut want = sic_prep_circuit(*s, n, down.cut_ports[0]);
+            want.extend(&down.circuit);
+            assert_eq!(key, j as u64);
+            assert_eq!(*circuit, want, "SIC preparation {s:?}");
+        }
     }
 
     #[test]
@@ -388,8 +384,9 @@ mod tests {
     #[test]
     fn per_setting_sic_schedules_are_respected() {
         let frags = fragments_for(5);
+        let sic = PrepFrame::new(ReconstructionMethod::Sic, &BasisPlan::standard(1));
         let mut g = JobGraph::new();
-        add_sic_jobs(&mut g, &frags.downstream, 1, &[10, 20, 30, 40]);
+        add_prep_jobs(&mut g, &frags, &sic, &[10, 20, 30, 40]);
         assert_eq!(g.jobs_planned(), 4);
         let run = g
             .execute(&qcut_device::ideal::IdealBackend::new(0), false)
@@ -401,8 +398,9 @@ mod tests {
     #[should_panic(expected = "schedule arity")]
     fn wrong_sic_schedule_arity_panics() {
         let frags = fragments_for(5);
+        let sic = PrepFrame::new(ReconstructionMethod::Sic, &BasisPlan::standard(1));
         let mut g = JobGraph::new();
-        add_sic_jobs(&mut g, &frags.downstream, 1, &[1, 2]);
+        add_prep_jobs(&mut g, &frags, &sic, &[1, 2]);
     }
 
     #[test]

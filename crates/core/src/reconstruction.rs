@@ -7,8 +7,10 @@
 //! * upstream `A[M][b1] = Σ_r (Π_k r_k) · P(b1, r | setting(M))` — the
 //!   eigenvalue-weighted joint statistics of the fragment outputs `b1` and
 //!   the cut-qubit outcomes `r`;
-//! * downstream `D[M][b2] = Σ_s (Π_k w_k) · P(b2 | prep(M, s))` — the
-//!   signed sum over the preparation pair of each cut.
+//! * downstream `D[M][b2] = Σ_s (Π_k c_k) · P(b2 | prep(M, s))` — the
+//!   sum over each cut's expansion of `M_k` in the prepared states: the
+//!   signed eigenstate pair, or the four SIC states with their
+//!   closed-form coefficients.
 //!
 //! The distribution is then the contraction
 //! `p(b1 ⊕ b2) = 2^{-K} Σ_M A[M][b1] · D[M][b2]`. It is dense and
@@ -31,10 +33,12 @@
 //! are provided both for unit-testing the identity and for the exact
 //! golden-point detector.
 
-use crate::basis::{encode_meas, encode_paulis, encode_prep, BasisPlan};
+use crate::basis::{encode_meas, encode_paulis, BasisPlan};
 use crate::execution::FragmentData;
 use crate::fragment::{Fragment, FragmentRole, Fragments};
-use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
+use crate::frame::PrepFrame;
+use crate::pipeline::ReconstructionMethod;
+use crate::tomography::build_upstream_circuit;
 use qcut_math::Pauli;
 use qcut_sim::statevector::StateVector;
 use qcut_stats::distribution::Distribution;
@@ -50,14 +54,6 @@ pub struct CoefficientTensor {
 }
 
 impl CoefficientTensor {
-    /// Builds a tensor from raw entries (used by the SIC assembly path).
-    pub fn from_entries(entries: HashMap<u64, Vec<f64>>, num_outputs: usize) -> Self {
-        CoefficientTensor {
-            entries,
-            num_outputs,
-        }
-    }
-
     /// The coefficient vector for a Pauli string.
     pub fn get(&self, m: &[Pauli]) -> Option<&[f64]> {
         self.entries.get(&encode_paulis(m)).map(|v| v.as_slice())
@@ -188,37 +184,62 @@ fn assemble_upstream(
     }
 }
 
-/// Builds the downstream tensor from measured counts.
+/// Builds the downstream tensor from measured eigenstate-preparation
+/// counts.
 pub fn downstream_tensor(
     fragment: &Fragment,
     plan: &BasisPlan,
     data: &FragmentData,
 ) -> CoefficientTensor {
+    downstream_tensor_for(fragment, plan, ReconstructionMethod::Eigenstate, data)
+}
+
+/// Builds the downstream tensor from counts measured under the
+/// preparations of `method`, keyed as the planner delivers them on
+/// [`crate::jobgraph::Channel::DownstreamPrep`].
+pub fn downstream_tensor_for(
+    fragment: &Fragment,
+    plan: &BasisPlan,
+    method: ReconstructionMethod,
+    data: &FragmentData,
+) -> CoefficientTensor {
     assert_eq!(fragment.role, FragmentRole::Downstream);
-    let dists: HashMap<u64, Vec<f64>> = plan
-        .all_prep_settings()
+    let frame = PrepFrame::new(method, plan);
+    let dists: HashMap<u64, Vec<f64>> = frame
+        .settings()
         .iter()
-        .map(|prep| {
-            let key = encode_prep(prep);
-            let counts = data
-                .downstream
-                .get(&key)
-                .unwrap_or_else(|| panic!("missing downstream counts for prep {prep:?}"));
+        .map(|setting| {
+            let key = frame.key(setting);
+            let counts = data.downstream.get(&key).unwrap_or_else(|| {
+                panic!("missing downstream counts for preparation {setting:?} (key {key})")
+            });
             let d = counts.marginal(&fragment.output_locals).to_distribution();
             (key, d.values().to_vec())
         })
         .collect();
-    assemble_downstream(fragment, plan, &dists)
+    assemble_downstream(fragment, plan, &frame, &dists)
 }
 
-/// Builds the downstream tensor exactly via state-vector simulation.
+/// Builds the eigenstate downstream tensor exactly via state-vector
+/// simulation.
 pub fn exact_downstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> CoefficientTensor {
+    exact_downstream_tensor_for(fragment, plan, ReconstructionMethod::Eigenstate)
+}
+
+/// Builds the downstream tensor of `method`'s preparations exactly via
+/// state-vector simulation.
+pub fn exact_downstream_tensor_for(
+    fragment: &Fragment,
+    plan: &BasisPlan,
+    method: ReconstructionMethod,
+) -> CoefficientTensor {
     assert_eq!(fragment.role, FragmentRole::Downstream);
-    let dists: HashMap<u64, Vec<f64>> = plan
-        .all_prep_settings()
+    let frame = PrepFrame::new(method, plan);
+    let dists: HashMap<u64, Vec<f64>> = frame
+        .settings()
         .iter()
-        .map(|prep| {
-            let circuit = build_downstream_circuit(fragment, prep);
+        .map(|setting| {
+            let circuit = frame.circuit(fragment, setting);
             let probs = StateVector::from_circuit(&circuit).probabilities();
             // Reorder full-width probabilities into output order.
             let dim = 1usize << fragment.num_outputs();
@@ -227,39 +248,30 @@ pub fn exact_downstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> Coeffic
                 let b2 = extract_bits(idx as u64, &fragment.output_locals);
                 out[b2 as usize] += p;
             }
-            (encode_prep(prep), out)
+            (frame.key(setting), out)
         })
         .collect();
-    assemble_downstream(fragment, plan, &dists)
+    assemble_downstream(fragment, plan, &frame, &dists)
 }
 
+/// `D[M][b2] = Σ (Π_k c_k) · P(b2 | setting)` over the frame's terms of
+/// each string `M`, summed with cut 0 varying fastest.
 fn assemble_downstream(
     fragment: &Fragment,
     plan: &BasisPlan,
+    frame: &PrepFrame,
     dists: &HashMap<u64, Vec<f64>>,
 ) -> CoefficientTensor {
     let n2 = fragment.num_outputs();
     let dim = 1usize << n2;
-    let num_cuts = plan.num_cuts();
     let mut entries = HashMap::new();
     for m in plan.all_recon_strings() {
         let mut vec = vec![0.0f64; dim];
-        // Enumerate the 2^K signed preparation combinations for this M.
-        let pairs: Vec<[(qcut_math::PrepState, f64); 2]> =
-            (0..num_cuts).map(|k| plan.prep_pair(k, m[k])).collect();
-        for combo in 0..(1usize << num_cuts) {
-            let mut states = Vec::with_capacity(num_cuts);
-            let mut weight = 1.0f64;
-            for (k, pair) in pairs.iter().enumerate() {
-                let (state, w) = pair[(combo >> k) & 1];
-                states.push(state);
-                weight *= w;
-            }
-            let q = &dists[&encode_prep(&states)];
-            for (slot, &p) in vec.iter_mut().zip(q) {
+        frame.for_each_term(&m, |key, weight| {
+            for (slot, &p) in vec.iter_mut().zip(&dists[&key]) {
                 *slot += weight * p;
             }
-        }
+        });
         entries.insert(encode_paulis(&m), vec);
     }
     CoefficientTensor {
@@ -699,7 +711,6 @@ mod tests {
     fn contract_matches_naive_reference_bit_for_bit() {
         use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
-        use crate::sic::exact_sic_downstream_tensor;
         use qcut_device::ideal::IdealBackend;
 
         let mut cases: Vec<(String, Circuit, CutSpec)> = Vec::new();
@@ -729,7 +740,14 @@ mod tests {
                         "eigenstate",
                         downstream_tensor(&frags.downstream, &plan, &data),
                     ),
-                    ("sic", exact_sic_downstream_tensor(&frags.downstream, &plan)),
+                    (
+                        "sic",
+                        exact_downstream_tensor_for(
+                            &frags.downstream,
+                            &plan,
+                            ReconstructionMethod::Sic,
+                        ),
+                    ),
                 ];
                 for (method, down) in downs {
                     let ctx = format!("{name}, {:?}, {method}", plan.neglected());
@@ -778,7 +796,6 @@ mod tests {
     fn assert_contract_is_naive(name: &str, circuit: &Circuit, spec: &CutSpec, seed: u64) {
         use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
-        use crate::sic::exact_sic_downstream_tensor;
         use qcut_device::ideal::IdealBackend;
 
         let frags = Fragmenter::fragment(circuit, spec).unwrap();
@@ -798,7 +815,14 @@ mod tests {
                     "eigenstate",
                     downstream_tensor(&frags.downstream, &plan, &data),
                 ),
-                ("sic", exact_sic_downstream_tensor(&frags.downstream, &plan)),
+                (
+                    "sic",
+                    exact_downstream_tensor_for(
+                        &frags.downstream,
+                        &plan,
+                        ReconstructionMethod::Sic,
+                    ),
+                ),
             ];
             for (method, down) in downs {
                 let got = contract(&frags, &plan, &up, &down);

@@ -30,20 +30,29 @@ pub fn build_upstream_circuit(fragment: &Fragment, setting: &[MeasBasis]) -> Cir
 /// The downstream fragment with preparation circuits prepended on its cut
 /// ports.
 pub fn build_downstream_circuit(fragment: &Fragment, preparation: &[PrepState]) -> Circuit {
+    let preps: Vec<Circuit> = preparation.iter().map(|&s| prep_circuit(s, 1, 0)).collect();
+    prepend_preparations(fragment, preps.iter())
+}
+
+/// The downstream fragment with one-qubit preparation circuits prepended
+/// on its cut ports, in cut order.
+pub(crate) fn prepend_preparations<'a>(
+    fragment: &Fragment,
+    preparations: impl ExactSizeIterator<Item = &'a Circuit>,
+) -> Circuit {
     assert_eq!(
         fragment.role,
         FragmentRole::Downstream,
         "wrong fragment role"
     );
     assert_eq!(
-        preparation.len(),
+        preparations.len(),
         fragment.cut_ports.len(),
         "preparation arity"
     );
     let mut c = Circuit::new(fragment.circuit.num_qubits());
-    for (k, &state) in preparation.iter().enumerate() {
-        let prep = prep_circuit(state, c.num_qubits(), fragment.cut_ports[k]);
-        c.extend(&prep);
+    for (prep, &port) in preparations.zip(&fragment.cut_ports) {
+        c.extend_mapped(prep, &[port]);
     }
     c.extend(&fragment.circuit);
     c

@@ -56,6 +56,8 @@ use crate::allocation::ShotSchedule;
 use crate::basis::{encode_meas, encode_prep, BasisPlan};
 use crate::execution::FragmentData;
 use crate::fragment::Fragments;
+use crate::frame::PrepFrame;
+use crate::pipeline::ReconstructionMethod;
 use crate::reconstruction::{downstream_tensor, upstream_tensor, CoefficientTensor};
 use qcut_math::Pauli;
 use qcut_stats::distribution::Distribution;
@@ -111,8 +113,15 @@ pub fn reconstruction_variance(
 ) -> ReconstructionError {
     let up = upstream_tensor(&fragments.upstream, plan, data);
     let down = downstream_tensor(&fragments.downstream, plan, data);
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
     variance_core(fragments, plan, &up, &down, |m| {
-        string_vars(plan, m, &data.upstream_shots, &data.downstream_shots)
+        string_vars(
+            plan,
+            &frame,
+            m,
+            &data.upstream_shots,
+            &data.downstream_shots,
+        )
     })
 }
 
@@ -123,6 +132,7 @@ pub fn reconstruction_variance(
 /// combinations, each contributing `1/N_combo`.
 fn string_vars(
     plan: &BasisPlan,
+    frame: &PrepFrame,
     m: &[Pauli],
     meas_shots: &HashMap<u64, u64>,
     prep_shots: &HashMap<u64, u64>,
@@ -136,17 +146,8 @@ fn string_vars(
         n.max(1) as f64
     };
     let var_a = 1.0 / shots_of(meas_shots, encode_meas(&plan.setting_for(m)));
-    let num_cuts = plan.num_cuts();
-    let pairs: Vec<_> = (0..num_cuts).map(|k| plan.prep_pair(k, m[k])).collect();
     let mut var_d = 0.0;
-    for combo in 0..(1usize << num_cuts) {
-        let states: Vec<_> = pairs
-            .iter()
-            .enumerate()
-            .map(|(k, pair)| pair[(combo >> k) & 1].0)
-            .collect();
-        var_d += 1.0 / shots_of(prep_shots, encode_prep(&states));
-    }
+    frame.for_each_term(m, |key, _| var_d += 1.0 / shots_of(prep_shots, key));
     (var_a, var_d)
 }
 
@@ -203,8 +204,9 @@ pub fn variance_from_schedule(
         .zip(&schedule.downstream)
         .map(|(s, &n)| (encode_prep(s), n))
         .collect();
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
     variance_core(fragments, plan, upstream, downstream, |m| {
-        string_vars(plan, m, &meas_shots, &prep_shots)
+        string_vars(plan, &frame, m, &meas_shots, &prep_shots)
     })
 }
 
@@ -243,8 +245,8 @@ pub struct NeymanScores {
 /// paper's neglection economy applied to *shots* instead of subcircuits.
 ///
 /// The downstream half of a SIC gather is informationally complete and
-/// uniformly read through the frame solve, so the pipeline only consumes
-/// the `upstream` half there (pass the SIC tensor as `downstream`).
+/// every preparation is read alike, so the pipeline only consumes the
+/// `upstream` half there (pass the SIC tensor as `downstream`).
 pub fn neyman_scores(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -253,7 +255,7 @@ pub fn neyman_scores(
 ) -> NeymanScores {
     let n1 = fragments.upstream.num_outputs() as i32;
     let n2 = fragments.downstream.num_outputs() as i32;
-    let num_cuts = plan.num_cuts();
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
     let mut up_contrib: HashMap<u64, f64> = HashMap::new();
     let mut down_contrib: HashMap<u64, f64> = HashMap::new();
     for m in plan.all_recon_strings() {
@@ -263,15 +265,9 @@ pub fn neyman_scores(
         *up_contrib
             .entry(encode_meas(&plan.setting_for(&m)))
             .or_insert(0.0) += 2.0f64.powi(n1) * d_sq;
-        let pairs: Vec<_> = (0..num_cuts).map(|k| plan.prep_pair(k, m[k])).collect();
-        for combo in 0..(1usize << num_cuts) {
-            let states: Vec<_> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, pair)| pair[(combo >> k) & 1].0)
-                .collect();
-            *down_contrib.entry(encode_prep(&states)).or_insert(0.0) += 2.0f64.powi(n2) * a_sq;
-        }
+        frame.for_each_term(&m, |key, _| {
+            *down_contrib.entry(key).or_insert(0.0) += 2.0f64.powi(n2) * a_sq;
+        });
     }
     NeymanScores {
         upstream: plan

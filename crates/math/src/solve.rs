@@ -1,10 +1,9 @@
-//! Small dense linear solves (Gaussian elimination with partial pivoting).
+//! Small dense linear solves (Gaussian elimination with partial pivoting),
+//! for real and complex systems.
 //!
-//! The SIC-basis reconstruction path (paper §II-B: "employing the SICC basis
-//! would require more involved implementation, namely, solving linear
-//! systems") converts measured SIC-preparation coefficients into Pauli
-//! coefficients by inverting a fixed 4×4 frame matrix. A generic solver is
-//! provided for both real and complex systems.
+//! The paper (§II-B) expects the SIC preparation basis to need linear
+//! solves; the reconstruction uses the SIC frame's closed-form expansion
+//! instead, so no workspace crate calls these today.
 
 use crate::complex::Complex;
 use crate::matrix::Matrix;

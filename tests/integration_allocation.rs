@@ -10,12 +10,13 @@
 
 use proptest::prelude::*;
 use qcut::circuit::ansatz::MultiCutAnsatz;
-use qcut::cutting::allocation::{schedule_for_plan, schedule_sic, AllocationError, ShotSchedule};
+use qcut::cutting::allocation::{schedule_for_plan, AllocationError, ShotSchedule};
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::error::PipelineError;
 use qcut::cutting::execution::gather;
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::observable::{pauli_expectation, DiagonalObservable};
+use qcut::cutting::planner::schedule;
 use qcut::cutting::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
 use qcut::cutting::variance::variance_from_schedule;
 use qcut::prelude::*;
@@ -153,8 +154,7 @@ fn offline_sic_gather_is_the_pipelines_gather() {
     use qcut::cutting::jobgraph::Channel;
     use qcut::cutting::pipeline::PostProcess;
     use qcut::cutting::planner::gather_graph;
-    use qcut::cutting::reconstruction::{contract, upstream_tensor};
-    use qcut::cutting::sic::sic_downstream_tensor;
+    use qcut::cutting::reconstruction::{contract, downstream_tensor_for, upstream_tensor};
 
     let shots_per_setting = 2000u64;
     let cases = [
@@ -164,18 +164,19 @@ fn offline_sic_gather_is_the_pipelines_gather() {
     for (circuit, cut) in cases {
         let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
         let basis = BasisPlan::standard(frags.num_cuts);
-        let sched = schedule_sic(&basis, ShotAllocation::Uniform { shots_per_setting }).unwrap();
+        let uniform = ShotAllocation::Uniform { shots_per_setting };
+        let sched = schedule(&basis, ReconstructionMethod::Sic, uniform).unwrap();
         let graph = gather_graph(&frags, &basis, ReconstructionMethod::Sic, &sched, true);
         let mut gathered = graph.execute(&IdealBackend::new(77), true).unwrap();
-        let sic = gathered.take_channel(Channel::SicPrep);
         let data = FragmentData::from_counts(
             gathered.take_channel(Channel::UpstreamMeas),
-            Default::default(),
+            gathered.take_channel(Channel::DownstreamPrep),
             gathered.stats.simulated_device_time,
             gathered.stats.host_time,
         );
         let up = upstream_tensor(&frags.upstream, &basis, &data);
-        let down = sic_downstream_tensor(&frags.downstream, &basis, &sic);
+        let down =
+            downstream_tensor_for(&frags.downstream, &basis, ReconstructionMethod::Sic, &data);
         let offline = contract(&frags, &basis, &up, &down);
 
         let backend = IdealBackend::new(77);
@@ -426,7 +427,7 @@ proptest! {
             ShotAllocation::TotalBudget { total },
             ShotAllocation::WeightedByUsage { total },
         ] {
-            let s = schedule_sic(&plan, alloc).unwrap();
+            let s = schedule(&plan, ReconstructionMethod::Sic, alloc).unwrap();
             prop_assert_eq!(s.upstream.len() as u64, n_up);
             prop_assert_eq!(s.downstream.len() as u64, n_down);
             prop_assert_eq!(s.total(), total, "{:?} lost shots", alloc);
@@ -471,8 +472,9 @@ proptest! {
         let s = schedule_for_plan(&plan, alloc).unwrap();
         prop_assert_eq!(s.total(), total, "eigenstate surrogate lost shots");
         let sic_total = (n_up + n_down_sic) as u64 * budget_per_setting;
-        let s = schedule_sic(
+        let s = schedule(
             &plan,
+            ReconstructionMethod::Sic,
             ShotAllocation::Adaptive { pilot_fraction: 0.5, total: sic_total },
         )
         .unwrap();

@@ -186,3 +186,86 @@ fn report_accounting_is_consistent() {
     let per_job = r.simulated_device_seconds / r.subcircuits_executed as f64;
     assert!(per_job > 1.85 && per_job < 2.6, "per-job time {per_job}");
 }
+
+/// `FailurePolicy::Degrade` cannot salvage a lost SIC preparation: no
+/// basis neglect drops one, so the run fails with the same typed
+/// `PipelineError::Execution` the `Fail` policy raises, naming the lost
+/// preparation and every delivered setting. The eigenstate twin, which
+/// loses `|+>`, salvages the run by neglecting X.
+#[test]
+fn degrade_cannot_salvage_a_lost_sic_preparation() {
+    use qcut::cutting::jobgraph::Channel;
+    use qcut::cutting::tomography::build_downstream_circuit;
+    use qcut::math::SicState;
+    use qcut::sim::basis_change::sic_prep_circuit;
+
+    let shots_per_setting = 4000;
+    let (circuit, cut) = GoldenAnsatz::new(5, 19).build();
+    let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+    let down = &frags.downstream;
+    let mut lost_sic = Circuit::new(down.circuit.num_qubits());
+    lost_sic.extend(&sic_prep_circuit(
+        SicState::S1,
+        down.circuit.num_qubits(),
+        down.cut_ports[0],
+    ));
+    lost_sic.extend(&down.circuit);
+    let options = |method| ExecutionOptions {
+        shots_per_setting,
+        method,
+        failure: FailurePolicy::Degrade,
+        ..Default::default()
+    };
+
+    let backend =
+        FaultInjectingBackend::new(IdealBackend::new(5)).fail_circuit(&lost_sic, u32::MAX);
+    let err = CutExecutor::new(&backend)
+        .run(
+            &circuit,
+            &cut,
+            GoldenPolicy::Disabled,
+            &options(ReconstructionMethod::Sic),
+        )
+        .unwrap_err();
+    let PipelineError::Execution(failure) = err else {
+        panic!("a lost SIC preparation must fail the run, got {err:?}");
+    };
+    // One failed node: the S1 preparation, SIC key 1 (base 4).
+    assert_eq!(failure.failed.len(), 1);
+    let record = &failure.failed[0];
+    assert_eq!(record.consumers.len(), 1);
+    let (prep_channel, lost_key) = record.consumers[0];
+    assert_ne!(prep_channel, Channel::UpstreamMeas);
+    assert_eq!(lost_key, 1);
+    assert_eq!(record.attempts, 1);
+    assert_eq!(record.shots_lost, shots_per_setting);
+    // Delivered: the three upstream settings and the other three SIC
+    // preparations, on the lost preparation's channel.
+    let keys_on = |channel| -> Vec<u64> {
+        failure
+            .succeeded
+            .iter()
+            .filter(|&&(c, _)| c == channel)
+            .map(|&(_, k)| k)
+            .collect()
+    };
+    assert_eq!(keys_on(Channel::UpstreamMeas), vec![0, 1, 2]);
+    assert_eq!(keys_on(prep_channel), vec![0, 2, 3]);
+    assert_eq!(failure.succeeded.len(), 6);
+
+    // The eigenstate twin loses |+> and degrades by neglecting X.
+    let lost_plus = build_downstream_circuit(down, &[PrepState::Xp]);
+    let backend =
+        FaultInjectingBackend::new(IdealBackend::new(5)).fail_circuit(&lost_plus, u32::MAX);
+    let run = CutExecutor::new(&backend)
+        .run(
+            &circuit,
+            &cut,
+            GoldenPolicy::Disabled,
+            &options(ReconstructionMethod::Eigenstate),
+        )
+        .unwrap();
+    assert!(run.report.degraded);
+    assert_eq!(run.report.failures.len(), 1);
+    assert_eq!(run.report.neglected, vec![vec![Pauli::X]]);
+}
