@@ -36,7 +36,7 @@ use qcut_core::basis::BasisPlan;
 use qcut_core::execution::gather;
 use qcut_core::fragment::{Fragmenter, Fragments};
 use qcut_core::golden::GoldenPolicy;
-use qcut_core::pipeline::{CutExecutor, ExecutionOptions};
+use qcut_core::pipeline::{CutExecutor, ExecutionOptions, ReconstructionMethod};
 use qcut_core::reconstruction::{exact_downstream_tensor, exact_upstream_tensor};
 use qcut_core::variance::{neyman_scores, variance_from_schedule};
 use qcut_device::ideal::IdealBackend;
@@ -114,7 +114,7 @@ fn adaptive_schedule(frags: &Fragments, plan: &BasisPlan, total: u64) -> ShotSch
     let data = gather(&backend, frags, plan, &pilot_sched).expect("pilot gather");
     let up = qcut_core::reconstruction::upstream_tensor(&frags.upstream, plan, &data);
     let down = qcut_core::reconstruction::downstream_tensor(&frags.downstream, plan, &data);
-    let scores = neyman_scores(frags, plan, &up, &down);
+    let scores = neyman_scores(frags, plan, ReconstructionMethod::Eigenstate, &up, &down);
     refine_schedule(
         &pilot_sched,
         &scores.upstream,
@@ -136,7 +136,14 @@ fn write_summary() {
 
         let var_per_shot = |sched: &ShotSchedule| {
             assert_eq!(sched.total(), total, "policies must spend identically");
-            let err = variance_from_schedule(&frags, &plan, &up, &down, sched);
+            let err = variance_from_schedule(
+                &frags,
+                &plan,
+                ReconstructionMethod::Eigenstate,
+                &up,
+                &down,
+                sched,
+            );
             let dim = 1u64 << circuit.num_qubits();
             let mean_var: f64 = (0..dim).map(|b| err.variance(b)).sum::<f64>() / dim as f64;
             mean_var * total as f64

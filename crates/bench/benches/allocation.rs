@@ -25,7 +25,7 @@ use qcut_core::allocation::{schedule_for_plan, ShotAllocation};
 use qcut_core::basis::BasisPlan;
 use qcut_core::fragment::Fragmenter;
 use qcut_core::golden::GoldenPolicy;
-use qcut_core::pipeline::{CutExecutor, ExecutionOptions};
+use qcut_core::pipeline::{CutExecutor, ExecutionOptions, ReconstructionMethod};
 use qcut_core::reconstruction::{exact_downstream_tensor, exact_upstream_tensor};
 use qcut_core::variance::variance_from_schedule;
 use qcut_device::ideal::IdealBackend;
@@ -93,7 +93,14 @@ fn write_summary() {
         for (slot, (_, policy)) in var_per_shot.iter_mut().zip(policies(total)) {
             let sched = schedule_for_plan(&plan, policy).expect("budget covers the plan");
             assert_eq!(sched.total(), total, "policies must spend identically");
-            let err = variance_from_schedule(&frags, &plan, &up, &down, &sched);
+            let err = variance_from_schedule(
+                &frags,
+                &plan,
+                ReconstructionMethod::Eigenstate,
+                &up,
+                &down,
+                &sched,
+            );
             let dim = 1u64 << circuit.num_qubits();
             let mean_var: f64 = (0..dim).map(|b| err.variance(b)).sum::<f64>() / dim as f64;
             *slot = mean_var * total as f64;

@@ -48,8 +48,8 @@
 //! );
 //! ```
 
-use crate::basis::{encode_meas, BasisPlan};
-use crate::frame::PrepFrame;
+use crate::basis::BasisPlan;
+use crate::frame::{PrepFrame, TermTable};
 use crate::pipeline::ReconstructionMethod;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -217,26 +217,46 @@ impl ShotSchedule {
     pub fn num_settings(&self) -> usize {
         self.upstream.len() + self.downstream.len()
     }
+
+    /// Per-setting `shots`, upstream first, with `n_up` upstream settings.
+    fn split(mut shots: Vec<u64>, n_up: usize) -> Self {
+        let downstream = shots.split_off(n_up);
+        ShotSchedule {
+            upstream: shots,
+            downstream,
+        }
+    }
 }
 
 /// How many reconstruction strings read each upstream setting and how many
-/// signed prep combinations read each downstream preparation.
+/// signed prep combinations read each downstream eigenstate preparation,
+/// keyed by setting key; a setting nothing reads is absent.
 pub fn usage_counts(plan: &BasisPlan) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
-    usage_in(
-        plan,
-        &PrepFrame::new(ReconstructionMethod::Eigenstate, plan),
+    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
+    let table = TermTable::new(&frame, plan);
+    let (upstream, downstream) = usage_in(&table);
+    let keyed = |keys: &[u64], counts: Vec<u64>| -> HashMap<u64, u64> {
+        keys.iter()
+            .copied()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .collect()
+    };
+    (
+        keyed(&table.upstream_keys, upstream),
+        keyed(&table.downstream_keys, downstream),
     )
 }
 
-/// [`usage_counts`] over the preparations of `frame`.
-fn usage_in(plan: &BasisPlan, frame: &PrepFrame) -> (HashMap<u64, u64>, HashMap<u64, u64>) {
-    let mut upstream: HashMap<u64, u64> = HashMap::new();
-    let mut downstream: HashMap<u64, u64> = HashMap::new();
-    for m in plan.all_recon_strings() {
-        *upstream
-            .entry(encode_meas(&plan.setting_for(&m)))
-            .or_insert(0) += 1;
-        frame.for_each_term(&m, |key, _| *downstream.entry(key).or_insert(0) += 1);
+/// Per upstream and per downstream slot of `table`, how many terms read it.
+fn usage_in(table: &TermTable) -> (Vec<u64>, Vec<u64>) {
+    let mut upstream = vec![0u64; table.upstream_keys.len()];
+    let mut downstream = vec![0u64; table.downstream_keys.len()];
+    for (slot, terms) in &table.rows {
+        upstream[*slot] += 1;
+        for &(slot, _) in terms {
+            downstream[slot] += 1;
+        }
     }
     (upstream, downstream)
 }
@@ -296,13 +316,8 @@ fn schedule_weighted(
     // exact largest-remainder split.
     let spare = total - n_total as u64;
     let weights: Vec<f64> = up_w.iter().chain(down_w).copied().collect();
-    let split = apportion(spare, &weights);
-    let upstream: Vec<u64> = split[..up_w.len()].iter().map(|&s| s + 1).collect();
-    let downstream: Vec<u64> = split[up_w.len()..].iter().map(|&s| s + 1).collect();
-    Ok(ShotSchedule {
-        upstream,
-        downstream,
-    })
+    let split = apportion(spare, &weights).into_iter().map(|s| s + 1);
+    Ok(ShotSchedule::split(split.collect(), up_w.len()))
 }
 
 /// Builds the uniform pilot schedule of a two-round adaptive run: an even
@@ -324,10 +339,7 @@ pub fn pilot_schedule(
         });
     }
     let split = apportion(pilot, &vec![1.0; n_total]);
-    Ok(ShotSchedule {
-        upstream: split[..n_up].to_vec(),
-        downstream: split[n_up..].to_vec(),
-    })
+    Ok(ShotSchedule::split(split, n_up))
 }
 
 /// Folds the refine round into a pilot schedule: `remaining` shots are
@@ -351,20 +363,9 @@ pub fn refine_schedule(
     assert_eq!(pilot.downstream.len(), down_scores.len(), "schedule arity");
     let scores: Vec<f64> = up_scores.iter().chain(down_scores).copied().collect();
     let split = apportion(remaining, &scores);
-    ShotSchedule {
-        upstream: pilot
-            .upstream
-            .iter()
-            .zip(&split[..up_scores.len()])
-            .map(|(&p, &r)| p + r)
-            .collect(),
-        downstream: pilot
-            .downstream
-            .iter()
-            .zip(&split[up_scores.len()..])
-            .map(|(&p, &r)| p + r)
-            .collect(),
-    }
+    let pilot_shots = pilot.upstream.iter().chain(&pilot.downstream);
+    let cumulative = pilot_shots.zip(split).map(|(p, r)| p + r);
+    ShotSchedule::split(cumulative.collect(), up_scores.len())
 }
 
 /// Builds the eigenstate-gather schedule from a [`BasisPlan`]:
@@ -390,29 +391,19 @@ pub(crate) fn schedule_for_frame(
     frame: &PrepFrame,
     allocation: ShotAllocation,
 ) -> Result<ShotSchedule, AllocationError> {
-    let up_keys: Vec<u64> = basis
-        .all_meas_settings()
-        .iter()
-        .map(|s| encode_meas(s))
-        .collect();
-    let down_keys: Vec<u64> = frame.settings().iter().map(|s| frame.key(s)).collect();
-    let n_up = up_keys.len();
-    let n_down = down_keys.len();
+    let table = TermTable::new(frame, basis);
+    let n_up = table.upstream_keys.len();
+    let n_down = table.downstream_keys.len();
     // The static usage weights shared by WeightedByUsage and the
-    // planning-time Adaptive surrogate.
+    // planning-time Adaptive surrogate; a setting no term reads weighs 1.
     let usage_weights = || {
-        let (up_usage, down_usage) = usage_in(basis, frame);
-        let weights = |keys: &[u64], usage: &HashMap<u64, u64>| -> Vec<f64> {
-            keys.iter()
-                .map(|k| usage.get(k).copied().unwrap_or(1) as f64)
-                .collect()
-        };
-        let down_w = if frame.usage_weighted {
-            weights(&down_keys, &down_usage)
-        } else {
-            vec![1.0; n_down]
-        };
-        (weights(&up_keys, &up_usage), down_w)
+        let (up_usage, down_usage) = usage_in(&table);
+        let weights =
+            |usage: Vec<u64>| -> Vec<f64> { usage.into_iter().map(|n| n.max(1) as f64).collect() };
+        (
+            weights(up_usage),
+            frame.downstream_weights(weights(down_usage)),
+        )
     };
     match allocation.normalized() {
         ShotAllocation::Uniform { shots_per_setting } => {
@@ -430,10 +421,7 @@ pub(crate) fn schedule_for_frame(
                 });
             }
             let split = apportion(total, &vec![1.0; n_total]);
-            Ok(ShotSchedule {
-                upstream: split[..n_up].to_vec(),
-                downstream: split[n_up..].to_vec(),
-            })
+            Ok(ShotSchedule::split(split, n_up))
         }
         ShotAllocation::WeightedByUsage { total } => {
             let (up_w, down_w) = usage_weights();
@@ -459,7 +447,7 @@ pub(crate) fn schedule_for_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::encode_prep;
+    use crate::basis::{encode_meas, encode_prep};
     use qcut_math::Pauli;
 
     fn basis_for(golden: bool) -> BasisPlan {

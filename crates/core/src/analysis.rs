@@ -483,28 +483,42 @@ struct AnalysisContext<'a> {
     graph: Option<&'a JobGraph>,
     /// The opened warm-start cache, when one is enabled.
     cache: Option<&'a WarmCache>,
-    /// Whether the backend guarantees deterministic seeding (known only
-    /// on the [`analyze_with_backend`] path — [`analyze`] stays
-    /// backend-free and leaves this `None`, so backend-dependent cache
-    /// lints skip).
-    backend_deterministic: Option<bool>,
+    /// What the backend reports of itself (known only on the
+    /// [`analyze_with_backend`] path — [`analyze`] stays backend-free and
+    /// leaves this `None`, so backend-dependent lints skip).
+    backend: Option<BackendFacts<'a>>,
     /// The retry policy the engine will honor.
     retry: Option<&'a RetryPolicy>,
     /// The failure policy of the run.
     failure: Option<FailurePolicy>,
-    /// Whether the backend deliberately injects faults (known only on the
-    /// [`analyze_with_backend`] path, like
-    /// [`AnalysisContext::backend_deterministic`]).
-    fault_prone: Option<bool>,
-    /// The backend's timing model, for predicting per-job device
-    /// durations against a configured timeout (backend-known path only).
-    timing: Option<&'a TimingModel>,
-    /// The members of the bound [`qcut_device::pool::BackendPool`], when
-    /// the backend is one (backend-known path only; `None` on bare
-    /// backends, `Some(empty)` on an empty pool).
-    pool: Option<Vec<MemberInfo>>,
     /// The analysis configuration (thresholds, overrides).
     config: &'a AnalysisConfig,
+}
+
+/// What the gate queries of its backend, once, without running it.
+struct BackendFacts<'a> {
+    /// Whether the backend guarantees deterministic seeding.
+    deterministic: bool,
+    /// Whether the backend deliberately injects faults.
+    fault_prone: bool,
+    /// The backend's timing model, for predicting per-job device
+    /// durations against a configured timeout.
+    timing: &'a TimingModel,
+    /// The members of the bound [`qcut_device::pool::BackendPool`], when
+    /// the backend is one (`None` on bare backends, `Some(empty)` on an
+    /// empty pool).
+    pool: Option<Vec<MemberInfo>>,
+}
+
+impl<'a> BackendFacts<'a> {
+    fn of<B: Backend + ?Sized>(backend: &'a B) -> Self {
+        BackendFacts {
+            deterministic: backend.deterministic_seeding(),
+            fault_prone: backend.is_fault_prone(),
+            timing: backend.timing(),
+            pool: backend.as_pool().map(|p| p.member_info()),
+        }
+    }
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -523,12 +537,9 @@ impl<'a> AnalysisContext<'a> {
             method: ReconstructionMethod::Eigenstate,
             graph: Some(graph),
             cache: None,
-            backend_deterministic: None,
+            backend: None,
             retry: None,
             failure: None,
-            fault_prone: None,
-            timing: None,
-            pool: None,
             config,
         }
     }
@@ -975,7 +986,7 @@ fn cache_nondeterministic_seeding(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>
     }
     // Backend-free analyze() leaves the discipline unknown: skip, don't
     // guess (a lint must not fire on absent inputs).
-    if ctx.backend_deterministic == Some(false) {
+    if ctx.backend.as_ref().is_some_and(|b| !b.deterministic) {
         sink.report(
             LintCode::CacheNondeterministicSeeding,
             "the warm-start cache is enabled but the backend does not \
@@ -1036,7 +1047,8 @@ fn cache_degraded(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 fn fault_prone_no_retry(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
     // Backend-free analyze() leaves the fault discipline unknown:
     // skip, don't guess.
-    let (Some(true), Some(retry)) = (ctx.fault_prone, ctx.retry) else {
+    let fault_prone = ctx.backend.as_ref().map(|b| b.fault_prone);
+    let (Some(true), Some(retry)) = (fault_prone, ctx.retry) else {
         return;
     };
     if retry.max_attempts <= 1 {
@@ -1052,7 +1064,8 @@ fn fault_prone_no_retry(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 }
 
 fn timeout_below_job_duration(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-    let (Some(graph), Some(timing), Some(retry)) = (ctx.graph, ctx.timing, ctx.retry) else {
+    let timing = ctx.backend.as_ref().map(|b| b.timing);
+    let (Some(graph), Some(timing), Some(retry)) = (ctx.graph, timing, ctx.retry) else {
         return;
     };
     let Some(timeout) = retry.per_job_timeout else {
@@ -1236,8 +1249,13 @@ fn provable_golden_undetected(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 // Pool-layer lints (QA7xx): multi-backend sharding.
 // ---------------------------------------------------------------------
 
+/// The bound pool's members, when the backend is known and is a pool.
+fn pool_members<'c>(ctx: &'c AnalysisContext<'_>) -> Option<&'c [MemberInfo]> {
+    ctx.backend.as_ref()?.pool.as_deref()
+}
+
 fn pool_capacity_infeasible(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-    let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
+    let (Some(graph), Some(members)) = (ctx.graph, pool_members(ctx)) else {
         return;
     };
     let ceiling = members.iter().map(|m| m.capacity).max().unwrap_or(0);
@@ -1266,7 +1284,7 @@ fn pool_capacity_infeasible(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 }
 
 fn pool_idle_member(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-    let (Some(graph), Some(members)) = (ctx.graph, ctx.pool.as_deref()) else {
+    let (Some(graph), Some(members)) = (ctx.graph, pool_members(ctx)) else {
         return;
     };
     let nodes = graph.num_nodes();
@@ -1314,7 +1332,7 @@ fn run_layer(layer: Layer, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 /// so analysis stays cheap at large `K`.
 pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> Diagnostics {
     let mut planned = RunPlan::resolve(circuit, cut, &GoldenPolicy::Disabled);
-    analyze_inner(circuit, cut, options, None, None, None, None, &mut planned)
+    analyze_inner(circuit, cut, options, None, &mut planned)
 }
 
 /// [`analyze`] plus the backend-dependent lints: knowing the backend
@@ -1345,27 +1363,15 @@ pub(crate) fn gate<B: Backend + ?Sized>(
     backend: &B,
     planned: &mut Result<RunPlan, PipelineError>,
 ) -> Diagnostics {
-    analyze_inner(
-        circuit,
-        cut,
-        options,
-        Some(backend.deterministic_seeding()),
-        Some(backend.is_fault_prone()),
-        Some(backend.timing()),
-        backend.as_pool().map(|p| p.member_info()),
-        planned,
-    )
+    let backend = Some(BackendFacts::of(backend));
+    analyze_inner(circuit, cut, options, backend, planned)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn analyze_inner(
     circuit: &Circuit,
     cut: &CutSpec,
     options: &ExecutionOptions,
-    backend_deterministic: Option<bool>,
-    fault_prone: Option<bool>,
-    timing: Option<&TimingModel>,
-    pool: Option<Vec<MemberInfo>>,
+    backend: Option<BackendFacts<'_>>,
     planned: &mut Result<RunPlan, PipelineError>,
 ) -> Diagnostics {
     let config = &options.analysis;
@@ -1394,12 +1400,9 @@ fn analyze_inner(
         method: options.method,
         graph: None,
         cache: options.cache.as_deref(),
-        backend_deterministic,
+        backend,
         retry: Some(&options.retry),
         failure: Some(options.failure),
-        fault_prone,
-        timing,
-        pool,
         config,
     };
     // Cache-configuration and execution-policy lints read no circuit
@@ -1806,12 +1809,9 @@ mod tests {
             method: ReconstructionMethod::Eigenstate,
             graph: None,
             cache: None,
-            backend_deterministic: None,
+            backend: None,
             retry: None,
             failure: None,
-            fault_prone: None,
-            timing: None,
-            pool: None,
             config,
         }
     }

@@ -296,21 +296,6 @@ pub fn decode_prep(mut key: u64, num_cuts: usize) -> Vec<PrepState> {
     setting
 }
 
-/// Dense encoding of a reconstruction Pauli string for map keys.
-pub fn encode_paulis(m: &[Pauli]) -> u64 {
-    let mut key = 0u64;
-    for &p in m.iter().rev() {
-        key = key * 4
-            + match p {
-                Pauli::I => 0,
-                Pauli::X => 1,
-                Pauli::Y => 2,
-                Pauli::Z => 3,
-            };
-    }
-    key
-}
-
 /// Cartesian product of per-position option lists.
 pub(crate) fn cartesian<T: Clone, I: Iterator<Item = Vec<T>>>(options: I) -> Vec<Vec<T>> {
     let mut out: Vec<Vec<T>> = vec![Vec::new()];
@@ -441,12 +426,6 @@ mod tests {
             .map(|s| encode_prep(s))
             .collect();
         assert_eq!(preps.len(), 216);
-        let paulis: std::collections::HashSet<u64> = plan
-            .all_recon_strings()
-            .iter()
-            .map(|m| encode_paulis(m))
-            .collect();
-        assert_eq!(paulis.len(), 64);
     }
 
     #[test]

@@ -397,16 +397,13 @@ pub fn cut_report(circuit: &Circuit, options: &AnalysisConfig) -> CutReport {
                     .collect();
                 let up = exact_upstream_tensor(&frags.upstream, &plan);
                 let down = exact_downstream_tensor(&frags.downstream, &plan);
-                if let Ok(schedule) = schedule(
-                    &plan,
-                    ReconstructionMethod::Eigenstate,
-                    ShotAllocation::TotalBudget {
-                        total: ADVISER_BUDGET,
-                    },
-                ) {
-                    candidate.predicted_rms = Some(
-                        variance_from_schedule(&frags, &plan, &up, &down, &schedule).rms_error(),
-                    );
+                let eigen = ReconstructionMethod::Eigenstate;
+                let budget = ShotAllocation::TotalBudget {
+                    total: ADVISER_BUDGET,
+                };
+                if let Ok(schedule) = schedule(&plan, eigen, budget) {
+                    let error = variance_from_schedule(&frags, &plan, eigen, &up, &down, &schedule);
+                    candidate.predicted_rms = Some(error.rms_error());
                 }
             }
             if candidate.sampling_overhead > options.max_sampling_overhead {

@@ -13,13 +13,16 @@
 //! so no neglect drops one.
 //!
 //! [`PrepFrame`] holds that data for every cut of one basis plan. The job
-//! builder, the schedule, the tensor assembly, degraded salvage and the
-//! analysis gate all read it, so both schemes run the same downstream
-//! path. A setting picks one state per cut; its key lists the states'
-//! indices in the scheme's alphabet, cut 0 least significant
-//! ([`crate::basis::encode_prep`] for eigenstates).
+//! builder, the schedule, degraded salvage and the analysis gate read it,
+//! so both schemes run the same downstream path. A setting picks one
+//! state per cut; its key lists the states' indices in the scheme's
+//! alphabet, cut 0 least significant ([`crate::basis::encode_prep`] for
+//! eigenstates).
+//!
+//! [`TermTable`] is the reconstruction's term list over a frame, which
+//! tensor assembly, shot weights and error bars read by schedule slot.
 
-use crate::basis::{cartesian, BasisPlan};
+use crate::basis::{cartesian, encode_meas, BasisPlan};
 use crate::fragment::Fragment;
 use crate::pipeline::ReconstructionMethod;
 use crate::tomography::prepend_preparations;
@@ -46,8 +49,8 @@ pub(crate) struct PrepFrame {
     /// Every state the scheme prepares; a state's index is its digit in a
     /// setting key.
     alphabet: Vec<Prep>,
-    /// Per cut, the indices of the states the plan prepares, in emission
-    /// order.
+    /// Per cut, the indices of the states the plan prepares, ascending
+    /// (their emission order).
     states: Vec<Vec<usize>>,
     /// Per cut and reconstruction Pauli (indexed `I, X, Y, Z`), the
     /// expansion terms; a neglected Pauli has none.
@@ -55,7 +58,7 @@ pub(crate) struct PrepFrame {
     /// Whether the downstream half of a weighted schedule follows each
     /// preparation's usage (eigenstates) or is uniform (SIC: the frame is
     /// informationally complete, so every preparation counts alike).
-    pub(crate) usage_weighted: bool,
+    usage_weighted: bool,
 }
 
 impl PrepFrame {
@@ -156,35 +159,86 @@ impl PrepFrame {
             .any(|&s| self.alphabet[s].basis.is_none())
     }
 
-    /// Calls `f(key, weight)` for each term of the string `m`: one term
-    /// per combination of its cuts' terms, cut 0 varying fastest, with
-    /// `weight` the product of the coefficients in cut order.
-    pub(crate) fn for_each_term(&self, m: &[Pauli], mut f: impl FnMut(u64, f64)) {
-        let terms: Vec<&[(usize, f64)]> = m
-            .iter()
-            .enumerate()
-            .map(|(k, &p)| self.terms(k, p))
-            .collect();
-        if terms.iter().any(|t| t.is_empty()) {
-            return;
-        }
-        let mut at = vec![0usize; terms.len()];
-        let mut setting = vec![0usize; terms.len()];
-        loop {
-            let mut weight = 1.0f64;
-            for (k, t) in terms.iter().enumerate() {
-                let (state, c) = t[at[k]];
-                setting[k] = state;
-                weight *= c;
-            }
-            f(self.key(&setting), weight);
-            let Some(k) = (0..terms.len()).find(|&k| at[k] + 1 < terms[k].len()) else {
-                return;
-            };
-            at[k] += 1;
-            at[..k].fill(0);
+    /// `weights` for the downstream half of a weighted schedule, or the
+    /// uniform split when the frame's preparations do not follow usage.
+    pub(crate) fn downstream_weights(&self, weights: Vec<f64>) -> Vec<f64> {
+        if self.usage_weighted {
+            weights
+        } else {
+            vec![1.0; weights.len()]
         }
     }
+}
+
+/// The reconstruction's term list (paper Eq. 13/14) of one frame over one
+/// plan. An upstream slot indexes [`BasisPlan::all_meas_settings`] and a
+/// downstream slot [`PrepFrame::settings`], the orders of
+/// [`crate::allocation::ShotSchedule`]. Each slot's engine key is the one
+/// bridge to the histograms the engine delivers.
+#[derive(Debug, Clone)]
+pub(crate) struct TermTable {
+    /// Per string in [`BasisPlan::all_recon_strings`] order: its upstream
+    /// slot and its downstream `(slot, coefficient)` terms, one per
+    /// combination of the cuts' terms with cut 0 varying fastest, the
+    /// coefficient their product in cut order; none when a cut has none.
+    pub(crate) rows: Vec<(usize, Vec<(usize, f64)>)>,
+    /// The engine key of each upstream slot.
+    pub(crate) upstream_keys: Vec<u64>,
+    /// The engine key of each downstream slot.
+    pub(crate) downstream_keys: Vec<u64>,
+}
+
+impl TermTable {
+    /// The term table of `frame` over `plan`.
+    pub(crate) fn new(frame: &PrepFrame, plan: &BasisPlan) -> Self {
+        let rows = upstream_slots(plan)
+            .into_iter()
+            .map(|(slot, m)| {
+                // Each cut's terms join as the outer loop, so cut 0 varies
+                // fastest, and a downstream slot counts in the cuts' state
+                // positions with cut 0 most significant.
+                let mut terms = vec![(0usize, 1.0f64)];
+                for (k, &p) in m.iter().enumerate() {
+                    let states = &frame.states[k];
+                    // `states` is ascending: a position counts the states below.
+                    let at = |s: usize| states.partition_point(|&x| x < s);
+                    let join = |&(s, c): &(usize, f64)| {
+                        let at = at(s);
+                        terms
+                            .iter()
+                            .map(move |&(o, w)| (o * states.len() + at, w * c))
+                    };
+                    terms = frame.terms(k, p).iter().flat_map(join).collect();
+                }
+                (slot, terms)
+            })
+            .collect();
+        let upstream_keys = plan
+            .all_meas_settings()
+            .into_iter()
+            .map(|s| encode_meas(&s));
+        TermTable {
+            rows,
+            upstream_keys: upstream_keys.collect(),
+            downstream_keys: frame.settings().iter().map(|s| frame.key(s)).collect(),
+        }
+    }
+}
+
+/// Each reconstruction string of `plan`, in
+/// [`BasisPlan::all_recon_strings`] order, after its upstream slot: the
+/// index of [`BasisPlan::setting_for`] in [`BasisPlan::all_meas_settings`].
+pub(crate) fn upstream_slots(plan: &BasisPlan) -> Vec<(usize, Vec<Pauli>)> {
+    let bases: Vec<_> = (0..plan.num_cuts()).map(|k| plan.meas_bases(k)).collect();
+    let slot = |m: &[Pauli]| {
+        // Cut 0 most significant; `meas_bases` is ascending.
+        let setting = plan.setting_for(m).into_iter().zip(&bases);
+        setting.fold(0, |slot, (b, avail)| {
+            slot * avail.len() + avail.partition_point(|&a| a < b)
+        })
+    };
+    let strings = plan.all_recon_strings().into_iter();
+    strings.map(|m| (slot(&m), m)).collect()
 }
 
 /// The terms of each of `plan`'s reconstruction Paulis at cut `k`.
@@ -282,6 +336,62 @@ mod tests {
                                 plan.neglected()
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every row of the term table names the data it reads: its upstream
+    /// slot is the string's measurement setting, and its downstream terms
+    /// are exactly the combinations of the cuts' frame terms, cut 0
+    /// fastest, each slot the setting of those states. Both frames, two
+    /// cuts, every neglect pattern of none, one or two bases per cut.
+    #[test]
+    fn term_table_slots_name_the_settings_they_read() {
+        use crate::basis::encode_meas;
+        let patterns: Vec<Vec<Pauli>> = vec![
+            vec![],
+            vec![Pauli::X],
+            vec![Pauli::Y],
+            vec![Pauli::Z],
+            vec![Pauli::X, Pauli::Y],
+            vec![Pauli::X, Pauli::Z],
+            vec![Pauli::Y, Pauli::Z],
+        ];
+        for first in &patterns {
+            for second in &patterns {
+                let mut plan = BasisPlan::standard(2);
+                for (cut, pattern) in [first, second].into_iter().enumerate() {
+                    for &p in pattern {
+                        plan.neglect(cut, p);
+                    }
+                }
+                let meas = plan.all_meas_settings();
+                for method in METHODS {
+                    let frame = PrepFrame::new(method, &plan);
+                    let settings = frame.settings();
+                    let table = TermTable::new(&frame, &plan);
+                    let keys: Vec<u64> = settings.iter().map(|s| frame.key(s)).collect();
+                    assert_eq!(table.downstream_keys, keys);
+                    let strings = plan.all_recon_strings();
+                    assert_eq!(table.rows.len(), strings.len());
+                    for (m, (up, terms)) in strings.iter().zip(&table.rows) {
+                        assert_eq!(meas[*up], plan.setting_for(m), "{method:?} {m:?}");
+                        assert_eq!(table.upstream_keys[*up], encode_meas(&meas[*up]));
+                        let (t0, t1) = (frame.terms(0, m[0]), frame.terms(1, m[1]));
+                        let want: Vec<(Vec<usize>, f64)> = t1
+                            .iter()
+                            .flat_map(|&(s1, c1)| {
+                                t0.iter()
+                                    .map(move |&(s0, c0)| (vec![s0, s1], 1.0 * c0 * c1))
+                            })
+                            .collect();
+                        let got: Vec<(Vec<usize>, f64)> = terms
+                            .iter()
+                            .map(|&(slot, c)| (settings[slot].clone(), c))
+                            .collect();
+                        assert_eq!(got, want, "{method:?} {m:?} (plan {:?})", plan.neglected());
                     }
                 }
             }

@@ -37,7 +37,7 @@ use crate::basis::{decode_meas, encode_meas, BasisPlan};
 use crate::error::{ExecutionFailure, PipelineError};
 use crate::execution::FragmentData;
 use crate::fragment::Fragments;
-use crate::frame::PrepFrame;
+use crate::frame::{PrepFrame, TermTable};
 use crate::golden::{GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector};
 use crate::jobgraph::{Channel, ConsumerKey, GraphFailure, GraphStats, JobGraph, NodeFailure};
 use crate::planner::{gather_graph, uncut_graph, RunPlan};
@@ -557,15 +557,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             let unsalvageable = || execution_failure(&failures, &upstream, &downstream);
             let frame = PrepFrame::new(options.method, &plan);
             let salvaged = degrade_plan(&plan, &frame, &failures).ok_or_else(unsalvageable)?;
-            let frame = PrepFrame::new(options.method, &salvaged);
-            let covered = salvaged
-                .all_meas_settings()
-                .iter()
-                .all(|s| upstream.contains_key(&encode_meas(s)))
-                && frame
-                    .settings()
-                    .iter()
-                    .all(|s| downstream.contains_key(&frame.key(s)));
+            let table = TermTable::new(&PrepFrame::new(options.method, &salvaged), &salvaged);
+            let covered = table.upstream_keys.iter().all(|k| upstream.contains_key(k))
+                && (table.downstream_keys.iter()).all(|k| downstream.contains_key(k));
             if !covered {
                 return Err(unsalvageable());
             }
@@ -852,16 +846,10 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             let up = upstream_tensor(&fragments.upstream, plan, &pilot_data);
             let down =
                 downstream_tensor_for(&fragments.downstream, plan, options.method, &pilot_data);
-            let scores = neyman_scores(fragments, plan, &up, &down);
-            // A frame whose preparations are not usage-weighted (SIC:
-            // informationally complete, every preparation read alike)
-            // skews only the upstream half, the same rule as
-            // WeightedByUsage.
-            if frame.usage_weighted {
-                (scores.upstream, scores.downstream)
-            } else {
-                (scores.upstream, vec![1.0; n_down])
-            }
+            let scores = neyman_scores(fragments, plan, options.method, &up, &down);
+            // The same downstream rule as WeightedByUsage: a frame whose
+            // preparations are not usage-weighted (SIC) splits evenly.
+            (scores.upstream, frame.downstream_weights(scores.downstream))
         };
 
         // Round 2. With dedup on, the refine round requests the
@@ -889,20 +877,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 failures,
             )?
         } else {
-            let increments = ShotSchedule {
-                upstream: cumulative
-                    .upstream
-                    .iter()
-                    .zip(&pilot_sched.upstream)
-                    .map(|(&c, &p)| c - p)
-                    .collect(),
-                downstream: cumulative
-                    .downstream
-                    .iter()
-                    .zip(&pilot_sched.downstream)
-                    .map(|(&c, &p)| c - p)
-                    .collect(),
-            };
+            // The refine split alone: the same apportionment over no pilot.
+            let none = ShotSchedule::uniform(n_up, n_down, 0);
+            let increments = refine_schedule(&none, &up_scores, &down_scores, total - pilot);
             let mut run = self.execute_round(
                 gather_graph(fragments, plan, options.method, &increments, options.dedup),
                 options,

@@ -33,30 +33,45 @@
 //! are provided both for unit-testing the identity and for the exact
 //! golden-point detector.
 
-use crate::basis::{encode_meas, encode_paulis, BasisPlan};
+use crate::basis::{encode_meas, BasisPlan, MeasBasis};
 use crate::execution::FragmentData;
 use crate::fragment::{Fragment, FragmentRole, Fragments};
-use crate::frame::PrepFrame;
+use crate::frame::{upstream_slots, PrepFrame, TermTable};
 use crate::pipeline::ReconstructionMethod;
 use crate::tomography::build_upstream_circuit;
 use qcut_math::Pauli;
 use qcut_sim::statevector::StateVector;
 use qcut_stats::distribution::Distribution;
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// Coefficient vectors per reconstruction Pauli string.
 #[derive(Debug, Clone)]
 pub struct CoefficientTensor {
-    /// `encode_paulis(M)` → vector over output bitstrings.
-    entries: HashMap<u64, Vec<f64>>,
+    /// Per cut, the reconstruction Paulis of the plan it was built for.
+    paulis: Vec<Vec<Pauli>>,
+    /// One vector over output bitstrings per string, in
+    /// [`BasisPlan::all_recon_strings`] order.
+    vectors: Vec<Vec<f64>>,
     num_outputs: usize,
+}
+
+/// Per cut, `plan`'s reconstruction Paulis.
+fn recon_paulis(plan: &BasisPlan) -> Vec<Vec<Pauli>> {
+    (0..plan.num_cuts()).map(|k| plan.recon_paulis(k)).collect()
 }
 
 impl CoefficientTensor {
     /// The coefficient vector for a Pauli string.
     pub fn get(&self, m: &[Pauli]) -> Option<&[f64]> {
-        self.entries.get(&encode_paulis(m)).map(|v| v.as_slice())
+        // The string's index in cartesian order, cut 0 most significant.
+        (m.len() == self.paulis.len()).then_some(())?;
+        let index = m
+            .iter()
+            .zip(&self.paulis)
+            .try_fold(0, |index, (p, paulis)| {
+                Some(index * paulis.len() + paulis.iter().position(|q| q == p)?)
+            })?;
+        Some(&self.vectors[index])
     }
 
     /// Number of output bits (`b` index width).
@@ -66,7 +81,7 @@ impl CoefficientTensor {
 
     /// Number of stored Pauli strings.
     pub fn num_strings(&self) -> usize {
-        self.entries.len()
+        self.vectors.len()
     }
 
     /// Largest absolute coefficient for a given string (used by golden
@@ -76,6 +91,26 @@ impl CoefficientTensor {
             .map(|v| v.iter().fold(0.0f64, |a, &x| a.max(x.abs())))
             .unwrap_or(0.0)
     }
+}
+
+/// The `(upstream, downstream)` vectors of each of `plan`'s strings, in
+/// [`BasisPlan::all_recon_strings`] order.
+///
+/// # Panics
+/// Panics when either tensor was built for another plan.
+pub(crate) fn string_vectors<'t>(
+    plan: &BasisPlan,
+    upstream: &'t CoefficientTensor,
+    downstream: &'t CoefficientTensor,
+) -> impl Iterator<Item = (&'t [f64], &'t [f64])> {
+    let paulis = recon_paulis(plan);
+    assert!(
+        upstream.paulis == paulis && downstream.paulis == paulis,
+        "coefficient tensors built for another plan than {:?}",
+        plan.neglected()
+    );
+    let up = upstream.vectors.iter().map(Vec::as_slice);
+    up.zip(downstream.vectors.iter().map(Vec::as_slice))
 }
 
 /// Dense joint outcome table of one upstream setting: entry
@@ -101,86 +136,79 @@ pub fn upstream_tensor(
     plan: &BasisPlan,
     data: &FragmentData,
 ) -> CoefficientTensor {
-    assert_eq!(fragment.role, FragmentRole::Upstream);
-    let joints: HashMap<u64, Joint> = plan
-        .all_meas_settings()
-        .iter()
-        .map(|setting| {
-            let key = encode_meas(setting);
-            let counts = data
-                .upstream
-                .get(&key)
-                .unwrap_or_else(|| panic!("missing upstream counts for setting {setting:?}"));
-            let total = counts.total().max(1) as f64;
-            // Tally integer counts first, so outcomes that differ only in
-            // unread qubits merge exactly before the division.
-            let mut tally = vec![0u64; joint_len(fragment)];
-            for (bits, n) in counts.iter() {
-                tally[joint_index(fragment, bits)] += n;
-            }
-            let joint = tally.into_iter().map(|n| n as f64 / total).collect();
-            (key, joint)
-        })
-        .collect();
-    assemble_upstream(fragment, plan, &joints)
+    assemble_upstream(fragment, plan, |setting| {
+        let counts = data
+            .upstream
+            .get(&encode_meas(setting))
+            .unwrap_or_else(|| panic!("missing upstream counts for setting {setting:?}"));
+        let total = counts.total().max(1) as f64;
+        // Tally integer counts first, so outcomes that differ only in
+        // unread qubits merge exactly before the division.
+        let mut tally = vec![0u64; joint_len(fragment)];
+        for (bits, n) in counts.iter() {
+            tally[joint_index(fragment, bits)] += n;
+        }
+        tally.into_iter().map(|n| n as f64 / total).collect()
+    })
 }
 
 /// Builds the upstream tensor exactly via state-vector simulation.
 pub fn exact_upstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> CoefficientTensor {
-    assert_eq!(fragment.role, FragmentRole::Upstream);
-    let joints: HashMap<u64, Joint> = plan
-        .all_meas_settings()
-        .iter()
-        .map(|setting| {
-            let circuit = build_upstream_circuit(fragment, setting);
-            let probs = StateVector::from_circuit(&circuit).probabilities();
-            let mut joint = vec![0.0f64; joint_len(fragment)];
-            for (idx, &p) in probs.iter().enumerate() {
-                if p <= 0.0 {
-                    continue;
-                }
-                joint[joint_index(fragment, idx as u64)] += p;
+    assemble_upstream(fragment, plan, |setting| {
+        let circuit = build_upstream_circuit(fragment, setting);
+        let probs = StateVector::from_circuit(&circuit).probabilities();
+        let mut joint = vec![0.0f64; joint_len(fragment)];
+        for (idx, &p) in probs.iter().enumerate() {
+            if p <= 0.0 {
+                continue;
             }
-            (encode_meas(setting), joint)
-        })
-        .collect();
-    assemble_upstream(fragment, plan, &joints)
+            joint[joint_index(fragment, idx as u64)] += p;
+        }
+        joint
+    })
 }
 
+/// `A[M][b1] = Σ_r (Π_k r_k) · joint(b1, r)` over the joint table of each
+/// string's upstream slot, `joint_of` giving each setting's table.
 fn assemble_upstream(
     fragment: &Fragment,
     plan: &BasisPlan,
-    joints: &HashMap<u64, Joint>,
+    joint_of: impl Fn(&[MeasBasis]) -> Joint,
 ) -> CoefficientTensor {
-    let n1 = fragment.num_outputs();
+    assert_eq!(fragment.role, FragmentRole::Upstream);
+    let joints: Vec<Joint> = plan
+        .all_meas_settings()
+        .iter()
+        .map(|s| joint_of(s))
+        .collect();
     let row_len = 1usize << fragment.cut_ports.len();
-    let mut entries = HashMap::new();
-    for m in plan.all_recon_strings() {
-        let setting = plan.setting_for(&m);
-        let joint = &joints[&encode_meas(&setting)];
-        // Cut outcome bits whose eigenvalue enters the sign: `M_k ≠ I`.
-        let signed = m
-            .iter()
-            .enumerate()
-            .filter(|&(_, &pauli)| pauli != Pauli::I)
-            .fold(0usize, |mask, (k, _)| mask | (1 << k));
-        let vec = joint
-            .chunks_exact(row_len)
-            .map(|row| {
-                row.iter().enumerate().fold(0.0f64, |acc, (r, &p)| {
-                    if (r & signed).count_ones() % 2 == 1 {
-                        acc - p
-                    } else {
-                        acc + p
-                    }
+    let vectors = upstream_slots(plan)
+        .into_iter()
+        .map(|(slot, m)| {
+            // Cut outcome bits whose eigenvalue enters the sign: `M_k ≠ I`.
+            let signed = m
+                .iter()
+                .enumerate()
+                .filter(|&(_, &pauli)| pauli != Pauli::I)
+                .fold(0usize, |mask, (k, _)| mask | (1 << k));
+            joints[slot]
+                .chunks_exact(row_len)
+                .map(|row| {
+                    row.iter().enumerate().fold(0.0f64, |acc, (r, &p)| {
+                        if (r & signed).count_ones() % 2 == 1 {
+                            acc - p
+                        } else {
+                            acc + p
+                        }
+                    })
                 })
-            })
-            .collect();
-        entries.insert(encode_paulis(&m), vec);
-    }
+                .collect()
+        })
+        .collect();
     CoefficientTensor {
-        entries,
-        num_outputs: n1,
+        paulis: recon_paulis(plan),
+        vectors,
+        num_outputs: fragment.num_outputs(),
     }
 }
 
@@ -203,21 +231,14 @@ pub fn downstream_tensor_for(
     method: ReconstructionMethod,
     data: &FragmentData,
 ) -> CoefficientTensor {
-    assert_eq!(fragment.role, FragmentRole::Downstream);
-    let frame = PrepFrame::new(method, plan);
-    let dists: HashMap<u64, Vec<f64>> = frame
-        .settings()
-        .iter()
-        .map(|setting| {
-            let key = frame.key(setting);
-            let counts = data.downstream.get(&key).unwrap_or_else(|| {
-                panic!("missing downstream counts for preparation {setting:?} (key {key})")
-            });
-            let d = counts.marginal(&fragment.output_locals).to_distribution();
-            (key, d.values().to_vec())
-        })
-        .collect();
-    assemble_downstream(fragment, plan, &frame, &dists)
+    assemble_downstream(fragment, plan, method, |frame, setting| {
+        let key = frame.key(setting);
+        let counts = data.downstream.get(&key).unwrap_or_else(|| {
+            panic!("missing downstream counts for preparation {setting:?} (key {key})")
+        });
+        let d = counts.marginal(&fragment.output_locals).to_distribution();
+        d.values().to_vec()
+    })
 }
 
 /// Builds the eigenstate downstream tensor exactly via state-vector
@@ -233,50 +254,51 @@ pub fn exact_downstream_tensor_for(
     plan: &BasisPlan,
     method: ReconstructionMethod,
 ) -> CoefficientTensor {
-    assert_eq!(fragment.role, FragmentRole::Downstream);
-    let frame = PrepFrame::new(method, plan);
-    let dists: HashMap<u64, Vec<f64>> = frame
-        .settings()
-        .iter()
-        .map(|setting| {
-            let circuit = frame.circuit(fragment, setting);
-            let probs = StateVector::from_circuit(&circuit).probabilities();
-            // Reorder full-width probabilities into output order.
-            let dim = 1usize << fragment.num_outputs();
-            let mut out = vec![0.0f64; dim];
-            for (idx, &p) in probs.iter().enumerate() {
-                let b2 = extract_bits(idx as u64, &fragment.output_locals);
-                out[b2 as usize] += p;
-            }
-            (frame.key(setting), out)
-        })
-        .collect();
-    assemble_downstream(fragment, plan, &frame, &dists)
+    assemble_downstream(fragment, plan, method, |frame, setting| {
+        let circuit = frame.circuit(fragment, setting);
+        let probs = StateVector::from_circuit(&circuit).probabilities();
+        // Reorder full-width probabilities into output order.
+        let mut out = vec![0.0f64; 1 << fragment.num_outputs()];
+        for (idx, &p) in probs.iter().enumerate() {
+            out[extract_bits(idx as u64, &fragment.output_locals) as usize] += p;
+        }
+        out
+    })
 }
 
 /// `D[M][b2] = Σ (Π_k c_k) · P(b2 | setting)` over the frame's terms of
-/// each string `M`, summed with cut 0 varying fastest.
+/// each string `M`, summed with cut 0 varying fastest; `dist_of` gives
+/// each preparation setting's output distribution.
 fn assemble_downstream(
     fragment: &Fragment,
     plan: &BasisPlan,
-    frame: &PrepFrame,
-    dists: &HashMap<u64, Vec<f64>>,
+    method: ReconstructionMethod,
+    dist_of: impl Fn(&PrepFrame, &[usize]) -> Vec<f64>,
 ) -> CoefficientTensor {
-    let n2 = fragment.num_outputs();
-    let dim = 1usize << n2;
-    let mut entries = HashMap::new();
-    for m in plan.all_recon_strings() {
-        let mut vec = vec![0.0f64; dim];
-        frame.for_each_term(&m, |key, weight| {
-            for (slot, &p) in vec.iter_mut().zip(&dists[&key]) {
-                *slot += weight * p;
+    assert_eq!(fragment.role, FragmentRole::Downstream);
+    let frame = PrepFrame::new(method, plan);
+    let dists: Vec<Vec<f64>> = frame
+        .settings()
+        .iter()
+        .map(|s| dist_of(&frame, s))
+        .collect();
+    let vectors = TermTable::new(&frame, plan)
+        .rows
+        .iter()
+        .map(|(_, terms)| {
+            let mut vec = vec![0.0f64; 1 << fragment.num_outputs()];
+            for &(slot, weight) in terms {
+                for (out, &p) in vec.iter_mut().zip(&dists[slot]) {
+                    *out += weight * p;
+                }
             }
-        });
-        entries.insert(encode_paulis(&m), vec);
-    }
+            vec
+        })
+        .collect();
     CoefficientTensor {
-        entries,
-        num_outputs: n2,
+        paulis: recon_paulis(plan),
+        vectors,
+        num_outputs: fragment.num_outputs(),
     }
 }
 
@@ -329,20 +351,10 @@ pub fn contract(
     let run = 1usize << leading_run(run_globals).min(low_bits);
 
     let scale = 0.5f64.powi(plan.num_cuts() as i32);
-    // Pre-resolve the tensor vectors in string order, as (rows, scalars):
-    // rows from the run fragment, scalars from the other one.
-    let terms: Vec<(&[f64], &[f64])> = plan
-        .all_recon_strings()
-        .iter()
-        .map(|m| {
-            let a = upstream.get(m).expect("upstream tensor entry");
-            let d = downstream.get(m).expect("downstream tensor entry");
-            if upstream_runs {
-                (a, d)
-            } else {
-                (d, a)
-            }
-        })
+    // The tensor vectors in string order, as (rows, scalars): rows from the
+    // run fragment, scalars from the other one.
+    let terms: Vec<(&[f64], &[f64])> = string_vectors(plan, upstream, downstream)
+        .map(|(a, d)| if upstream_runs { (a, d) } else { (d, a) })
         .collect();
 
     // `extract_bits` is an OR over bits, so `b(x) = b(x_lo) | b(x_hi)`:

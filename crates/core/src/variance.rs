@@ -21,8 +21,11 @@
 //! setting or preparation; we bound those conservatively by accumulating
 //! per-setting contributions coherently (an upper-bound flavour suitable
 //! for error bars). Per-coefficient variances come from the multinomial:
-//! a signed-sum coefficient estimated from `N` shots has
-//! `Var ≤ (1 − coeff²)/N ≤ 1/N`.
+//! the upstream signed-sum coefficient estimated from `N` shots has
+//! `Var[A] ≤ (1 − A²)/N ≤ 1/N`, and the downstream coefficient, a sum of
+//! preparation terms `c · P̂` over the run's frame, has
+//! `Var[D] ≤ Σ c²/N` over its terms (`c = ±1` for eigenstate pairs, the
+//! closed-form SIC coefficients for SIC).
 //!
 //! The estimate is validated against the empirical trial-to-trial variance
 //! in the tests below. The same machinery scores candidate schedules
@@ -53,13 +56,14 @@
 //! ```
 
 use crate::allocation::ShotSchedule;
-use crate::basis::{encode_meas, encode_prep, BasisPlan};
+use crate::basis::BasisPlan;
 use crate::execution::FragmentData;
 use crate::fragment::Fragments;
-use crate::frame::PrepFrame;
+use crate::frame::{PrepFrame, TermTable};
 use crate::pipeline::ReconstructionMethod;
-use crate::reconstruction::{downstream_tensor, upstream_tensor, CoefficientTensor};
-use qcut_math::Pauli;
+use crate::reconstruction::{
+    downstream_tensor_for, string_vectors, upstream_tensor, CoefficientTensor,
+};
 use qcut_stats::distribution::Distribution;
 use std::collections::HashMap;
 
@@ -98,8 +102,8 @@ impl ReconstructionError {
     }
 }
 
-/// Estimates the shot-noise variance of [`crate::reconstruction::reconstruct`]'s
-/// output, from the same fragment data.
+/// Estimates the shot-noise variance of the reconstruction from `data`,
+/// gathered with the downstream preparations of `method`.
 ///
 /// Per-string variances come from the *realized* per-setting shot counts
 /// in `data` (the delivered histogram totals), so the estimate stays
@@ -109,50 +113,50 @@ impl ReconstructionError {
 pub fn reconstruction_variance(
     fragments: &Fragments,
     plan: &BasisPlan,
+    method: ReconstructionMethod,
     data: &FragmentData,
 ) -> ReconstructionError {
     let up = upstream_tensor(&fragments.upstream, plan, data);
-    let down = downstream_tensor(&fragments.downstream, plan, data);
-    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
-    variance_core(fragments, plan, &up, &down, |m| {
-        string_vars(
-            plan,
-            &frame,
-            m,
-            &data.upstream_shots,
-            &data.downstream_shots,
-        )
+    let down = downstream_tensor_for(&fragments.downstream, plan, method, data);
+    let table = TermTable::new(&PrepFrame::new(method, plan), plan);
+    // A missing setting is a plan/data mismatch — fail loudly like the
+    // tensor builders do, instead of silently returning 1-shot variance.
+    let shots = |keys: &[u64], record: &HashMap<u64, u64>| -> Vec<u64> {
+        keys.iter()
+            .map(|key| {
+                *record
+                    .get(key)
+                    .unwrap_or_else(|| panic!("missing shot record for setting key {key}"))
+            })
+            .collect()
+    };
+    let meas_shots = shots(&table.upstream_keys, &data.upstream_shots);
+    let prep_shots = shots(&table.downstream_keys, &data.downstream_shots);
+    let vars = string_vars(&table, &meas_shots, &prep_shots);
+    variance_core(fragments, plan, &up, &down, vars)
+}
+
+/// Each string's variance pair `(Var[A], Var[D])` under per-slot shot
+/// counts: the upstream coefficient is estimated from its measurement
+/// setting's `N` shots (`Var ≤ 1/N`); the downstream coefficient is a
+/// weighted sum over its preparation terms, each term `c · P̂` adding
+/// `c²/N`.
+fn string_vars<'a>(
+    table: &'a TermTable,
+    meas_shots: &'a [u64],
+    prep_shots: &'a [u64],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    let shots = |n: u64| n.max(1) as f64;
+    table.rows.iter().map(move |(slot, terms)| {
+        let var_d = terms
+            .iter()
+            .fold(0.0, |var, &(p, c)| var + c * c / shots(prep_shots[p]));
+        (1.0 / shots(meas_shots[*slot]), var_d)
     })
 }
 
-/// The per-string variance pair `(Var[A], Var[D])` under explicit
-/// per-setting shot counts: the upstream coefficient of string `m` is
-/// estimated from its measurement setting's `N` shots (`Var ≤ 1/N`); the
-/// downstream coefficient is a signed sum over the string's `2^K` prep
-/// combinations, each contributing `1/N_combo`.
-fn string_vars(
-    plan: &BasisPlan,
-    frame: &PrepFrame,
-    m: &[Pauli],
-    meas_shots: &HashMap<u64, u64>,
-    prep_shots: &HashMap<u64, u64>,
-) -> (f64, f64) {
-    // A missing setting is a plan/data mismatch — fail loudly like the
-    // tensor builders do, instead of silently returning 1-shot variance.
-    let shots_of = |map: &HashMap<u64, u64>, key: u64| -> f64 {
-        let n = *map
-            .get(&key)
-            .unwrap_or_else(|| panic!("missing shot record for setting key {key} of {m:?}"));
-        n.max(1) as f64
-    };
-    let var_a = 1.0 / shots_of(meas_shots, encode_meas(&plan.setting_for(m)));
-    let mut var_d = 0.0;
-    frame.for_each_term(m, |key, _| var_d += 1.0 / shots_of(prep_shots, key));
-    (var_a, var_d)
-}
-
 /// Variance estimate from explicit tensors and a (uniform) per-setting shot
-/// budget.
+/// budget, for eigenstate preparations.
 pub fn variance_from_tensors(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -167,72 +171,57 @@ pub fn variance_from_tensors(
     let k = plan.num_cuts() as i32;
     let var_a = 1.0 / shots;
     let var_d = 2.0f64.powi(k) / shots;
-    variance_core(fragments, plan, upstream, downstream, |_| (var_a, var_d))
+    let vars = std::iter::repeat((var_a, var_d));
+    variance_core(fragments, plan, upstream, downstream, vars)
 }
 
 /// Variance estimate from explicit tensors and a *requested* per-setting
-/// schedule (aligned with the plan's enumerations, as produced by
-/// [`crate::allocation::schedule_for_plan`]). Deterministic given exact
-/// tensors — the planning-time counterpart of [`reconstruction_variance`],
-/// used to compare allocation policies before anything executes.
+/// schedule for the preparations of `method` (aligned with the plan's
+/// enumerations, as produced by [`crate::allocation::schedule_for_plan`]
+/// or [`crate::planner::schedule`]). Deterministic given exact tensors —
+/// the planning-time counterpart of [`reconstruction_variance`], used to
+/// compare allocation policies before anything executes.
 pub fn variance_from_schedule(
     fragments: &Fragments,
     plan: &BasisPlan,
+    method: ReconstructionMethod,
     upstream: &CoefficientTensor,
     downstream: &CoefficientTensor,
     schedule: &ShotSchedule,
 ) -> ReconstructionError {
-    let meas_settings = plan.all_meas_settings();
-    let prep_settings = plan.all_prep_settings();
-    assert_eq!(
-        schedule.upstream.len(),
-        meas_settings.len(),
-        "schedule arity"
-    );
-    assert_eq!(
-        schedule.downstream.len(),
-        prep_settings.len(),
-        "schedule arity"
-    );
-    let meas_shots: HashMap<u64, u64> = meas_settings
-        .iter()
-        .zip(&schedule.upstream)
-        .map(|(s, &n)| (encode_meas(s), n))
-        .collect();
-    let prep_shots: HashMap<u64, u64> = prep_settings
-        .iter()
-        .zip(&schedule.downstream)
-        .map(|(s, &n)| (encode_prep(s), n))
-        .collect();
-    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
-    variance_core(fragments, plan, upstream, downstream, |m| {
-        string_vars(plan, &frame, m, &meas_shots, &prep_shots)
-    })
+    let table = TermTable::new(&PrepFrame::new(method, plan), plan);
+    let arity = (table.upstream_keys.len(), table.downstream_keys.len());
+    let scheduled = (schedule.upstream.len(), schedule.downstream.len());
+    assert_eq!(scheduled, arity, "schedule arity");
+    let vars = string_vars(&table, &schedule.upstream, &schedule.downstream);
+    variance_core(fragments, plan, upstream, downstream, vars)
 }
 
 /// Per-setting Neyman scores for the two-round adaptive allocation,
-/// aligned with [`BasisPlan::all_meas_settings`] /
-/// [`BasisPlan::all_prep_settings`] order.
+/// aligned with [`BasisPlan::all_meas_settings`] and the preparation
+/// settings of the run's scheme (the order of
+/// [`crate::allocation::ShotSchedule`]).
 #[derive(Debug, Clone)]
 pub struct NeymanScores {
     /// One score per upstream measurement setting.
     pub upstream: Vec<f64>,
-    /// One score per downstream eigenstate preparation.
+    /// One score per downstream preparation setting.
     pub downstream: Vec<f64>,
 }
 
 /// Scores each setting's first-order contribution to the reconstruction
-/// variance, from (pilot-)empirical tensors.
+/// variance, from (pilot-)empirical tensors, for the preparations of
+/// `method`.
 ///
 /// Under the same per-coefficient model [`variance_from_schedule`]
-/// evaluates (`Var[Â_M] ≤ 1/N_setting`, `Var[D̂_M] ≤ Σ_combo 1/N_prep`),
+/// evaluates (`Var[Â_M] ≤ 1/N_setting`, `Var[D̂_M] ≤ Σ_term c²/N_prep`),
 /// the total variance is — up to the second-order `Var·Var` cross term —
 /// *linear in the per-setting `1/N`*:
 ///
 /// ```text
 /// Σ_b Var[p̂(b)] ≈ 4^{-K} ( Σ_s c_s/N_s + Σ_p c_p/N_p )
-/// c_s = 2^{n1} Σ_{M ∈ s}        ‖D̂[M]‖²     (upstream setting s)
-/// c_p = 2^{n2} Σ_{(M,combo) ∋ p} ‖Â[M]‖²     (downstream prep p)
+/// c_s = 2^{n1} Σ_{M ∈ s}             ‖D̂[M]‖²   (upstream setting s)
+/// c_p = 2^{n2} Σ_{(M,term) ∋ p} c² ‖Â[M]‖²   (downstream prep p)
 /// ```
 ///
 /// Minimising that subject to a fixed `Σ N` is the classic Neyman
@@ -243,66 +232,45 @@ pub struct NeymanScores {
 /// consuming strings have (near-)vanishing coefficients — e.g. next to a
 /// golden cut — score near zero and stop drawing budget, which is the
 /// paper's neglection economy applied to *shots* instead of subcircuits.
-///
-/// The downstream half of a SIC gather is informationally complete and
-/// every preparation is read alike, so the pipeline only consumes the
-/// `upstream` half there (pass the SIC tensor as `downstream`).
 pub fn neyman_scores(
     fragments: &Fragments,
     plan: &BasisPlan,
+    method: ReconstructionMethod,
     upstream: &CoefficientTensor,
     downstream: &CoefficientTensor,
 ) -> NeymanScores {
     let n1 = fragments.upstream.num_outputs() as i32;
     let n2 = fragments.downstream.num_outputs() as i32;
-    let frame = PrepFrame::new(ReconstructionMethod::Eigenstate, plan);
-    let mut up_contrib: HashMap<u64, f64> = HashMap::new();
-    let mut down_contrib: HashMap<u64, f64> = HashMap::new();
-    for m in plan.all_recon_strings() {
-        let norm_sq = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
-        let a_sq = norm_sq(upstream.get(&m).expect("upstream entry"));
-        let d_sq = norm_sq(downstream.get(&m).expect("downstream entry"));
-        *up_contrib
-            .entry(encode_meas(&plan.setting_for(&m)))
-            .or_insert(0.0) += 2.0f64.powi(n1) * d_sq;
-        frame.for_each_term(&m, |key, _| {
-            *down_contrib.entry(key).or_insert(0.0) += 2.0f64.powi(n2) * a_sq;
-        });
+    let table = TermTable::new(&PrepFrame::new(method, plan), plan);
+    let mut up_contrib = vec![0.0f64; table.upstream_keys.len()];
+    let mut down_contrib = vec![0.0f64; table.downstream_keys.len()];
+    let norm_sq = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
+    let strings = table
+        .rows
+        .iter()
+        .zip(string_vectors(plan, upstream, downstream));
+    for ((slot, terms), (a, d)) in strings {
+        let a_sq = norm_sq(a);
+        up_contrib[*slot] += 2.0f64.powi(n1) * norm_sq(d);
+        for &(slot, c) in terms {
+            down_contrib[slot] += c * c * (2.0f64.powi(n2) * a_sq);
+        }
     }
     NeymanScores {
-        upstream: plan
-            .all_meas_settings()
-            .iter()
-            .map(|s| {
-                up_contrib
-                    .get(&encode_meas(s))
-                    .copied()
-                    .unwrap_or(0.0)
-                    .sqrt()
-            })
-            .collect(),
-        downstream: plan
-            .all_prep_settings()
-            .iter()
-            .map(|s| {
-                down_contrib
-                    .get(&encode_prep(s))
-                    .copied()
-                    .unwrap_or(0.0)
-                    .sqrt()
-            })
-            .collect(),
+        upstream: up_contrib.into_iter().map(f64::sqrt).collect(),
+        downstream: down_contrib.into_iter().map(f64::sqrt).collect(),
     }
 }
 
 /// The shared contraction-propagation pass: accumulates per-bitstring
-/// variance with per-string `(Var[A], Var[D])` supplied by `vars_for`.
+/// variance with per-string `(Var[A], Var[D])` supplied by `vars`, in
+/// string order.
 fn variance_core(
     fragments: &Fragments,
     plan: &BasisPlan,
     upstream: &CoefficientTensor,
     downstream: &CoefficientTensor,
-    vars_for: impl Fn(&[Pauli]) -> (f64, f64),
+    vars: impl Iterator<Item = (f64, f64)>,
 ) -> ReconstructionError {
     let n = fragments.total_qubits;
     let n1 = fragments.upstream.num_outputs();
@@ -310,7 +278,6 @@ fn variance_core(
     let k = plan.num_cuts() as i32;
     let scale = 0.25f64.powi(k);
 
-    let strings = plan.all_recon_strings();
     let t1: Vec<u64> = (0..(1u64 << n1))
         .map(|b| assemble(b, &fragments.upstream.output_globals))
         .collect();
@@ -319,10 +286,7 @@ fn variance_core(
         .collect();
 
     let mut variance = vec![0.0f64; 1 << n];
-    for m in &strings {
-        let a = upstream.get(m).expect("upstream entry");
-        let d = downstream.get(m).expect("downstream entry");
-        let (var_a, var_d) = vars_for(m);
+    for ((a, d), (var_a, var_d)) in string_vectors(plan, upstream, downstream).zip(vars) {
         for (b1, &av) in a.iter().enumerate() {
             for (b2, &dv) in d.iter().enumerate() {
                 let idx = (t1[b1] | t2[b2]) as usize;
@@ -383,7 +347,9 @@ mod tests {
     use crate::allocation::{schedule_for_plan, ShotAllocation};
     use crate::execution::gather;
     use crate::fragment::Fragmenter;
-    use crate::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
+    use crate::reconstruction::{
+        contract, downstream_tensor, exact_downstream_tensor, exact_upstream_tensor,
+    };
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
@@ -433,35 +399,60 @@ mod tests {
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
         let shots = 2000u64;
-        let schedule = schedule_for_plan(
-            &plan,
-            ShotAllocation::Uniform {
-                shots_per_setting: shots,
-            },
-        )
-        .unwrap();
+        for method in [ReconstructionMethod::Eigenstate, ReconstructionMethod::Sic] {
+            let schedule = crate::planner::schedule(
+                &plan,
+                method,
+                ShotAllocation::Uniform {
+                    shots_per_setting: shots,
+                },
+            )
+            .unwrap();
 
-        let trials = 24;
-        let mut dists = Vec::with_capacity(trials);
-        let mut predicted_rms = 0.0;
-        for t in 0..trials {
-            let backend = IdealBackend::new(9000 + t as u64);
-            let data = gather(&backend, &frags, &plan, &schedule).unwrap();
-            dists.push(reconstruct(&frags, &plan, &data));
-            if t == 0 {
-                predicted_rms = reconstruction_variance(&frags, &plan, &data).rms_error();
+            let trials = 24;
+            let mut dists = Vec::with_capacity(trials);
+            let mut predicted_rms = 0.0;
+            for t in 0..trials {
+                let backend = IdealBackend::new(9000 + t as u64);
+                let data = gather_in(&backend, &frags, &plan, method, &schedule);
+                let up = upstream_tensor(&frags.upstream, &plan, &data);
+                let down = downstream_tensor_for(&frags.downstream, &plan, method, &data);
+                dists.push(contract(&frags, &plan, &up, &down));
+                if t == 0 {
+                    predicted_rms =
+                        reconstruction_variance(&frags, &plan, method, &data).rms_error();
+                }
             }
+            let emp = empirical_variance(&dists);
+            let empirical_rms = (emp.iter().sum::<f64>() / emp.len() as f64).sqrt();
+            assert!(
+                empirical_rms < predicted_rms * 1.6,
+                "empirical {empirical_rms} should not exceed prediction {predicted_rms}"
+            );
+            assert!(
+                empirical_rms > predicted_rms / 12.0,
+                "prediction {predicted_rms} is uselessly loose vs empirical {empirical_rms}"
+            );
         }
-        let emp = empirical_variance(&dists);
-        let empirical_rms = (emp.iter().sum::<f64>() / emp.len() as f64).sqrt();
-        assert!(
-            empirical_rms < predicted_rms * 1.6,
-            "empirical {empirical_rms} should not exceed prediction {predicted_rms}"
-        );
-        assert!(
-            empirical_rms > predicted_rms / 12.0,
-            "prediction {predicted_rms} is uselessly loose vs empirical {empirical_rms}"
-        );
+    }
+
+    /// The gather of `plan` with the preparations of `method`.
+    fn gather_in(
+        backend: &IdealBackend,
+        frags: &Fragments,
+        plan: &BasisPlan,
+        method: ReconstructionMethod,
+        schedule: &ShotSchedule,
+    ) -> FragmentData {
+        use crate::jobgraph::Channel;
+        let graph = crate::planner::gather_graph(frags, plan, method, schedule, true);
+        let mut run = graph.execute(backend, true).unwrap();
+        FragmentData::from_counts(
+            run.take_channel(Channel::UpstreamMeas),
+            run.take_channel(Channel::DownstreamPrep),
+            run.stats.simulated_device_time,
+            run.stats.host_time,
+        )
     }
 
     #[test]
@@ -484,7 +475,8 @@ mod tests {
         let data = gather(&backend, &frags, &plan, &schedule).unwrap();
         let up = upstream_tensor(&frags.upstream, &plan, &data);
         let down = downstream_tensor(&frags.downstream, &plan, &data);
-        let realized = reconstruction_variance(&frags, &plan, &data);
+        let realized =
+            reconstruction_variance(&frags, &plan, ReconstructionMethod::Eigenstate, &data);
         let uniform = variance_from_tensors(&frags, &plan, &up, &down, shots);
         for b in 0..(1u64 << 5) {
             assert!(
@@ -511,8 +503,24 @@ mod tests {
         let uniform = schedule_for_plan(&plan, ShotAllocation::TotalBudget { total }).unwrap();
         let weighted = schedule_for_plan(&plan, ShotAllocation::WeightedByUsage { total }).unwrap();
         assert_eq!(uniform.total(), weighted.total());
-        let rms_u = variance_from_schedule(&frags, &plan, &up, &down, &uniform).rms_error();
-        let rms_w = variance_from_schedule(&frags, &plan, &up, &down, &weighted).rms_error();
+        let rms_u = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &uniform,
+        )
+        .rms_error();
+        let rms_w = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &weighted,
+        )
+        .rms_error();
         assert!(rms_u > 0.0 && rms_w > 0.0);
         assert!(
             (rms_u - rms_w).abs() / rms_u < 0.5,
@@ -521,7 +529,14 @@ mod tests {
         // And the uniform special case of the schedule API reproduces the
         // closed-form constant-budget estimate exactly.
         let per_setting = crate::allocation::ShotSchedule::uniform(3, 6, 1000);
-        let a = variance_from_schedule(&frags, &plan, &up, &down, &per_setting);
+        let a = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &per_setting,
+        );
         let b = variance_from_tensors(&frags, &plan, &up, &down, 1000);
         for bits in 0..(1u64 << 5) {
             assert!((a.variance(bits) - b.variance(bits)).abs() < 1e-15);
@@ -538,7 +553,7 @@ mod tests {
         let plan = BasisPlan::standard(1);
         let up = exact_upstream_tensor(&frags.upstream, &plan);
         let down = exact_downstream_tensor(&frags.downstream, &plan);
-        let scores = neyman_scores(&frags, &plan, &up, &down);
+        let scores = neyman_scores(&frags, &plan, ReconstructionMethod::Eigenstate, &up, &down);
         assert_eq!(scores.upstream.len(), 3);
         assert_eq!(scores.downstream.len(), 6);
         use crate::basis::MeasBasis;
@@ -583,7 +598,7 @@ mod tests {
         let total = 90_000u64;
         let pilot = pilot_total(0.1, total);
         let pilot_sched = pilot_schedule(3, 6, pilot).unwrap();
-        let scores = neyman_scores(&frags, &plan, &up, &down);
+        let scores = neyman_scores(&frags, &plan, ReconstructionMethod::Eigenstate, &up, &down);
         let adaptive = refine_schedule(
             &pilot_sched,
             &scores.upstream,
@@ -592,8 +607,24 @@ mod tests {
         );
         assert_eq!(adaptive.total(), total);
         let weighted = schedule_for_plan(&plan, ShotAllocation::WeightedByUsage { total }).unwrap();
-        let rms_a = variance_from_schedule(&frags, &plan, &up, &down, &adaptive).rms_error();
-        let rms_w = variance_from_schedule(&frags, &plan, &up, &down, &weighted).rms_error();
+        let rms_a = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &adaptive,
+        )
+        .rms_error();
+        let rms_w = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &weighted,
+        )
+        .rms_error();
         assert!(
             rms_a <= rms_w * 1.0001,
             "Neyman-refined RMS {rms_a} should not exceed usage-weighted {rms_w}"
@@ -614,7 +645,7 @@ mod tests {
         .unwrap();
         let backend = IdealBackend::new(77);
         let data = gather(&backend, &frags, &plan, &schedule).unwrap();
-        let err = reconstruction_variance(&frags, &plan, &data);
+        let err = reconstruction_variance(&frags, &plan, ReconstructionMethod::Eigenstate, &data);
         assert_eq!(err.num_bits(), 5);
         assert!(err.variance(0) > 0.0);
         assert!(err.std_error(0) > 0.0);

@@ -2,8 +2,8 @@
 //!
 //! Numerical substrate for the `qcut` workspace: complex arithmetic, dense
 //! complex linear algebra, the Pauli basis, named preparation states
-//! (Pauli eigenstates and SIC states), QR decomposition, Haar-random
-//! unitaries, and small linear solves.
+//! (Pauli eigenstates and SIC states), QR decomposition, and Haar-random
+//! unitaries.
 //!
 //! Everything is implemented from scratch on `std` + `rand`; the offline
 //! dependency set has no complex-number or linear-algebra crates, and the
@@ -34,7 +34,6 @@ pub mod matrix;
 pub mod pauli;
 pub mod qr;
 pub mod random;
-pub mod solve;
 pub mod states;
 
 pub use approx::{approx_eq, approx_eq_rel, TOL_ACCUM, TOL_GOLDEN, TOL_STRICT};
@@ -43,5 +42,4 @@ pub use matrix::Matrix;
 pub use pauli::{Pauli, PauliString};
 pub use qr::{qr_decompose, qr_haar_fixed, QrDecomposition};
 pub use random::{ginibre, haar_unitary, random_orthogonal, random_state};
-pub use solve::{invert, solve_complex, solve_real, SingularMatrix};
 pub use states::{pure_density, PrepState, SicState};

@@ -100,12 +100,20 @@ fn main() {
         ),
     ] {
         let sched = schedule_for_plan(&plan, policy).expect("budget covers the plan");
-        let rms = variance_from_schedule(&frags, &plan, &up, &down, &sched).rms_error();
+        let rms = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &sched,
+        )
+        .rms_error();
         println!("  {label:<22} {rms:.6}");
     }
     let pilot = pilot_total(0.1, total);
     let pilot_sched = pilot_schedule(3, 6, pilot).expect("pilot covers the plan");
-    let scores = neyman_scores(&frags, &plan, &up, &down);
+    let scores = neyman_scores(&frags, &plan, ReconstructionMethod::Eigenstate, &up, &down);
     let adaptive = refine_schedule(
         &pilot_sched,
         &scores.upstream,
@@ -113,7 +121,15 @@ fn main() {
         total - pilot,
     );
     assert_eq!(adaptive.total(), total);
-    let rms = variance_from_schedule(&frags, &plan, &up, &down, &adaptive).rms_error();
+    let rms = variance_from_schedule(
+        &frags,
+        &plan,
+        ReconstructionMethod::Eigenstate,
+        &up,
+        &down,
+        &adaptive,
+    )
+    .rms_error();
     println!("  {:<22} {rms:.6}", "adaptive (pilot 10%)");
     println!(
         "\nthe adaptive run reallocates the refine budget away from the Y\n\

@@ -48,7 +48,15 @@ fn main() {
         ),
     ] {
         let sched = schedule_for_plan(&plan, policy).expect("budget covers the plan");
-        let rms = variance_from_schedule(&frags, &plan, &up, &down, &sched).rms_error();
+        let rms = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &sched,
+        )
+        .rms_error();
         let backend = IdealBackend::new(7);
         let run = CutExecutor::new(&backend)
             .run(

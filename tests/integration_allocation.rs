@@ -202,6 +202,92 @@ fn offline_sic_gather_is_the_pipelines_gather() {
     }
 }
 
+/// Error bars of a SIC gather read the SIC frame. On `GoldenAnsatz::new(5, 3)`,
+/// with the standard and with the Y-golden plan, the predicted variance of
+/// every outcome is the closed form over the SIC terms (each term `c · P̂`
+/// adds `c²/N`), and the predicted RMS tracks the spread of repeated SIC
+/// reconstructions within the bounds the eigenstate check uses.
+#[test]
+fn sic_error_bars_read_the_sic_frame() {
+    use qcut::cutting::execution::FragmentData;
+    use qcut::cutting::jobgraph::Channel;
+    use qcut::cutting::planner::gather_graph;
+    use qcut::cutting::reconstruction::{contract, downstream_tensor_for, upstream_tensor};
+    use qcut::cutting::variance::{empirical_variance, reconstruction_variance};
+
+    let sic = ReconstructionMethod::Sic;
+    let (circuit, cut) = GoldenAnsatz::new(5, 3).build();
+    let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+    let shots = 1000u64;
+    // `Σ c²` of a Pauli's SIC expansion: 1 for I, 3 for X, Y and Z.
+    let sum_sq = |p: Pauli| -> f64 { sic.expansion(p).iter().map(|&(_, c)| c * c).sum() };
+    for plan in [
+        BasisPlan::standard(1),
+        BasisPlan::with_neglected(vec![Some(Pauli::Y)]),
+    ] {
+        let uniform = ShotAllocation::Uniform {
+            shots_per_setting: shots,
+        };
+        let sched = schedule(&plan, sic, uniform).unwrap();
+        let gather_sic = |seed: u64| {
+            let graph = gather_graph(&frags, &plan, sic, &sched, true);
+            let mut run = graph.execute(&IdealBackend::new(seed), true).unwrap();
+            FragmentData::from_counts(
+                run.take_channel(Channel::UpstreamMeas),
+                run.take_channel(Channel::DownstreamPrep),
+                run.stats.simulated_device_time,
+                run.stats.host_time,
+            )
+        };
+
+        let data = gather_sic(300);
+        let predicted = reconstruction_variance(&frags, &plan, sic, &data);
+        let up = upstream_tensor(&frags.upstream, &plan, &data);
+        let down = downstream_tensor_for(&frags.downstream, &plan, sic, &data);
+        let n = shots as f64;
+        let global = |bits: usize, globals: &[usize]| -> usize {
+            (globals.iter().enumerate()).fold(0, |g, (i, &q)| g | ((bits >> i) & 1) << q)
+        };
+        let mut want = vec![0.0f64; 1 << frags.total_qubits];
+        for m in plan.all_recon_strings() {
+            let (a, d) = (up.get(&m).unwrap(), down.get(&m).unwrap());
+            let (var_a, var_d) = (1.0 / n, sum_sq(m[0]) / n);
+            for (b1, &av) in a.iter().enumerate() {
+                for (b2, &dv) in d.iter().enumerate() {
+                    let b = global(b1, &frags.upstream.output_globals)
+                        | global(b2, &frags.downstream.output_globals);
+                    want[b] += 0.25 * (av * av * var_d + dv * dv * var_a + var_a * var_d);
+                }
+            }
+        }
+        for (b, &w) in want.iter().enumerate() {
+            let got = predicted.variance(b as u64);
+            assert!(
+                (got - w).abs() <= 1e-12 * w.abs().max(1e-12),
+                "{:?}: outcome {b} predicted {got}, SIC closed form {w}",
+                plan.neglected()
+            );
+        }
+
+        let dists: Vec<Distribution> = (0..16)
+            .map(|t| {
+                let data = gather_sic(400 + t);
+                let up = upstream_tensor(&frags.upstream, &plan, &data);
+                let down = downstream_tensor_for(&frags.downstream, &plan, sic, &data);
+                contract(&frags, &plan, &up, &down)
+            })
+            .collect();
+        let emp = empirical_variance(&dists);
+        let empirical = (emp.iter().sum::<f64>() / emp.len() as f64).sqrt();
+        let predicted = predicted.rms_error();
+        assert!(
+            empirical < predicted * 1.6 && empirical > predicted / 12.0,
+            "{:?}: empirical RMS {empirical} vs predicted {predicted}",
+            plan.neglected()
+        );
+    }
+}
+
 /// ISSUE 4 acceptance (b): weighted budgets compose with engine dedup —
 /// online-detection measurements seed the weighted gather (the circuit
 /// is *not* golden, so the measured Y setting survives into the gather
@@ -285,8 +371,24 @@ fn weighted_beats_uniform_variance_at_equal_budget() {
         let uniform = schedule_for_plan(&plan, ShotAllocation::TotalBudget { total }).unwrap();
         let weighted = schedule_for_plan(&plan, ShotAllocation::WeightedByUsage { total }).unwrap();
         assert_eq!(uniform.total(), weighted.total());
-        let rms_u = variance_from_schedule(&frags, &plan, &up, &down, &uniform).rms_error();
-        let rms_w = variance_from_schedule(&frags, &plan, &up, &down, &weighted).rms_error();
+        let rms_u = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &uniform,
+        )
+        .rms_error();
+        let rms_w = variance_from_schedule(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &up,
+            &down,
+            &weighted,
+        )
+        .rms_error();
         assert!(
             rms_w < rms_u,
             "seed {seed}: weighted RMS {rms_w} should beat uniform {rms_u}"
