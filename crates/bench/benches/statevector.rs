@@ -13,11 +13,12 @@ use qcut_core::fragment::Fragmenter;
 use qcut_core::tomography::build_upstream_circuit;
 use qcut_device::backend::{Backend, JobSpec};
 use qcut_device::presets;
+use qcut_sim::counts::CdfTable;
 use qcut_sim::density::DensityMatrix;
 use qcut_sim::noise::KrausChannel;
 use qcut_sim::statevector::StateVector;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_single_gate_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("statevector_gate");
@@ -70,6 +71,22 @@ fn bench_sampling(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| sv.sample(shots, &mut rng));
         });
+    }
+    // One prebuilt table sampled per job, as the batch engine does: a
+    // noisy detection fragment (4 bits), a `wide_recon` fragment (10 bits)
+    // and a table much wider than its shot count (16 bits, 100 shots).
+    for (bits, shots) in [(4usize, 1000u64), (10, 1000), (16, 100)] {
+        let mut gen = StdRng::seed_from_u64(bits as u64);
+        let probs: Vec<f64> = (0..1usize << bits).map(|_| gen.gen::<f64>()).collect();
+        let table = CdfTable::from_probs(bits, &probs);
+        group.bench_with_input(
+            BenchmarkId::new(format!("cdf_table_{bits}_bits"), shots),
+            &shots,
+            |b, &shots| {
+                let mut rng = StdRng::seed_from_u64(1);
+                b.iter(|| table.sample(shots, &mut rng));
+            },
+        );
     }
     group.finish();
 }

@@ -161,6 +161,8 @@ pub struct OnlineDetector {
     num_cuts: usize,
     output_locals: Vec<usize>,
     cut_ports: Vec<usize>,
+    /// The required settings and their keys, built once.
+    settings: Vec<(Vec<MeasBasis>, u64)>,
     /// Accumulated counts per required setting key.
     data: HashMap<u64, Counts>,
 }
@@ -171,23 +173,11 @@ impl OnlineDetector {
     pub fn new(upstream: &Fragment, cut: usize, num_cuts: usize, config: OnlineConfig) -> Self {
         assert!(cut < num_cuts, "cut index out of range");
         assert_ne!(config.candidate, Pauli::I, "cannot test the identity");
-        OnlineDetector {
-            config,
-            cut,
-            num_cuts,
-            output_locals: upstream.output_locals.clone(),
-            cut_ports: upstream.cut_ports.clone(),
-            data: HashMap::new(),
-        }
-    }
-
-    /// The measurement settings whose data the verdict needs: candidate at
-    /// this cut, all basis combinations elsewhere (`3^{K-1}` settings).
-    pub fn required_settings(&self) -> Vec<Vec<MeasBasis>> {
+        // Candidate at this cut, all basis combinations elsewhere.
         let mut settings = vec![Vec::new()];
-        for k in 0..self.num_cuts {
-            let options: Vec<MeasBasis> = if k == self.cut {
-                vec![MeasBasis::for_pauli(self.config.candidate)]
+        for k in 0..num_cuts {
+            let options: Vec<MeasBasis> = if k == cut {
+                vec![MeasBasis::for_pauli(config.candidate)]
             } else {
                 MeasBasis::ALL.to_vec()
             };
@@ -201,7 +191,27 @@ impl OnlineDetector {
             }
             settings = next;
         }
-        settings
+        OnlineDetector {
+            config,
+            cut,
+            num_cuts,
+            output_locals: upstream.output_locals.clone(),
+            cut_ports: upstream.cut_ports.clone(),
+            settings: settings
+                .into_iter()
+                .map(|s| {
+                    let key = encode_meas(&s);
+                    (s, key)
+                })
+                .collect(),
+            data: HashMap::new(),
+        }
+    }
+
+    /// The measurement settings whose data the verdict needs: candidate at
+    /// this cut, all basis combinations elsewhere (`3^{K-1}` settings).
+    pub fn required_settings(&self) -> Vec<Vec<MeasBasis>> {
+        self.settings.iter().map(|(s, _)| s.clone()).collect()
     }
 
     /// Accumulates a batch of counts for one setting.
@@ -215,33 +225,26 @@ impl OnlineDetector {
 
     /// Total shots accumulated on the least-covered required setting.
     pub fn min_shots(&self) -> u64 {
-        self.required_settings()
+        self.settings
             .iter()
-            .map(|s| {
-                self.data
-                    .get(&encode_meas(s))
-                    .map(|c| c.total())
-                    .unwrap_or(0)
-            })
+            .map(|(_, key)| self.data.get(key).map_or(0, Counts::total))
             .min()
             .unwrap_or(0)
     }
 
     /// The current verdict.
     pub fn verdict(&self) -> GoldenVerdict {
-        let settings = self.required_settings();
         // Need data on every setting first.
-        if settings.iter().any(|s| {
-            self.data
-                .get(&encode_meas(s))
-                .is_none_or(|c| c.total() == 0)
-        }) {
+        if self.min_shots() == 0 {
             return GoldenVerdict::Undecided;
         }
 
+        // Signed counts per b1 for one string: integers, so the estimate
+        // does not depend on the order the histogram iterates in.
+        let mut acc = vec![0i64; 1 << self.output_locals.len()];
         let mut all_provably_small = true;
-        for setting in &settings {
-            let counts = &self.data[&encode_meas(setting)];
+        for (setting, key) in &self.settings {
+            let counts = &self.data[key];
             let n = counts.total();
             // Each coefficient is a mean of ±1-bounded per-shot values.
             let eps_n = qcut_stats::bounds::hoeffding_epsilon(n, self.config.delta, -1.0, 1.0);
@@ -259,18 +262,20 @@ impl OnlineDetector {
                         m[k] = Pauli::I;
                     }
                 }
-                // Estimate A[M][b1] for every observed b1.
-                let mut acc: HashMap<u64, f64> = HashMap::new();
+                // Estimate A[M][b1] for every b1. An unobserved b1 reads
+                // 0, which decides nothing an observed one does not.
+                acc.fill(0);
                 for (&(b1, rbits), &cnt) in &joint {
-                    let mut sign = 1.0;
+                    let mut sign = 1;
                     for (k, &pauli) in m.iter().enumerate() {
                         if pauli != Pauli::I && (rbits >> k) & 1 == 1 {
                             sign = -sign;
                         }
                     }
-                    *acc.entry(b1).or_insert(0.0) += sign * cnt as f64 / total;
+                    acc[b1 as usize] += sign * cnt as i64;
                 }
-                for (_, a) in acc {
+                for &signed in &acc {
+                    let a = signed as f64 / total;
                     if a.abs() - eps_n > self.config.epsilon {
                         return GoldenVerdict::NotGolden;
                     }

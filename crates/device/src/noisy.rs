@@ -25,7 +25,9 @@
 //! a prefix copies no ρ into it. A later batch that repeats a prefix
 //! resumes from the cached ρ and re-evolves only what follows it. Each
 //! look of online golden detection resubmits the same circuits, so from
-//! the third look on it pays only readout, the CDF table and sampling.
+//! the third look on it pays only readout, the CDF table and sampling:
+//! one uniform and one binary search per shot, and one histogram insert
+//! per distinct outcome.
 
 use crate::backend::{
     check_well_formed, mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError,
