@@ -16,14 +16,15 @@
 //! Writes `BENCH_cut_advice.json`; the assertions run at bench time so
 //! the CI smoke run (`cargo bench -- --test`) trips regressions.
 
-use criterion::{criterion_group, Criterion};
-use qcut_circuit::ansatz::GoldenAnsatz;
+use criterion::{black_box, criterion_group, Criterion};
+use qcut_circuit::ansatz::{GoldenAnsatz, MultiCutAnsatz};
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
 use qcut_circuit::gate::Gate;
 use qcut_core::allocation::ShotAllocation;
 use qcut_core::analysis::AnalysisConfig;
-use qcut_core::dataflow::{cut_report, CutReport};
+use qcut_core::dataflow::{cut_report, prove_golden_bases, CutReport};
+use qcut_core::fragment::Fragmenter;
 use qcut_core::golden::GoldenPolicy;
 use qcut_core::pipeline::{CutExecutor, ExecutionOptions, PostProcess};
 use qcut_device::ideal::IdealBackend;
@@ -111,7 +112,9 @@ fn measure_edge(circuit: &Circuit, spec: &CutSpec, truth: &Distribution, salt: u
 }
 
 /// Criterion microbench: the adviser itself (static facts + simulation
-/// enrichment over every wire edge of the 5-qubit ansatz).
+/// enrichment over every wire edge of the 5-qubit ansatz), and the
+/// stabilizer prover alone on the upstream fragment of a 3-cut ansatz —
+/// the proof a `ProveStatic` run makes before its first shot.
 fn bench_cut_advice(c: &mut Criterion) {
     let mut group = c.benchmark_group("cut_advice");
     group.sample_size(10);
@@ -119,6 +122,13 @@ fn bench_cut_advice(c: &mut Criterion) {
     let config = AnalysisConfig::default();
     group.bench_function("report_golden_ansatz", |b| {
         b.iter(|| cut_report(&circuit, &config).candidates.len())
+    });
+    let (multi, multi_cuts) = MultiCutAnsatz::new(3, 7).build();
+    let upstream = Fragmenter::fragment(&multi, &multi_cuts)
+        .expect("the multi-cut ansatz is cuttable")
+        .upstream;
+    group.bench_function("prove_multi_cut_upstream", |b| {
+        b.iter(|| prove_golden_bases(black_box(&upstream), 3).len())
     });
     group.finish();
 }

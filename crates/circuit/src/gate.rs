@@ -12,7 +12,12 @@
 
 use qcut_math::{c64, Complex, Matrix, Pauli, PauliString};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
+
+/// Number of parameterless gate variants (see `Gate::fixed_slot`).
+const FIXED_GATES: usize = 15;
 
 /// A quantum gate. Rotation angles are in radians.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -308,13 +313,52 @@ impl Gate {
     /// is a Clifford gate: `Some(action)` with `U P U† = ±P'` tabulated for
     /// every string `P` over the operands, `None` otherwise.
     ///
-    /// Computed numerically (tolerance `1e-9`): each conjugated string is
+    /// Decided numerically (tolerance `1e-9`): each conjugated string is
     /// decomposed over the Pauli basis via `tr(Q·UPU†)/2^n`, and the gate
     /// qualifies only when every image has exactly one `±1` coefficient.
-    /// This keeps parameterised gates honest — `Rz(π/2)` is recognised as
-    /// Clifford just like `S`, while `Rz(0.3)` is not. The stabilizer
-    /// tableau widens over gates that return `None`.
-    pub fn clifford_action(&self) -> Option<CliffordAction> {
+    /// The parameterless gates (`I` … `Sx`, `Cx` … `Swap`) have constant
+    /// actions, tabulated once per process on first use and borrowed after
+    /// that. Parameterised and `Unitary*` gates are checked on every call,
+    /// which keeps them honest — `Rz(π/2)` is recognised as Clifford just
+    /// like `S`, while `Rz(0.3)` is not. The stabilizer tableau widens over
+    /// gates that return `None`.
+    pub fn clifford_action(&self) -> Option<Cow<'static, CliffordAction>> {
+        static FIXED: [OnceLock<Option<CliffordAction>>; FIXED_GATES] =
+            [const { OnceLock::new() }; FIXED_GATES];
+        match self.fixed_slot() {
+            Some(slot) => FIXED[slot]
+                .get_or_init(|| self.numeric_clifford_action())
+                .as_ref()
+                .map(Cow::Borrowed),
+            None => self.numeric_clifford_action().map(Cow::Owned),
+        }
+    }
+
+    /// The slot of a parameterless gate in [`Gate::clifford_action`]'s
+    /// table; `None` for gates that carry an angle or a matrix.
+    fn fixed_slot(&self) -> Option<usize> {
+        Some(match self {
+            Gate::I => 0,
+            Gate::H => 1,
+            Gate::X => 2,
+            Gate::Y => 3,
+            Gate::Z => 4,
+            Gate::S => 5,
+            Gate::Sdg => 6,
+            Gate::T => 7,
+            Gate::Tdg => 8,
+            Gate::Sx => 9,
+            Gate::Cx => 10,
+            Gate::Cy => 11,
+            Gate::Cz => 12,
+            Gate::Ch => 13,
+            Gate::Swap => 14,
+            _ => return None,
+        })
+    }
+
+    /// [`Gate::clifford_action`] computed from the gate's matrix.
+    fn numeric_clifford_action(&self) -> Option<CliffordAction> {
         const TOL: f64 = 1e-9;
         let n = self.arity();
         let u = self.matrix();
@@ -671,6 +715,101 @@ mod tests {
             cx.image(&[Pauli::I, Pauli::Z]),
             (false, vec![Pauli::Z, Pauli::Z])
         );
+    }
+
+    /// The parameterless gates, in [`Gate::fixed_slot`] order.
+    fn parameterless_gates() -> [Gate; FIXED_GATES] {
+        [
+            Gate::I,
+            Gate::H,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Sx,
+            Gate::Cx,
+            Gate::Cy,
+            Gate::Cz,
+            Gate::Ch,
+            Gate::Swap,
+        ]
+    }
+
+    #[test]
+    fn every_parameterless_gate_has_its_own_slot() {
+        for (slot, g) in parameterless_gates().iter().enumerate() {
+            assert_eq!(g.fixed_slot(), Some(slot), "{g}");
+        }
+        for g in all_fixed_gates() {
+            if !parameterless_gates().contains(&g) {
+                assert_eq!(g.fixed_slot(), None, "{g}");
+            }
+        }
+        assert_eq!(Gate::Unitary1(Matrix::identity(2)).fixed_slot(), None);
+        assert_eq!(Gate::Unitary2(Matrix::identity(4)).fixed_slot(), None);
+    }
+
+    #[test]
+    fn tabulated_clifford_actions_match_the_numeric_routine() {
+        for g in parameterless_gates() {
+            let first = g.clifford_action();
+            assert_eq!(
+                first.as_deref(),
+                g.numeric_clifford_action().as_ref(),
+                "{g}"
+            );
+            // A second call borrows the very same table.
+            let second = g.clifford_action();
+            assert_eq!(first, second, "{g}");
+            match (first, second) {
+                (Some(Cow::Borrowed(a)), Some(Cow::Borrowed(b))) => {
+                    assert!(std::ptr::eq(a, b), "{g}: two tables")
+                }
+                (None, None) => {}
+                other => panic!("{g}: not a borrowed table: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn parameterised_clifford_actions_follow_the_angle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0c1f);
+        let random: [f64; 2] = [rng.gen_range(-7.0..7.0), rng.gen_range(-7.0..7.0)];
+        let quarter_turns = (0..=8).map(|k| f64::from(k) * std::f64::consts::FRAC_PI_4);
+        let families: [fn(f64) -> Gate; 8] = [
+            Gate::Rx,
+            Gate::Ry,
+            Gate::Rz,
+            Gate::Phase,
+            Gate::Crx,
+            Gate::Cry,
+            Gate::Crz,
+            Gate::CPhase,
+        ];
+        let mut cliffords = 0;
+        for theta in quarter_turns.chain(random) {
+            for family in families {
+                let g = family(theta);
+                let action = g.clifford_action();
+                assert_eq!(
+                    action.as_deref(),
+                    g.numeric_clifford_action().as_ref(),
+                    "{g}"
+                );
+                assert_eq!(action, g.clifford_action(), "{g}: second call");
+                cliffords += usize::from(action.is_some());
+            }
+        }
+        // Both answers occur, so the angle, not the variant, decides.
+        assert!(cliffords > 0 && cliffords < 11 * families.len());
+        assert!(Gate::Rz(std::f64::consts::FRAC_PI_2)
+            .clifford_action()
+            .is_some());
+        assert!(Gate::Rz(random[0]).clifford_action().is_none());
     }
 
     #[test]

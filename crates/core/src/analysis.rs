@@ -925,11 +925,9 @@ fn missed_dedup(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
     let Some(graph) = ctx.graph else { return };
     let mut by_hash: std::collections::HashMap<u64, Vec<(usize, &Circuit)>> =
         std::collections::HashMap::new();
-    for (i, (circuit, _)) in graph.node_jobs().enumerate() {
-        by_hash
-            .entry(circuit.structural_hash())
-            .or_default()
-            .push((i, circuit));
+    let nodes = graph.node_hashes().zip(graph.node_circuits());
+    for (i, (hash, circuit)) in nodes.enumerate() {
+        by_hash.entry(hash).or_default().push((i, circuit));
     }
     let mut groups: Vec<_> = by_hash.into_values().filter(|g| g.len() > 1).collect();
     groups.sort_by_key(|g| g[0].0);

@@ -77,6 +77,15 @@ pub fn prove_golden_bases(upstream: &Fragment, num_cuts: usize) -> Vec<Vec<Pauli
         return vec![Vec::new(); num_cuts];
     }
     let tableau = StabilizerTableau::from_circuit(&upstream.circuit);
+    proofs_from_tableau(upstream, num_cuts, &tableau)
+}
+
+/// [`prove_golden_bases`] given the tableau of the fragment's circuit.
+fn proofs_from_tableau(
+    upstream: &Fragment,
+    num_cuts: usize,
+    tableau: &StabilizerTableau,
+) -> Vec<Vec<Pauli>> {
     let real = RealComponents::new(upstream);
     (0..num_cuts)
         .map(|cut| {
@@ -84,7 +93,7 @@ pub fn prove_golden_bases(upstream: &Fragment, num_cuts: usize) -> Vec<Vec<Pauli
                 .into_iter()
                 .filter(|&p| {
                     stabilizer_proves_zero(
-                        &tableau,
+                        tableau,
                         &upstream.output_locals,
                         &upstream.cut_ports,
                         cut,
@@ -435,6 +444,9 @@ mod tests {
     use crate::fragment::Fragmenter;
     use crate::golden::resolve_static_policy;
     use qcut_circuit::ansatz::{GoldenAnsatz, MultiCutAnsatz};
+    use qcut_circuit::circuit::Instruction;
+    use qcut_circuit::gate::Gate;
+    use qcut_circuit::random::{random_circuit, random_real_circuit, RandomCircuitConfig};
 
     /// A Clifford-upstream golden workload: H/S/CX/CZ block on qubits
     /// 0..=2 leaving the cut qubit 2 in a real separable state, then a
@@ -559,6 +571,79 @@ mod tests {
         for (cut, proven) in proofs.iter().enumerate() {
             for p in proven {
                 assert!(detected.neglected()[cut].contains(p));
+            }
+        }
+    }
+
+    /// The tableau of `circuit` folded one instruction at a time, with
+    /// every gate's Clifford action recomputed from its matrix: a
+    /// `Unitary*` gate never reads the per-process table of fixed gates.
+    fn numeric_tableau(circuit: &Circuit) -> StabilizerTableau {
+        let mut tableau = StabilizerTableau::new(circuit.num_qubits());
+        for inst in circuit.instructions() {
+            let m = inst.gate.matrix();
+            let gate = match inst.gate.arity() {
+                1 => Gate::Unitary1(m),
+                _ => Gate::Unitary2(m),
+            };
+            tableau.apply(&Instruction {
+                gate,
+                qubits: inst.qubits.clone(),
+            });
+        }
+        tableau
+    }
+
+    /// Every cuttable single-wire upstream fragment of `circuit`.
+    fn single_cut_upstreams(circuit: &Circuit) -> Vec<Fragment> {
+        let dag = CircuitDag::new(circuit);
+        dag.wire_edges()
+            .iter()
+            .filter_map(|e| {
+                Fragmenter::fragment(circuit, &CutSpec::single(e.qubit, e.position)).ok()
+            })
+            .map(|f| f.upstream)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The tabulated Clifford actions prove exactly what the
+        /// per-instruction numeric fold proves, on random circuits of
+        /// both gate alphabets cut at every feasible wire edge and on
+        /// golden and non-golden multi-cut ansätze.
+        #[test]
+        fn tabulated_actions_prove_what_the_numeric_fold_proves(
+            width in 2usize..6,
+            depth in 1usize..5,
+            cuts in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let config = RandomCircuitConfig { depth, two_qubit_prob: 0.5 };
+            let mut cases: Vec<(Fragment, usize)> = Vec::new();
+            for circuit in [
+                random_circuit(width, config, seed),
+                random_real_circuit(width, config, seed),
+            ] {
+                cases.extend(single_cut_upstreams(&circuit).into_iter().map(|f| (f, 1)));
+            }
+            for golden in [true, false] {
+                let ansatz = MultiCutAnsatz { golden, ..MultiCutAnsatz::new(cuts, seed) };
+                let (circuit, spec) = ansatz.build();
+                let frags = Fragmenter::fragment(&circuit, &spec).expect("ansatz cuts");
+                cases.push((frags.upstream, cuts));
+            }
+            for (upstream, num_cuts) in &cases {
+                let reference = numeric_tableau(&upstream.circuit);
+                proptest::prop_assert_eq!(
+                    &StabilizerTableau::from_circuit(&upstream.circuit),
+                    &reference
+                );
+                proptest::prop_assert_eq!(
+                    prove_golden_bases(upstream, *num_cuts),
+                    proofs_from_tableau(upstream, *num_cuts, &reference)
+                );
             }
         }
     }

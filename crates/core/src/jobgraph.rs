@@ -96,6 +96,8 @@ pub type ConsumerKey = (Channel, u64);
 #[derive(Debug, Clone)]
 struct JobNode {
     circuit: Circuit,
+    /// `circuit.structural_hash()`, computed once by [`JobGraph::add_job`].
+    hash: u64,
     consumers: Vec<(ConsumerKey, u64)>,
     /// Counts already available without executing anything (seeded from an
     /// earlier stage, e.g. online-detection batches, or the warm-start
@@ -467,6 +469,7 @@ impl JobGraph {
         let i = self.nodes.len();
         self.nodes.push(JobNode {
             circuit,
+            hash,
             consumers: vec![(consumer, shots)],
             cached: None,
             cache_seeded: 0,
@@ -479,6 +482,14 @@ impl JobGraph {
     /// trie-locality emission order reach the device layer intact).
     pub fn node_circuits(&self) -> impl Iterator<Item = &Circuit> + '_ {
         self.nodes.iter().map(|n| &n.circuit)
+    }
+
+    /// The [structural hash](Circuit::structural_hash) of each unique
+    /// circuit, in the order of [`Self::node_circuits`]: the hash
+    /// [`Self::add_job`] computed, so callers keying caches or seeds by
+    /// node need not hash the circuits again.
+    pub fn node_hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.nodes.iter().map(|n| n.hash)
     }
 
     /// Per-node static view: each unique circuit with its consumer
@@ -522,6 +533,16 @@ impl JobGraph {
         self.seed(circuit, counts, true)
     }
 
+    /// [`Self::seed_counts_from_cache`] for the circuit of node `node` (an
+    /// index into [`Self::node_circuits`]), without looking the circuit up
+    /// again. No-op (`false`) when dedup is disabled.
+    pub(crate) fn seed_node_from_cache(&mut self, node: usize, counts: &Counts) -> bool {
+        if self.dedup {
+            self.seed_node(node, counts, true);
+        }
+        self.dedup
+    }
+
     /// Merges `counts` into the node holding `circuit`, counting them as
     /// warm-cache shots when `from_cache`.
     fn seed(&mut self, circuit: &Circuit, counts: &Counts, from_cache: bool) -> bool {
@@ -531,6 +552,13 @@ impl JobGraph {
         let Some(i) = self.find_node(circuit, circuit.structural_hash()) else {
             return false;
         };
+        self.seed_node(i, counts, from_cache);
+        true
+    }
+
+    /// Merges `counts` into node `i`, the only node holding its circuit
+    /// while dedup is on.
+    fn seed_node(&mut self, i: usize, counts: &Counts, from_cache: bool) {
         let node = &mut self.nodes[i];
         match &mut node.cached {
             Some(c) => c.merge(counts),
@@ -539,7 +567,6 @@ impl JobGraph {
         if from_cache {
             node.cache_seeded += counts.total();
         }
-        true
     }
 
     /// Executes the graph as one batched backend submission and fans the

@@ -235,25 +235,31 @@ struct Round {
 
 impl Round {
     /// The one walk over an executed round: each delivered node in graph
-    /// order, with its circuit, the histogram its consumers received, and
-    /// its [`Round::measured_by`] fingerprint. A failed node delivered
-    /// nothing and is skipped.
-    fn delivered(&self) -> impl Iterator<Item = (&Circuit, &Counts, Option<u64>)> + '_ {
-        let nodes = self.graph.node_jobs().enumerate();
-        nodes.filter_map(|(node, (circuit, consumers))| {
-            let (channel, key) = consumers.first()?.0;
-            let counts = match channel {
-                Channel::UpstreamMeas => &self.upstream,
-                Channel::DownstreamPrep => &self.downstream,
-                Channel::Detection => &self.detection,
-                Channel::Uncut => return None,
-            }
-            .get(&key)?;
-            let measured_by = self.measured_by.get(node).copied().flatten();
-            Some((circuit, counts, measured_by))
-        })
+    /// order, with its structural hash and circuit, the histogram its
+    /// consumers received, and its [`Round::measured_by`] fingerprint. A
+    /// failed node delivered nothing and is skipped.
+    fn delivered(&self) -> impl Iterator<Item = Delivery<'_>> + '_ {
+        let nodes = self.graph.node_hashes().zip(self.graph.node_jobs());
+        nodes
+            .enumerate()
+            .filter_map(|(node, (hash, (circuit, consumers)))| {
+                let (channel, key) = consumers.first()?.0;
+                let counts = match channel {
+                    Channel::UpstreamMeas => &self.upstream,
+                    Channel::DownstreamPrep => &self.downstream,
+                    Channel::Detection => &self.detection,
+                    Channel::Uncut => return None,
+                }
+                .get(&key)?;
+                let measured_by = self.measured_by.get(node).copied().flatten();
+                Some((hash, circuit, counts, measured_by))
+            })
     }
 }
+
+/// One node of [`Round::delivered`]: structural hash, circuit, delivered
+/// histogram and measuring member's fingerprint.
+type Delivery<'r> = (u64, &'r Circuit, &'r Counts, Option<u64>);
 
 /// A histogram measured earlier in the run (an online-detection batch,
 /// or an adaptive pilot) that seeds a node of a later gather round.
@@ -271,12 +277,9 @@ struct Seed {
 /// keeps its [`Seed::measured_by`] only while the same member measured
 /// them. Merging needs true structural equality: a 64-bit hash collision
 /// must not mix another circuit's histogram in.
-fn add_seeds<'r>(
-    seeds: &mut HashMap<u64, Seed>,
-    delivered: impl Iterator<Item = (&'r Circuit, &'r Counts, Option<u64>)>,
-) {
-    for (circuit, counts, measured_by) in delivered {
-        match seeds.entry(circuit.structural_hash()) {
+fn add_seeds<'r>(seeds: &mut HashMap<u64, Seed>, delivered: impl Iterator<Item = Delivery<'r>>) {
+    for (hash, circuit, counts, measured_by) in delivered {
+        match seeds.entry(hash) {
             Entry::Occupied(mut e) => {
                 let seed = e.get_mut();
                 if seed.circuit == *circuit {
@@ -510,9 +513,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // and fresh shots — and `store` replaces, so re-running never
         // duplicates samples.
         if let Some(cache) = self.warm_cache(options) {
-            for (circuit, counts, measured_by) in gather.delivered() {
+            for (hash, circuit, counts, measured_by) in gather.delivered() {
                 if let Some(fingerprint) = measured_by {
-                    let hash = circuit.structural_hash();
                     let key = CacheKey::new(hash, fingerprint, ShotDiscipline::Multinomial);
                     cache.store(&key, circuit, counts);
                 }
@@ -706,23 +708,19 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         } else {
             Vec::new()
         };
-        let hashes: Vec<u64> = if caching {
-            graph
-                .node_circuits()
-                .map(Circuit::structural_hash)
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut cache_seeded = vec![false; graph.num_nodes()];
         if let Some(cache) = warm {
-            let node_circuits: Vec<Circuit> = graph.node_circuits().cloned().collect();
-            for (i, circuit) in node_circuits.iter().enumerate() {
-                let fingerprint = self.member_fingerprint(assigned[i]);
-                let key = CacheKey::new(hashes[i], fingerprint, ShotDiscipline::Multinomial);
-                if let Some(counts) = cache.lookup(&key, circuit) {
-                    cache_seeded[i] = graph.seed_counts_from_cache(circuit, &counts);
-                }
+            let nodes = graph.node_hashes().zip(graph.node_circuits());
+            let hits: Vec<(usize, Counts)> = nodes
+                .enumerate()
+                .filter_map(|(i, (hash, circuit))| {
+                    let fingerprint = self.member_fingerprint(assigned[i]);
+                    let key = CacheKey::new(hash, fingerprint, ShotDiscipline::Multinomial);
+                    Some((i, cache.lookup(&key, circuit)?))
+                })
+                .collect();
+            for (i, counts) in hits {
+                cache_seeded[i] = graph.seed_node_from_cache(i, &counts);
             }
         }
         let executed = graph.execute_with(self.backend, options.parallel, &options.retry);
@@ -739,22 +737,25 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             }
         };
         let mut claimed: HashMap<u64, usize> = HashMap::new();
-        let measured_by = hashes
-            .iter()
-            .enumerate()
-            .map(|(i, &hash)| {
-                let member = match run.delivered_by(i) {
-                    None => assigned[i],
-                    Some(m) if cache_seeded[i] && assigned[i] != Some(m) => return None,
-                    Some(m) => Some(m),
-                };
-                let fingerprint = self.member_fingerprint(member);
-                let foreign_seed = seeds
-                    .get(&hash)
-                    .is_some_and(|seed| seed.measured_by != Some(fingerprint));
-                (!foreign_seed && *claimed.entry(hash).or_insert(i) == i).then_some(fingerprint)
-            })
-            .collect();
+        let mut measured_by = Vec::new();
+        if caching {
+            measured_by = graph
+                .node_hashes()
+                .enumerate()
+                .map(|(i, hash)| {
+                    let member = match run.delivered_by(i) {
+                        None => assigned[i],
+                        Some(m) if cache_seeded[i] && assigned[i] != Some(m) => return None,
+                        Some(m) => Some(m),
+                    };
+                    let fingerprint = self.member_fingerprint(member);
+                    let foreign_seed = seeds
+                        .get(&hash)
+                        .is_some_and(|seed| seed.measured_by != Some(fingerprint));
+                    (!foreign_seed && *claimed.entry(hash).or_insert(i) == i).then_some(fingerprint)
+                })
+                .collect();
+        }
         Ok(Round {
             upstream: run.take_channel(Channel::UpstreamMeas),
             downstream: run.take_channel(Channel::DownstreamPrep),

@@ -224,6 +224,10 @@ pub struct CdfTable {
     num_bits: usize,
     cdf: Vec<f64>,
     mass: f64,
+    /// Index of the last outcome with non-zero probability: every draw is
+    /// clamped to it, so a draw that rounds up to `mass` (possible when
+    /// `mass` is subnormal) still lands on an outcome that can occur.
+    last: usize,
 }
 
 impl CdfTable {
@@ -234,8 +238,12 @@ impl CdfTable {
         assert_eq!(probs.len(), 1 << num_bits, "probability vector length");
         let mut cdf = Vec::with_capacity(probs.len());
         let mut acc = 0.0f64;
-        for &p in probs {
+        let mut last = 0;
+        for (i, &p) in probs.iter().enumerate() {
             debug_assert!(p >= -1e-9, "negative probability {p}");
+            if p > 0.0 {
+                last = i;
+            }
             acc += p.max(0.0);
             cdf.push(acc);
         }
@@ -245,6 +253,7 @@ impl CdfTable {
             num_bits,
             cdf,
             mass,
+            last,
         }
     }
 
@@ -263,11 +272,10 @@ impl CdfTable {
     /// tallies see the same draws, so the result does not depend on which
     /// one ran.
     pub fn sample<R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Counts {
-        let last = self.cdf.len() - 1;
         let mut draw = || {
             let u: f64 = rng.gen_range(0.0..self.mass);
             // Binary search for the first cdf entry > u.
-            self.cdf.partition_point(|&c| c <= u).min(last)
+            self.cdf.partition_point(|&c| c <= u).min(self.last)
         };
         if self.cdf.len() as u64 <= DENSE_TALLY_RATIO.saturating_mul(shots) {
             let mut tally = vec![0u64; self.cdf.len()];
@@ -420,10 +428,7 @@ mod tests {
         let mut counts = Counts::new(table.num_bits);
         for _ in 0..shots {
             let u: f64 = rng.gen_range(0.0..table.mass);
-            let idx = table
-                .cdf
-                .partition_point(|&c| c <= u)
-                .min(table.cdf.len() - 1);
+            let idx = table.cdf.partition_point(|&c| c <= u).min(table.last);
             counts.record(idx as u64);
         }
         counts
@@ -431,8 +436,8 @@ mod tests {
 
     /// Total masses the property scales its tables to. The subnormal ones
     /// make `u · mass` round up to `mass` itself, so the draw lands past
-    /// the last cumulative entry and only the `len − 1` clamp keeps it in
-    /// range.
+    /// the last cumulative entry and only the clamp to the last non-zero
+    /// outcome keeps it in range.
     const MASSES: [f64; 5] = [1.0, 1e-3, 750.0, 1e-320, 5e-324];
 
     proptest::proptest! {
@@ -470,8 +475,18 @@ mod tests {
             let got = table.sample(shots, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
             let want = per_shot_reference(&table, shots, &mut StdRng::seed_from_u64(seed ^ 0x5eed));
             proptest::prop_assert_eq!(got.total(), shots);
+            for (outcome, _) in got.iter() {
+                proptest::prop_assert!(probs[outcome as usize] > 0.0, "drew outcome {}", outcome);
+            }
             proptest::prop_assert_eq!(got, want, "width {} shots {}", width, shots);
         }
+    }
+
+    #[test]
+    fn subnormal_mass_never_draws_a_zero_probability_outcome() {
+        let table = CdfTable::from_probs(2, &[5e-324, 0.0, 0.0, 0.0]);
+        let counts = table.sample(1000, &mut StdRng::seed_from_u64(3));
+        assert_eq!(counts.get(0), 1000, "{counts}");
     }
 
     #[test]
