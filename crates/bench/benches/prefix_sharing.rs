@@ -3,10 +3,12 @@
 //!
 //! The workload is the upstream half of a K-cut gather: `3^K` measurement
 //! variants of one deep fragment, differing only in the ≤2-gate basis
-//! rotation appended per cut port. With sharing on, the fragment is
-//! simulated once and only the rotation suffixes fork; with sharing off
-//! (the pre-forest behaviour), every variant pays the full fragment —
-//! `O(G + Σ suffix)` vs `O(V·G)` gate applications.
+//! rotation appended per cut port. With sharing on (the batched
+//! `execute(&backend, true)`), the fragment is simulated once and only
+//! the rotation suffixes fork; with sharing off (`execute(&backend,
+//! false)`, each job through `Backend::run` in turn), every variant pays
+//! the full fragment — `O(G + Σ suffix)` vs `O(V·G)` gate applications.
+//! Both produce the same counts on an equally seeded backend.
 //!
 //! Besides the criterion numbers, the bench writes a machine-readable
 //! `BENCH_prefix_sharing.json` with median wall times and the on/off
@@ -50,14 +52,15 @@ fn gather_workload(k: usize) -> Vec<(Circuit, u64)> {
         .collect()
 }
 
-/// One gather: plan the graph and execute it batched.
+/// One gather: plan the graph and execute it, batched through the prefix
+/// forest when `sharing`, job by job otherwise.
 fn run_gather(jobs: &[(Circuit, u64)], sharing: bool) -> u64 {
     let mut graph = JobGraph::new();
     for (circuit, key) in jobs {
         graph.add_job(circuit.clone(), (Channel::UpstreamMeas, *key), SHOTS);
     }
-    let backend = IdealBackend::new(3).with_prefix_sharing(sharing);
-    let run = graph.execute(&backend, true).unwrap();
+    let backend = IdealBackend::new(3);
+    let run = graph.execute(&backend, sharing).unwrap();
     run.stats.shots_executed
 }
 

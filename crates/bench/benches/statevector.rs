@@ -122,11 +122,7 @@ fn bench_density_noise(c: &mut Criterion) {
         BenchmarkId::new("noisy_fragment", fragment.num_qubits()),
         &fragment,
         |b, fragment| {
-            b.iter(|| {
-                device
-                    .exact_probabilities(fragment)
-                    .expect("the fragment is well formed")
-            });
+            b.iter(|| device.exact_probabilities(fragment));
         },
     );
     group.finish();
@@ -134,8 +130,8 @@ fn bench_density_noise(c: &mut Criterion) {
 
 /// One look of online golden detection on the `noisy_detect` setting: a
 /// one-job, 500-shot batch of the 4-qubit Y-detection circuit of the
-/// 7-qubit golden ansatz on `ibm_7q`. Cold evolves each job on its own,
-/// which bypasses the state cache; warm resumes from the ρ an earlier look
+/// 7-qubit golden ansatz on `ibm_7q`. Cold runs the job through the
+/// per-job [`Backend::run`], which bypasses the state cache; warm resumes from the ρ an earlier look
 /// left in the cache, leaving readout, the CDF table and sampling.
 fn bench_noisy_detection_look(c: &mut Criterion) {
     let mut group = c.benchmark_group("noisy_detection_look");
@@ -145,7 +141,7 @@ fn bench_noisy_detection_look(c: &mut Criterion) {
         .upstream;
     let detection = build_upstream_circuit(&upstream, &[MeasBasis::Y]);
     let jobs = [JobSpec::new(&detection, 500)];
-    let cold = presets::ibm_7q(0).with_prefix_sharing(false);
+    let cold = presets::ibm_7q(0);
     let warm = presets::ibm_7q(0);
     // The cache admits the look's ρ the second time it is evolved.
     for _ in 0..2 {
@@ -153,7 +149,7 @@ fn bench_noisy_detection_look(c: &mut Criterion) {
     }
     let width = detection.num_qubits();
     group.bench_with_input(BenchmarkId::new("cold", width), &jobs, |b, jobs| {
-        b.iter(|| cold.run_batch(jobs));
+        b.iter(|| cold.run(&detection, jobs[0].shots));
     });
     group.bench_with_input(BenchmarkId::new("warm", width), &jobs, |b, jobs| {
         b.iter(|| warm.run_batch(jobs));

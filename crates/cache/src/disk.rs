@@ -19,13 +19,13 @@
 //! replays the same LRU ranking.
 //!
 //! Decoding is corruption-tolerant by construction: every read is
-//! bounds-checked, every field is validated (gate tags, arities, qubit
-//! ranges, histogram width against the circuit's, outcome widths, count
-//! overflow), and any failure surfaces as a typed [`CacheFileError`] — the
-//! caller degrades to a cold start, never a panic. Only canonical files
-//! decode: outcomes strictly increasing, counts nonzero, no entry repeated.
-//! So every file that loads under a budget holding all of it re-encodes
-//! to the same bytes.
+//! bounds-checked, every field is validated (gate tags, circuits through
+//! [`Circuit::from_instructions`], histogram width against the circuit's,
+//! outcome widths, count overflow), and any failure surfaces as a typed
+//! [`CacheFileError`] — the caller degrades to a cold start, never a
+//! panic. Only canonical files decode: outcomes strictly increasing,
+//! counts nonzero, no entry repeated. So every file that loads under a
+//! budget holding all of it re-encodes to the same bytes.
 
 use qcut_circuit::circuit::{Circuit, Instruction};
 use qcut_circuit::gate::Gate;
@@ -318,24 +318,13 @@ fn read_circuit(r: &mut Reader<'_>) -> Result<Circuit, CacheFileError> {
     let mut instructions = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         let gate = read_gate(r)?;
-        let arity = gate.arity();
-        let mut qubits = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let q = r.u16()? as usize;
-            if q >= num_qubits {
-                return Err(CacheFileError::Malformed("qubit operand out of range"));
-            }
-            qubits.push(q);
-        }
-        if arity == 2 && qubits[0] == qubits[1] {
-            return Err(CacheFileError::Malformed("duplicate qubit operands"));
-        }
-        instructions.push(Instruction::new(gate, qubits));
+        let qubits = (0..gate.arity())
+            .map(|_| r.u16().map(usize::from))
+            .collect::<Result<_, _>>()?;
+        instructions.push(Instruction { gate, qubits });
     }
-    Ok(Circuit::from_instructions_unchecked(
-        num_qubits,
-        instructions,
-    ))
+    Circuit::from_instructions(num_qubits, instructions)
+        .map_err(|_| CacheFileError::Malformed("malformed instruction"))
 }
 
 /// Reads the histogram of a circuit `width` qubits wide. Outcomes must be
@@ -640,6 +629,43 @@ mod tests {
                 decode(&bytes, u64::MAX).err(),
                 Some(CacheFileError::Malformed(what))
             );
+        }
+    }
+
+    #[test]
+    fn malformed_operands_are_malformed_and_open_cold() {
+        let (key, c) = two_qubit_circuit();
+        let valid = image(&[(key, &c, 2, &[(0, 4)])]);
+        // Magic, version, entry count, key, width, instruction count and
+        // `h`'s tag byte come before `h`'s operand; `cx`'s tag byte sits
+        // between it and `cx`'s two operands.
+        let h_operand = 8 + 2 + 4 + 24 + 2 + 4 + 1;
+        let cx_operands = h_operand + 2 + 1;
+        let content = &valid[..valid.len() - 8];
+        assert_eq!(&content[cx_operands..cx_operands + 4], &[0, 0, 1, 0]);
+        let with_byte = |at: usize, byte: u8| {
+            let mut mutated = content.to_vec();
+            mutated[at] = byte;
+            with_checksum(mutated)
+        };
+        // `h` on qubit 2 of 2, and `cx` on qubits [0, 0].
+        let out_of_range = with_byte(h_operand, 2);
+        let duplicated = with_byte(cx_operands + 2, 0);
+        for (i, bytes) in [out_of_range, duplicated].into_iter().enumerate() {
+            assert_eq!(
+                decode(&bytes, u64::MAX).err(),
+                Some(CacheFileError::Malformed("malformed instruction"))
+            );
+            let path = std::env::temp_dir().join(format!(
+                "qcut-cache-test-malformed-{i}-{}.qwc",
+                std::process::id()
+            ));
+            std::fs::write(&path, &bytes).expect("write the test image");
+            let cache = crate::WarmCache::open(crate::CacheConfig::at_path(&path));
+            std::fs::remove_file(&path).ok();
+            assert_eq!(cache.entries(), 0);
+            let notice = cache.take_degradation().expect("a degradation notice");
+            assert!(notice.contains("malformed instruction"), "{notice}");
         }
     }
 

@@ -3,6 +3,15 @@
 //! Deliberately simple — cutting operates on the instruction list and on
 //! per-wire timelines (see [`crate::dag`]), and the simulators consume the
 //! instruction stream directly.
+//!
+//! Every [`Circuit`] is well formed by construction: each instruction has
+//! its gate's arity of operands, all inside the register, and a two-qubit
+//! gate acts on two different qubits. [`Circuit::push`] (with its
+//! builder conveniences) panics on a malformed instruction, and
+//! [`Circuit::from_instructions`], the seam for IR built elsewhere,
+//! returns a [`MalformedInstruction`]. Downstream stages (fragmenting,
+//! analysis, the backends and simulators) rely on this and never check
+//! it again.
 
 use crate::gate::Gate;
 use qcut_math::Matrix;
@@ -20,19 +29,41 @@ pub struct Instruction {
 }
 
 impl Instruction {
-    /// Creates an instruction, validating arity.
+    /// Creates an instruction.
+    ///
+    /// # Panics
+    /// Panics on a wrong operand count or a two-qubit gate on one qubit
+    /// twice: the register-independent half of the rule
+    /// [`Circuit::from_instructions`] checks.
     pub fn new(gate: Gate, qubits: Vec<usize>) -> Self {
-        assert_eq!(
-            qubits.len(),
-            gate.arity(),
-            "gate {gate} expects {} qubits, got {}",
-            gate.arity(),
-            qubits.len()
-        );
-        if qubits.len() == 2 {
-            assert_ne!(qubits[0], qubits[1], "two-qubit gate on identical qubits");
+        let inst = Instruction { gate, qubits };
+        // No register yet: every operand index a register could hold is in range.
+        let problem = inst.malformation(usize::MAX);
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
+        inst
+    }
+
+    /// The well-formedness rule, written once: why this instruction cannot
+    /// act on a `num_qubits`-qubit register (a wrong operand count, an
+    /// operand outside the register, or a two-qubit gate on one qubit
+    /// twice, checked in that order), or `None` when it can.
+    fn malformation(&self, num_qubits: usize) -> Option<String> {
+        let arity = self.gate.arity();
+        if self.qubits.len() != arity {
+            Some(format!(
+                "gate {} expects {arity} qubits, got {}",
+                self.gate,
+                self.qubits.len()
+            ))
+        } else if let Some(&q) = self.qubits.iter().find(|&&q| q >= num_qubits) {
+            Some(format!(
+                "qubit {q} out of range for {num_qubits}-qubit circuit"
+            ))
+        } else if arity == 2 && self.qubits[0] == self.qubits[1] {
+            Some(format!("two-qubit gate {} on identical qubits", self.gate))
+        } else {
+            None
         }
-        Instruction { gate, qubits }
     }
 
     /// True if this instruction touches `qubit`.
@@ -94,63 +125,43 @@ impl Circuit {
     /// Appends a gate application.
     ///
     /// # Panics
-    /// Panics if any operand is out of range or the arity is wrong.
+    /// Panics on an instruction [`Circuit::from_instructions`] would
+    /// reject.
     pub fn push(&mut self, gate: Gate, qubits: &[usize]) -> &mut Self {
-        for &q in qubits {
-            assert!(
-                q < self.num_qubits,
-                "qubit {q} out of range for {}-qubit circuit",
-                self.num_qubits
-            );
-        }
-        self.instructions
-            .push(Instruction::new(gate, qubits.to_vec()));
+        let inst = Instruction {
+            gate,
+            qubits: qubits.to_vec(),
+        };
+        let problem = inst.malformation(self.num_qubits);
+        assert!(problem.is_none(), "{}", problem.unwrap_or_default());
+        self.instructions.push(inst);
         self
     }
 
-    /// Builds a circuit from raw instructions **without** operand
-    /// validation — the import seam for externally produced IR (QASM
-    /// bridges, fuzzers) where malformed operands must surface as typed
-    /// errors or analyzer diagnostics (`qcut_core::analysis`, lint
-    /// `QA001`) instead of a panic. [`Circuit::push`] remains the
-    /// validating builder; [`Circuit::malformed_instructions`] is the check
-    /// for circuits assembled here.
-    pub fn from_instructions_unchecked(num_qubits: usize, instructions: Vec<Instruction>) -> Self {
-        Circuit {
+    /// Builds a circuit from raw instructions: the import seam for IR
+    /// produced elsewhere (the warm-cache file decoder, QASM bridges,
+    /// fuzzers). Every instruction must name exactly its gate's arity of
+    /// operands, all inside the `num_qubits`-qubit register, and a
+    /// two-qubit gate two different qubits. [`Circuit::push`] enforces
+    /// the same rule, so every `Circuit` value is well formed and no later
+    /// stage checks it again.
+    ///
+    /// # Errors
+    /// [`MalformedInstruction`] naming the first instruction that breaks
+    /// the rule.
+    pub fn from_instructions(
+        num_qubits: usize,
+        instructions: Vec<Instruction>,
+    ) -> Result<Self, MalformedInstruction> {
+        for (index, inst) in instructions.iter().enumerate() {
+            if let Some(reason) = inst.malformation(num_qubits) {
+                return Err(MalformedInstruction { index, reason });
+            }
+        }
+        Ok(Circuit {
             num_qubits,
             instructions,
-        }
-    }
-
-    /// Structural problems of the instruction stream: `(index,
-    /// description)` per malformed instruction — wrong arity, an operand
-    /// outside the register, or a two-qubit gate on one qubit twice — in
-    /// program order. Empty for every circuit built through the validating
-    /// [`Circuit::push`] API; only [`Circuit::from_instructions_unchecked`]
-    /// can produce findings. Lazy, so a caller that needs only the first
-    /// problem stops there.
-    pub fn malformed_instructions(&self) -> impl Iterator<Item = (usize, String)> + '_ {
-        let n = self.num_qubits;
-        self.instructions
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, inst)| {
-                let arity = inst.gate.arity();
-                let problem = if inst.qubits.len() != arity {
-                    format!(
-                        "gate {} has {} operands, expects {arity}",
-                        inst.gate,
-                        inst.qubits.len()
-                    )
-                } else if let Some(&q) = inst.qubits.iter().find(|&&q| q >= n) {
-                    format!("operand qubit {q} outside the {n}-qubit register")
-                } else if inst.qubits.len() == 2 && inst.qubits[0] == inst.qubits[1] {
-                    format!("two-qubit gate {} applied to one qubit twice", inst.gate)
-                } else {
-                    return None;
-                };
-                Some((i, problem))
-            })
+        })
     }
 
     // ------------------------------------------------------------------
@@ -247,8 +258,7 @@ impl Circuit {
         );
         for inst in &other.instructions {
             let qubits: Vec<usize> = inst.qubits.iter().map(|q| q + offset).collect();
-            self.instructions
-                .push(Instruction::new(inst.gate.clone(), qubits));
+            self.push(inst.gate.clone(), &qubits);
         }
         self
     }
@@ -259,11 +269,7 @@ impl Circuit {
         assert_eq!(map.len(), other.num_qubits, "qubit map length mismatch");
         for inst in &other.instructions {
             let qubits: Vec<usize> = inst.qubits.iter().map(|q| map[*q]).collect();
-            for &q in &qubits {
-                assert!(q < self.num_qubits, "mapped qubit {q} out of range");
-            }
-            self.instructions
-                .push(Instruction::new(inst.gate.clone(), qubits));
+            self.push(inst.gate.clone(), &qubits);
         }
         self
     }
@@ -388,9 +394,7 @@ impl Circuit {
         let mut active = vec![false; self.num_qubits];
         for inst in &self.instructions {
             for &q in &inst.qubits {
-                if q < self.num_qubits {
-                    active[q] = true;
-                }
+                active[q] = true;
             }
         }
         (0..self.num_qubits).filter(|&q| active[q]).collect()
@@ -421,6 +425,25 @@ impl fmt::Display for Circuit {
         Ok(())
     }
 }
+
+/// Why [`Circuit::from_instructions`] rejected an instruction list: the
+/// first instruction that cannot act on the register, and why.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MalformedInstruction {
+    /// Position of the instruction in the list.
+    pub index: usize,
+    /// The broken rule: wrong arity, operand out of range, or a two-qubit
+    /// gate on identical qubits.
+    pub reason: String,
+}
+
+impl fmt::Display for MalformedInstruction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "malformed instruction #{}: {}", self.index, self.reason)
+    }
+}
+
+impl std::error::Error for MalformedInstruction {}
 
 /// 64-bit FNV-1a accumulator for [`Circuit::structural_hash`]. A tiny local
 /// hasher (rather than `std::hash`) because `Gate` carries `f64` parameters
@@ -535,6 +558,52 @@ mod tests {
     #[should_panic(expected = "identical qubits")]
     fn push_rejects_duplicate_operands() {
         Circuit::new(2).cx(1, 1);
+    }
+
+    #[test]
+    fn from_instructions_rejects_each_malformed_shape() {
+        let h = |q| Instruction::new(Gate::H, vec![q]);
+        let raw = |gate, qubits| Instruction { gate, qubits };
+        let shapes = [
+            (raw(Gate::Cx, vec![0]), "cx expects 2 qubits, got 1"),
+            (raw(Gate::H, vec![0, 1]), "h expects 1 qubits, got 2"),
+            (
+                raw(Gate::H, vec![5]),
+                "qubit 5 out of range for 2-qubit circuit",
+            ),
+            (raw(Gate::Cx, vec![0, 2]), "qubit 2 out of range"),
+            (
+                raw(Gate::Cx, vec![1, 1]),
+                "two-qubit gate cx on identical qubits",
+            ),
+        ];
+        for (bad, why) in shapes {
+            // The first offending instruction is named, whatever follows.
+            let insts = vec![h(0), h(1), bad.clone(), raw(Gate::H, vec![9])];
+            let err = Circuit::from_instructions(2, insts).unwrap_err();
+            assert_eq!(err.index, 2, "{bad}");
+            assert!(err.reason.contains(why), "{bad}: {}", err.reason);
+            assert!(err.to_string().starts_with("malformed instruction #2: "));
+        }
+        // An out-of-range operand is reported before a repeated one.
+        let err = Circuit::from_instructions(2, vec![raw(Gate::Cx, vec![3, 3])]).unwrap_err();
+        assert!(err.reason.contains("out of range"), "{}", err.reason);
+
+        let mut built = Circuit::new(2);
+        built.h(0).cx(0, 1);
+        let rebuilt =
+            Circuit::from_instructions(2, vec![h(0), Instruction::new(Gate::Cx, vec![0, 1])]);
+        assert_eq!(rebuilt, Ok(built));
+        assert_eq!(
+            Circuit::from_instructions(3, Vec::new()),
+            Ok(Circuit::new(3))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "expects 2 qubits, got 1")]
+    fn instruction_new_rejects_a_wrong_arity() {
+        Instruction::new(Gate::Cx, vec![0]);
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! linting the very plan it then executes — deny-level findings become
 //! [`crate::error::PipelineError::Analysis`] and warnings ride along in
 //! [`crate::report::RunReport::diagnostics`]. [`analyze`] lints the
-//! standard (nothing-neglected) plan of a workload on its own.
+//! standard (nothing-neglected) plan of a workload on its own. No lint
+//! re-checks the circuit's structure: every [`Circuit`] is well formed by
+//! construction ([`Circuit::from_instructions`]).
 //!
 //! Severity semantics:
 //!
 //! * [`Severity::Deny`] — the workload cannot produce a sound result
-//!   (malformed IR, invalid bipartition, a budget no reachable plan fits);
+//!   (an invalid bipartition, a budget no reachable plan fits);
 //!   the pipeline refuses to execute it.
 //! * [`Severity::Warn`] — the workload runs but something is off
 //!   (wasteful, fragile, or predicted to fail at a later stage unless a
@@ -88,9 +90,6 @@ impl fmt::Display for Severity {
 /// pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LintCode {
-    /// `QA001` — instruction operands out of range, wrong arity, or
-    /// duplicated (malformed IR; deeper layers would panic on it).
-    OutOfRangeOperand,
     /// `QA002` — a qubit with no instructions (its fragment membership is
     /// undefined, so fragmenting will reject the workload).
     IdleQubit,
@@ -183,8 +182,7 @@ pub enum LintCode {
 
 impl LintCode {
     /// Every code, in code order.
-    pub const ALL: [LintCode; 26] = [
-        LintCode::OutOfRangeOperand,
+    pub const ALL: [LintCode; 25] = [
         LintCode::IdleQubit,
         LintCode::IdentityGate,
         LintCode::FusibleAdjacent,
@@ -215,7 +213,6 @@ impl LintCode {
     /// The stable `QAxxx` code string.
     pub fn as_str(self) -> &'static str {
         match self {
-            LintCode::OutOfRangeOperand => "QA001",
             LintCode::IdleQubit => "QA002",
             LintCode::IdentityGate => "QA003",
             LintCode::FusibleAdjacent => "QA004",
@@ -248,8 +245,7 @@ impl LintCode {
     /// [`AnalysisConfig::overrides`].
     pub fn default_severity(self) -> Severity {
         match self {
-            LintCode::OutOfRangeOperand
-            | LintCode::InvalidCut
+            LintCode::InvalidCut
             | LintCode::BudgetBelowFloor
             | LintCode::ZeroShotSetting
             | LintCode::ConsumerAliasing
@@ -431,8 +427,8 @@ impl AnalysisConfig {
 }
 
 /// The pipeline layer a lint reads. [`analyze`] runs layers in order and
-/// stops descending when a layer's soundness premise is broken (malformed
-/// IR stops before fragmenting; an invalid cut stops before scheduling).
+/// stops descending when a layer's soundness premise is broken (an invalid
+/// cut stops before scheduling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Layer {
     /// The workload circuit itself.
@@ -585,8 +581,7 @@ type Check = fn(&AnalysisContext<'_>, &mut Sink<'_>);
 /// Every lint, in [`LintCode`] order: its code, the layer it reads, and
 /// its check. [`analyze`] runs them layer by layer.
 #[rustfmt::skip]
-const LINTS: [(LintCode, Layer, Check); 26] = [
-    (LintCode::OutOfRangeOperand, Layer::Circuit, out_of_range_operand),
+const LINTS: [(LintCode, Layer, Check); 25] = [
     (LintCode::IdleQubit, Layer::Circuit, idle_qubit),
     (LintCode::IdentityGate, Layer::Circuit, identity_gate),
     (LintCode::FusibleAdjacent, Layer::Circuit, fusible_adjacent),
@@ -660,16 +655,6 @@ fn fusible_pair(a: &Gate, b: &Gate) -> bool {
 // ---------------------------------------------------------------------
 // Circuit-layer lints (QA0xx).
 // ---------------------------------------------------------------------
-
-fn out_of_range_operand(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
-    let Some(circuit) = ctx.circuit else { return };
-    for (i, what) in circuit.malformed_instructions() {
-        sink.report(
-            LintCode::OutOfRangeOperand,
-            format!("instruction #{i}: {what}"),
-        );
-    }
-}
 
 fn idle_qubit(ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
     let Some(circuit) = ctx.circuit else { return };
@@ -1323,11 +1308,10 @@ fn run_layer(layer: Layer, ctx: &AnalysisContext<'_>, sink: &mut Sink<'_>) {
 /// graph is planned through the same [`RunPlan`] a run executes from,
 /// under [`GoldenPolicy::Disabled`].
 ///
-/// Layers run in order and stop descending when a premise is broken:
-/// malformed IR (`QA001`) stops before fragmenting, an invalid cut
-/// (`QA101`) stops before scheduling, and an over-budget setting count
-/// ([`AnalysisConfig::max_planned_jobs`]) skips the schedule/graph layers
-/// so analysis stays cheap at large `K`.
+/// Layers run in order and stop descending when a premise is broken: an
+/// invalid cut (`QA101`) stops before scheduling, and an over-budget
+/// setting count ([`AnalysisConfig::max_planned_jobs`]) skips the
+/// schedule/graph layers so analysis stays cheap at large `K`.
 pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> Diagnostics {
     let mut planned = RunPlan::resolve(circuit, cut, &GoldenPolicy::Disabled);
     analyze_inner(circuit, cut, options, None, &mut planned)
@@ -1404,8 +1388,8 @@ fn analyze_inner(
         config,
     };
     // Cache-configuration and execution-policy lints read no circuit
-    // state, so they run first and always — a malformed workload stopping
-    // the descent below must not hide a misconfigured cache or a doomed
+    // state, so they run first and always — an invalid cut stopping the
+    // descent below must not hide a misconfigured cache or a doomed
     // retry/degrade configuration.
     run_layer(Layer::Cache, &ctx, &mut sink);
     run_layer(Layer::Execution, &ctx, &mut sink);
@@ -1413,11 +1397,6 @@ fn analyze_inner(
 
     let run = match &*planned {
         Ok(run) => run,
-        // Malformed IR makes every deeper inspection meaningless (QA001
-        // reported it, whatever its configured severity).
-        Err(PipelineError::Fragment(FragmentError::MalformedInstruction { .. })) => {
-            return sink.finish()
-        }
         // QA101 reports the failure; nothing deeper is well-defined.
         Err(PipelineError::Fragment(e)) => {
             ctx.fragment_error = Some(e);
@@ -1460,7 +1439,6 @@ mod tests {
     use super::*;
     use qcut_cache::CacheConfig;
     use qcut_circuit::ansatz::GoldenAnsatz;
-    use qcut_circuit::circuit::Instruction;
 
     #[test]
     fn registry_covers_every_code_once() {
@@ -1484,7 +1462,7 @@ mod tests {
 
     #[test]
     fn codes_display_stably() {
-        assert_eq!(LintCode::OutOfRangeOperand.to_string(), "QA001");
+        assert_eq!(LintCode::IdleQubit.to_string(), "QA002");
         assert_eq!(LintCode::PrefixSharing.to_string(), "QA304");
         assert_eq!(LintCode::CacheNondeterministicSeeding.to_string(), "QA401");
         assert_eq!(LintCode::CacheByteBudgetThrash.to_string(), "QA402");
@@ -1506,36 +1484,10 @@ mod tests {
             .with_override(LintCode::IdleQubit, Severity::Allow);
         assert_eq!(config.severity(LintCode::PrefixSharing), Severity::Warn);
         assert_eq!(config.severity(LintCode::IdleQubit), Severity::Allow);
-        assert_eq!(config.severity(LintCode::OutOfRangeOperand), Severity::Deny);
+        assert_eq!(config.severity(LintCode::InvalidCut), Severity::Deny);
         // Later overrides win.
         let config = config.with_override(LintCode::IdleQubit, Severity::Deny);
         assert_eq!(config.severity(LintCode::IdleQubit), Severity::Deny);
-    }
-
-    #[test]
-    fn invalid_instructions_catches_all_three_shapes() {
-        let c = Circuit::from_instructions_unchecked(
-            2,
-            vec![
-                Instruction {
-                    gate: Gate::H,
-                    qubits: vec![5],
-                },
-                Instruction {
-                    gate: Gate::Cx,
-                    qubits: vec![0],
-                },
-                Instruction {
-                    gate: Gate::Cx,
-                    qubits: vec![1, 1],
-                },
-            ],
-        );
-        let bad: Vec<_> = c.malformed_instructions().collect();
-        assert_eq!(bad.len(), 3);
-        assert!(bad[0].1.contains("outside"));
-        assert!(bad[1].1.contains("expects 2"));
-        assert!(bad[2].1.contains("twice"));
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! each cut wire in a *cut port* that is re-initialised into preparation
 //! states; **all** of its qubits are outputs. Every qubit of the original
 //! circuit is measured exactly once across the two fragments.
+//!
+//! The input needs no structural check: every [`Circuit`] is well formed
+//! by construction ([`Circuit::from_instructions`]), so extraction only
+//! decides whether the cut bipartitions it.
 
-use qcut_circuit::circuit::{Circuit, Instruction};
+use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::{CutError, CutSpec};
 use std::fmt;
 
@@ -71,14 +75,6 @@ pub enum FragmentError {
     Cut(CutError),
     /// A qubit has no instructions; its fragment membership is undefined.
     IdleQubit(usize),
-    /// The first malformed instruction of an unchecked circuit (see
-    /// [`Circuit::malformed_instructions`]).
-    MalformedInstruction {
-        /// Program index of the instruction.
-        index: usize,
-        /// What is wrong with it.
-        reason: String,
-    },
 }
 
 impl fmt::Display for FragmentError {
@@ -90,9 +86,6 @@ impl fmt::Display for FragmentError {
                 "qubit {q} has no instructions; remove it or add gates so it \
                  belongs to one side of the cut"
             ),
-            FragmentError::MalformedInstruction { index, reason } => {
-                write!(f, "malformed instruction #{index}: {reason}")
-            }
         }
     }
 }
@@ -109,22 +102,14 @@ impl From<CutError> for FragmentError {
 pub struct Fragmenter;
 
 impl Fragmenter {
-    /// Bipartitions `circuit` along `spec`. Malformed IR (possible only
-    /// through [`Circuit::from_instructions_unchecked`]) is rejected before
-    /// anything indexes by operand.
+    /// Bipartitions `circuit` along `spec`.
     pub fn fragment(circuit: &Circuit, spec: &CutSpec) -> Result<Fragments, FragmentError> {
-        if let Some((index, reason)) = circuit.malformed_instructions().next() {
-            return Err(FragmentError::MalformedInstruction { index, reason });
-        }
         let (_edges, upstream_mask) = spec.validate(circuit)?;
         let n = circuit.num_qubits();
 
         // Idle qubits have no home; reject with a pointer at the culprit.
-        let active = circuit.active_qubits();
-        for q in 0..n {
-            if !active.contains(&q) {
-                return Err(FragmentError::IdleQubit(q));
-            }
+        if let Some(&q) = circuit.idle_qubits().first() {
+            return Err(FragmentError::IdleQubit(q));
         }
 
         let cut_qubits: Vec<usize> = spec.cuts().iter().map(|c| c.qubit).collect();
@@ -198,10 +183,7 @@ impl Fragmenter {
         for (i, inst) in circuit.instructions().iter().enumerate() {
             if upstream_mask[i] == want_upstream {
                 let qubits: Vec<usize> = inst.qubits.iter().map(|&q| local_of_global[q]).collect();
-                debug_assert!(qubits.iter().all(|&q| q != usize::MAX));
-                // Re-push through the circuit API to keep validation.
-                let Instruction { gate, .. } = inst.clone();
-                frag.push(gate, &qubits);
+                frag.push(inst.gate.clone(), &qubits);
             }
         }
 
@@ -331,25 +313,6 @@ mod tests {
         c.cx(0, 1).cx(1, 2);
         let err = Fragmenter::fragment(&c, &CutSpec::single(1, 0)).unwrap_err();
         assert_eq!(err, FragmentError::IdleQubit(3));
-    }
-
-    #[test]
-    fn malformed_instruction_is_a_typed_error() {
-        let c = Circuit::from_instructions_unchecked(
-            2,
-            vec![
-                Instruction::new(qcut_circuit::gate::Gate::H, vec![0]),
-                Instruction {
-                    gate: qcut_circuit::gate::Gate::H,
-                    qubits: vec![2],
-                },
-            ],
-        );
-        let err = Fragmenter::fragment(&c, &CutSpec::single(0, 0)).unwrap_err();
-        assert!(
-            matches!(err, FragmentError::MalformedInstruction { index: 1, .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -484,8 +484,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         } = effective
         {
             self.gather_adaptive(
-                &run_plan.fragments,
-                &run_plan.basis,
+                &run_plan,
                 options,
                 pilot_fraction,
                 total,
@@ -796,17 +795,16 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     ///
     /// Returns the final round's channels (cumulative histograms), the
     /// pilot's fresh shot count, and the round count (2).
-    #[allow(clippy::too_many_arguments)]
     fn gather_adaptive(
         &self,
-        fragments: &Fragments,
-        plan: &BasisPlan,
+        run_plan: &RunPlan,
         options: &ExecutionOptions,
         pilot_fraction: f64,
         total: u64,
         detection_cache: &HashMap<u64, Seed>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<(Round, u64, usize), PipelineError> {
+        let (fragments, plan) = (&run_plan.fragments, &run_plan.basis);
         let frame = PrepFrame::new(options.method, plan);
         let n_up = plan.all_meas_settings().len();
         let n_down = frame.settings().len();
@@ -1190,58 +1188,6 @@ mod tests {
             .run(&circuit, &bad, GoldenPolicy::Disabled, &opts)
             .unwrap_err();
         assert!(matches!(err, PipelineError::Fragment(_)));
-    }
-
-    #[test]
-    fn malformed_ir_is_a_typed_error_with_the_gate_on_or_off() {
-        use crate::analysis::LintCode;
-        use qcut_circuit::circuit::Instruction;
-        use qcut_circuit::gate::Gate;
-        let (valid, cut) = GoldenAnsatz::new(5, 0).build();
-        let malformed = |bad: Instruction| {
-            let mut insts = valid.instructions().to_vec();
-            insts.push(bad);
-            Circuit::from_instructions_unchecked(valid.num_qubits(), insts)
-        };
-        let shapes = [
-            // An operand outside the register.
-            malformed(Instruction {
-                gate: Gate::H,
-                qubits: vec![9],
-            }),
-            // A two-qubit gate with one operand.
-            malformed(Instruction {
-                gate: Gate::Cx,
-                qubits: vec![0],
-            }),
-        ];
-        let backend = IdealBackend::new(0);
-        let exec = CutExecutor::new(&backend);
-        for circuit in &shapes {
-            let off = ExecutionOptions {
-                analysis: AnalysisConfig::disabled(),
-                ..options(100)
-            };
-            let err = exec
-                .run(circuit, &cut, GoldenPolicy::Disabled, &off)
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    PipelineError::Fragment(
-                        crate::fragment::FragmentError::MalformedInstruction { .. }
-                    )
-                ),
-                "gate off: {err:?}"
-            );
-            let err = exec
-                .run(circuit, &cut, GoldenPolicy::Disabled, &options(100))
-                .unwrap_err();
-            let PipelineError::Analysis(diags) = err else {
-                panic!("gate on: expected an analysis rejection, got {err:?}");
-            };
-            assert!(diags.contains(LintCode::OutOfRangeOperand), "{diags}");
-        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub struct RunPlan {
 impl RunPlan {
     /// Fragments `circuit` along `cut` and resolves `policy` into the
     /// starting basis plan; [`RunPlan::plan_gather`] plans the rest.
-    /// Malformed IR and invalid cuts are [`PipelineError::Fragment`]; a
+    /// Invalid cuts are [`PipelineError::Fragment`]; a
     /// [`GoldenPolicy::KnownAPriori`] cut index outside the specification
     /// is [`PipelineError::GoldenCutOutOfRange`].
     pub fn resolve(

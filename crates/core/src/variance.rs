@@ -155,8 +155,9 @@ fn string_vars<'a>(
     })
 }
 
-/// Variance estimate from explicit tensors and a (uniform) per-setting shot
-/// budget, for eigenstate preparations.
+/// Variance estimate from explicit tensors and a uniform per-setting shot
+/// budget, for eigenstate preparations: [`variance_from_schedule`] on
+/// the uniform schedule.
 pub fn variance_from_tensors(
     fragments: &Fragments,
     plan: &BasisPlan,
@@ -164,15 +165,13 @@ pub fn variance_from_tensors(
     downstream: &CoefficientTensor,
     shots_per_setting: u64,
 ) -> ReconstructionError {
-    let shots = shots_per_setting.max(1) as f64;
-    // Per-coefficient variance bound from the multinomial signed sum.
-    // Downstream coefficients are 2^K-term signed sums of independent
-    // preparations, each with variance ≤ 1/N.
-    let k = plan.num_cuts() as i32;
-    let var_a = 1.0 / shots;
-    let var_d = 2.0f64.powi(k) / shots;
-    let vars = std::iter::repeat((var_a, var_d));
-    variance_core(fragments, plan, upstream, downstream, vars)
+    let uniform = ShotSchedule::uniform(
+        plan.all_meas_settings().len(),
+        plan.all_prep_settings().len(),
+        shots_per_setting,
+    );
+    let method = ReconstructionMethod::Eigenstate;
+    variance_from_schedule(fragments, plan, method, upstream, downstream, &uniform)
 }
 
 /// Variance estimate from explicit tensors and a *requested* per-setting
@@ -526,21 +525,6 @@ mod tests {
             (rms_u - rms_w).abs() / rms_u < 0.5,
             "same total budget should land in the same ballpark: {rms_u} vs {rms_w}"
         );
-        // And the uniform special case of the schedule API reproduces the
-        // closed-form constant-budget estimate exactly.
-        let per_setting = crate::allocation::ShotSchedule::uniform(3, 6, 1000);
-        let a = variance_from_schedule(
-            &frags,
-            &plan,
-            ReconstructionMethod::Eigenstate,
-            &up,
-            &down,
-            &per_setting,
-        );
-        let b = variance_from_tensors(&frags, &plan, &up, &down, 1000);
-        for bits in 0..(1u64 << 5) {
-            assert!((a.variance(bits) - b.variance(bits)).abs() < 1e-15);
-        }
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct BatchStats {
     /// Gate applications a per-job simulation would have performed
     /// (`Σ len(circuit)` over valid jobs).
     pub gates_naive: u64,
-    /// Prefix-forest trie nodes (0 when sharing is off or not supported).
+    /// Prefix-forest trie nodes (0 for per-job execution or a backend
+    /// without a prefix forest).
     pub prefix_nodes: u64,
     /// Distinct final states sampled from — one CDF table is built per
     /// unique state and reused by every job ending there.
@@ -174,21 +175,12 @@ pub enum BackendError {
     },
     /// The backend is (temporarily) not accepting work at all.
     Unavailable,
-    /// An instruction of the circuit is structurally malformed (see
-    /// [`Circuit::malformed_instructions`]): the first such instruction.
-    MalformedCircuit {
-        /// Position of the instruction in the circuit.
-        index: usize,
-        /// What is wrong with it.
-        reason: String,
-    },
 }
 
 impl BackendError {
     /// True for failures worth re-submitting: the job itself is fine, the
-    /// delivery failed. `CircuitTooWide`, `NoShots` and `MalformedCircuit`
-    /// are deterministic misconfigurations — retrying them can only fail
-    /// identically.
+    /// delivery failed. `CircuitTooWide` and `NoShots` are deterministic
+    /// misconfigurations — retrying them can only fail identically.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -217,23 +209,11 @@ impl fmt::Display for BackendError {
                 elapsed.as_secs_f64()
             ),
             BackendError::Unavailable => write!(f, "backend is not accepting work"),
-            BackendError::MalformedCircuit { index, reason } => {
-                write!(f, "malformed instruction {index}: {reason}")
-            }
         }
     }
 }
 
 impl std::error::Error for BackendError {}
-
-/// Rejects a circuit with a malformed instruction — the simulators' block
-/// kernels assume every instruction is well-formed.
-pub(crate) fn check_well_formed(circuit: &Circuit) -> Result<(), BackendError> {
-    match circuit.malformed_instructions().next() {
-        Some((index, reason)) => Err(BackendError::MalformedCircuit { index, reason }),
-        None => Ok(()),
-    }
-}
 
 /// SplitMix64-style mixing of (backend seed, job index) into a per-job
 /// sub-seed. Shared by the seed-deterministic backends so the
@@ -245,36 +225,15 @@ pub fn mix_seed(seed: u64, job: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shared native-batch driver: reserves one contiguous block of job
-/// indices from `counter`, then fans the jobs out over the rayon pool with
-/// their *batch-position* index — so per-job seeds are deterministic under
-/// any thread interleaving and identical to running the jobs one by one
-/// (each `run` drawing the counter in order).
-pub(crate) fn run_batch_indexed<F>(
-    counter: &std::sync::atomic::AtomicU64,
-    jobs: &[JobSpec<'_>],
-    run: F,
-) -> Vec<JobResult>
-where
-    F: Fn(JobSpec<'_>, u64) -> JobResult + Sync,
-{
-    let base = counter.fetch_add(jobs.len() as u64, std::sync::atomic::Ordering::Relaxed);
-    (base..base + jobs.len() as u64)
-        .into_par_iter()
-        .zip(jobs.par_iter())
-        .map(|(idx, &job)| run(job, idx))
-        .collect()
-}
-
 /// Shared prefix-sharing batch driver for the seed-deterministic
 /// simulator backends: reserves one contiguous block of job indices from
 /// `counter` (so per-job seeds are assigned by *batch position*, exactly
-/// like [`run_batch_indexed`] and a sequential loop over `run`), validates
-/// each job with `check`, then simulates the valid circuits through one
-/// [`PrefixForest`] — every shared instruction prefix evolves once, the
-/// state forks at branch points, and each node terminating ≥1 job builds a
-/// single [`CdfTable`] from `finalize(state)` that all its jobs sample
-/// through with their own position-seeded RNG stream. Bit-identical to
+/// like a sequential loop over `run`), validates each job with `check`,
+/// then simulates the valid circuits through one [`PrefixForest`] — every
+/// shared instruction prefix evolves once, the state forks at branch
+/// points, and each node terminating ≥1 job builds a single [`CdfTable`]
+/// from `finalize(state)` that all its jobs sample through with their own
+/// position-seeded RNG stream. Bit-identical to
 /// per-job simulation because forking is a bit-exact clone and the
 /// instruction application order per job is unchanged.
 ///
@@ -479,8 +438,8 @@ pub trait Backend: Sync {
         None
     }
 
-    /// Validates a job without running it: the circuit fits, asks for at
-    /// least one shot, and has no malformed instruction.
+    /// Validates a job without running it: the circuit fits and asks for
+    /// at least one shot.
     fn check(&self, circuit: &Circuit, shots: u64) -> Result<(), BackendError> {
         if circuit.num_qubits() > self.num_qubits() {
             return Err(BackendError::CircuitTooWide {
@@ -491,7 +450,7 @@ pub trait Backend: Sync {
         if shots == 0 {
             return Err(BackendError::NoShots);
         }
-        check_well_formed(circuit)
+        Ok(())
     }
 }
 

@@ -7,8 +7,8 @@
 //! index*, and two backends with the same seed produce the same stream.
 
 use crate::backend::{
-    mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError, BatchRun, BatchStats,
-    ExecutionResult, JobResult, JobSpec,
+    mix_seed, run_batch_forest, Backend, BackendError, BatchRun, ExecutionResult, JobResult,
+    JobSpec,
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::Circuit;
@@ -28,7 +28,6 @@ pub struct IdealBackend {
     seed: u64,
     job_counter: AtomicU64,
     timing: TimingModel,
-    prefix_sharing: bool,
     /// Warm-start tier 2: fork states kept across batches (and runs) so
     /// repeated prefixes re-simulate only their divergent suffixes. A lock
     /// poisoned by a panic elsewhere is recovered: the cache's `lookup` and
@@ -45,7 +44,6 @@ impl IdealBackend {
             seed,
             job_counter: AtomicU64::new(0),
             timing: TimingModel::instantaneous(),
-            prefix_sharing: true,
             state_cache: None,
         }
     }
@@ -63,21 +61,12 @@ impl IdealBackend {
         self
     }
 
-    /// Toggles prefix-shared batch simulation (on by default; `false` is
-    /// the per-job ablation baseline for the prefix-sharing bench). Counts
-    /// are bit-identical either way.
-    pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
-        self.prefix_sharing = enabled;
-        self
-    }
-
     /// Attaches a warm-start fork-state cache holding up to `max_states`
     /// states (tier 2 of the cross-run cache). Batches then resume
     /// simulation from the deepest prefix any earlier batch — in this run
     /// or a previous `CutExecutor::run` on the same backend — has already
     /// evolved. Counts are bit-identical with or without the cache; only
-    /// host time and the `states_reused` accounting change. Requires
-    /// prefix sharing (the default).
+    /// host time and the `states_reused` accounting change.
     pub fn with_state_reuse(mut self, max_states: usize) -> Self {
         self.state_cache = Some(Mutex::new(ForkStateCache::new(max_states)));
         self
@@ -89,28 +78,6 @@ impl IdealBackend {
             .as_ref()
             .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).len())
             .unwrap_or(0)
-    }
-
-    fn next_job_seed(&self) -> u64 {
-        mix_seed(self.seed, self.job_counter.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn run_seeded(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        job_seed: u64,
-    ) -> Result<ExecutionResult, BackendError> {
-        self.check(circuit, shots)?;
-        let started = Instant::now();
-        let sv = StateVector::from_circuit(circuit);
-        let mut rng = StdRng::seed_from_u64(job_seed);
-        let counts = sv.sample(shots, &mut rng);
-        Ok(ExecutionResult {
-            counts,
-            simulated_duration: self.timing.job_duration_as_duration(circuit, shots),
-            host_duration: started.elapsed(),
-        })
     }
 }
 
@@ -128,26 +95,29 @@ impl Backend for IdealBackend {
     }
 
     fn run(&self, circuit: &Circuit, shots: u64) -> Result<ExecutionResult, BackendError> {
-        self.run_seeded(circuit, shots, self.next_job_seed())
+        let job_seed = mix_seed(self.seed, self.job_counter.fetch_add(1, Ordering::Relaxed));
+        self.check(circuit, shots)?;
+        let started = Instant::now();
+        let sv = StateVector::from_circuit(circuit);
+        let mut rng = StdRng::seed_from_u64(job_seed);
+        let counts = sv.sample(shots, &mut rng);
+        Ok(ExecutionResult {
+            counts,
+            simulated_duration: self.timing.job_duration_as_duration(circuit, shots),
+            host_duration: started.elapsed(),
+        })
     }
 
     /// Native batched execution: sub-seeds are assigned by *batch
     /// position*, not scheduling order — so the counts are deterministic
     /// under any thread interleaving and identical to running the same
-    /// jobs one by one through [`Backend::run`]. With prefix sharing on
-    /// (the default) the batch is simulated through a
-    /// [`qcut_sim::prefix::PrefixForest`]: each shared instruction prefix
-    /// evolves once, the state vector forks at branch points, and every
-    /// distinct final state builds one CDF table reused by all jobs ending
-    /// there — same bits, `O(G + Σ suffix)` instead of `O(V·G)` gates.
+    /// jobs one by one through [`Backend::run`]. The batch is simulated
+    /// through a [`qcut_sim::prefix::PrefixForest`]: each shared
+    /// instruction prefix evolves once, the state vector forks at branch
+    /// points, and every distinct final state builds one CDF table reused
+    /// by all jobs ending there — same bits, `O(G + Σ suffix)` instead of
+    /// `O(V·G)` gates.
     fn run_batch_stats(&self, jobs: &[JobSpec<'_>]) -> BatchRun {
-        if !self.prefix_sharing {
-            let results = run_batch_indexed(&self.job_counter, jobs, |job, idx| {
-                self.run_seeded(job.circuit, job.shots, mix_seed(self.seed, idx))
-            });
-            let stats = BatchStats::unshared(jobs, &results);
-            return BatchRun { results, stats };
-        }
         run_batch_forest(
             &self.job_counter,
             self.seed,
@@ -177,6 +147,7 @@ impl Backend for IdealBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BatchStats;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new(2);
@@ -265,22 +236,17 @@ mod tests {
             .collect();
 
         let shared = IdealBackend::new(7).run_batch_stats(&jobs);
-        let unshared = IdealBackend::new(7)
-            .with_prefix_sharing(false)
-            .run_batch_stats(&jobs);
-        for (a, b) in shared.results.iter().zip(&unshared.results) {
+        // The per-job baseline: a sequential loop over `run`.
+        let seq = IdealBackend::new(7);
+        let per_job: Vec<JobResult> = jobs.iter().map(|j| seq.run(j.circuit, j.shots)).collect();
+        let unshared = BatchStats::unshared(&jobs, &per_job);
+        for (a, b) in shared.results.iter().zip(&per_job) {
             assert_eq!(a.as_ref().unwrap().counts, b.as_ref().unwrap().counts);
         }
-        // And both match a sequential loop over `run`.
-        let seq = IdealBackend::new(7);
-        for (job, r) in jobs.iter().zip(&shared.results) {
-            let s = seq.run(job.circuit, job.shots).unwrap();
-            assert_eq!(r.as_ref().unwrap().counts, s.counts);
-        }
         // Accounting: sharing applied fewer gates for the same batch.
-        assert_eq!(shared.stats.gates_naive, unshared.stats.gates_naive);
+        assert_eq!(shared.stats.gates_naive, unshared.gates_naive);
         assert!(shared.stats.gates_applied < shared.stats.gates_naive);
-        assert_eq!(unshared.stats.gates_saved(), 0);
+        assert_eq!(unshared.gates_saved(), 0);
         // base appears twice but is one terminal node (one CDF table).
         assert_eq!(shared.stats.unique_states, 4);
         assert!(shared.stats.prefix_nodes >= 4);

@@ -30,8 +30,8 @@
 //! per distinct outcome.
 
 use crate::backend::{
-    check_well_formed, mix_seed, run_batch_forest, run_batch_indexed, Backend, BackendError,
-    BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
+    mix_seed, run_batch_forest, Backend, BackendError, BatchRun, ExecutionResult, JobResult,
+    JobSpec,
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::{Circuit, Instruction};
@@ -71,7 +71,6 @@ pub struct NoisyBackend {
     job_counter: AtomicU64,
     /// The fused noise after every gate, shared with every evolving state.
     gate_noise: Arc<GateNoise>,
-    prefix_sharing: bool,
     /// Warm-start tier 2: fork states kept across batches (and runs) so
     /// repeated prefixes re-simulate only their divergent suffixes; `None`
     /// when not one density matrix of the device's width fits in
@@ -153,7 +152,6 @@ impl NoisyBackend {
             seed,
             job_counter: AtomicU64::new(0),
             gate_noise: Arc::new(gate_noise),
-            prefix_sharing: true,
             state_cache: (max_states > 0)
                 .then(|| Mutex::new(ForkStateCache::admitting_repeats(max_states))),
         }
@@ -164,36 +162,6 @@ impl NoisyBackend {
         &self.noise
     }
 
-    /// Toggles prefix-shared batch simulation (on by default; `false` is
-    /// the per-job ablation baseline, which also bypasses the tier-2 state
-    /// cache). Counts are bit-identical either way.
-    pub fn with_prefix_sharing(mut self, enabled: bool) -> Self {
-        self.prefix_sharing = enabled;
-        self
-    }
-
-    fn next_job_seed(&self) -> u64 {
-        mix_seed(self.seed, self.job_counter.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn run_seeded(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        job_seed: u64,
-    ) -> Result<ExecutionResult, BackendError> {
-        self.check(circuit, shots)?;
-        let started = Instant::now();
-        let probs = self.evolve(circuit);
-        let mut rng = StdRng::seed_from_u64(job_seed);
-        let counts = sample_counts(circuit.num_qubits(), &probs, shots, &mut rng);
-        Ok(ExecutionResult {
-            counts,
-            simulated_duration: self.timing.job_duration_as_duration(circuit, shots),
-            host_duration: started.elapsed(),
-        })
-    }
-
     /// Readout-corrupted outcome distribution of an evolved density matrix
     /// (the per-leaf finalisation of the batch walk).
     fn readout_probabilities(&self, dm: &DensityMatrix) -> Vec<f64> {
@@ -201,27 +169,16 @@ impl NoisyBackend {
         self.noise.readout.apply_to_probs(&probs, dm.num_qubits())
     }
 
-    /// The exact noisy output distribution of a circuit the caller has
-    /// already found well formed.
-    fn evolve(&self, circuit: &Circuit) -> Vec<f64> {
+    /// Exact noisy output distribution (before shot sampling): density
+    /// matrix evolution + readout confusion. Exposed for tests and for
+    /// infinite-shot analyses. The device capacity is not checked: any
+    /// width the host can hold is evolved.
+    pub fn exact_probabilities(&self, circuit: &Circuit) -> Vec<f64> {
         let mut dm = DensityMatrix::zero_state(circuit.num_qubits());
         for inst in circuit.instructions() {
             self.gate_noise.apply(&mut dm, inst);
         }
         self.readout_probabilities(&dm)
-    }
-
-    /// Exact noisy output distribution (before shot sampling): density
-    /// matrix evolution + readout confusion. Exposed for tests and for
-    /// infinite-shot analyses.
-    ///
-    /// # Errors
-    /// [`BackendError::MalformedCircuit`] for an instruction the simulator
-    /// cannot apply ([`Circuit::malformed_instructions`]). The device
-    /// capacity is not checked: any width the host can hold is evolved.
-    pub fn exact_probabilities(&self, circuit: &Circuit) -> Result<Vec<f64>, BackendError> {
-        check_well_formed(circuit)?;
-        Ok(self.evolve(circuit))
     }
 }
 
@@ -258,25 +215,27 @@ impl Backend for NoisyBackend {
     }
 
     fn run(&self, circuit: &Circuit, shots: u64) -> Result<ExecutionResult, BackendError> {
-        self.run_seeded(circuit, shots, self.next_job_seed())
+        let job_seed = mix_seed(self.seed, self.job_counter.fetch_add(1, Ordering::Relaxed));
+        self.check(circuit, shots)?;
+        let started = Instant::now();
+        let probs = self.exact_probabilities(circuit);
+        let mut rng = StdRng::seed_from_u64(job_seed);
+        let counts = sample_counts(circuit.num_qubits(), &probs, shots, &mut rng);
+        Ok(ExecutionResult {
+            counts,
+            simulated_duration: self.timing.job_duration_as_duration(circuit, shots),
+            host_duration: started.elapsed(),
+        })
     }
 
     /// Native batched execution. The expensive per-backend noise setup (the
     /// pre-built noise superoperators) is shared across the whole batch,
     /// sub-seeds are assigned by batch position (batched results are
-    /// bit-identical to a sequential loop over [`Backend::run`]), and with
-    /// prefix sharing on the density-matrix evolution of shared circuit
-    /// prefixes — the dominant `O(4^n)`-per-gate cost — runs once per
+    /// bit-identical to a sequential loop over [`Backend::run`]), and the
+    /// density-matrix evolution of shared circuit prefixes — the dominant `O(4^n)`-per-gate cost — runs once per
     /// prefix, forking at trie branch points. The walk also resumes from
     /// the states earlier batches left in the tier-2 cache.
     fn run_batch_stats(&self, jobs: &[JobSpec<'_>]) -> BatchRun {
-        if !self.prefix_sharing {
-            let results = run_batch_indexed(&self.job_counter, jobs, |job, idx| {
-                self.run_seeded(job.circuit, job.shots, mix_seed(self.seed, idx))
-            });
-            let stats = BatchStats::unshared(jobs, &results);
-            return BatchRun { results, stats };
-        }
         run_batch_forest(
             &self.job_counter,
             self.seed,
@@ -339,7 +298,10 @@ impl Backend for NoisyBackend {
         if probe_width > 1 {
             probe.cx(0, 1);
         }
-        tvd(&self.evolve(&probe), &ideal_probabilities(&probe))
+        tvd(
+            &self.exact_probabilities(&probe),
+            &ideal_probabilities(&probe),
+        )
     }
 }
 
@@ -380,7 +342,7 @@ mod tests {
     #[test]
     fn noise_perturbs_but_does_not_destroy() {
         let b = noisy(1);
-        let noisy_probs = b.exact_probabilities(&bell()).unwrap();
+        let noisy_probs = b.exact_probabilities(&bell());
         let ideal = ideal_probabilities(&bell());
         let d = tvd(&noisy_probs, &ideal);
         assert!(d > 1e-4, "noise had no effect (tvd = {d})");
@@ -392,7 +354,7 @@ mod tests {
     #[test]
     fn probabilities_remain_normalised() {
         let b = noisy(2);
-        let probs = b.exact_probabilities(&bell()).unwrap();
+        let probs = b.exact_probabilities(&bell());
         let total: f64 = probs.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         assert!(probs.iter().all(|&p| p >= 0.0));
@@ -414,7 +376,7 @@ mod tests {
         let b = NoisyBackend::new("thermal", 2, model, TimingModel::ibm_like(), 0);
         let mut c = Circuit::new(1);
         c.x(0); // |1>
-        let probs = b.exact_probabilities(&c).unwrap();
+        let probs = b.exact_probabilities(&c);
         assert!(probs[0] > 0.15, "expected decay toward |0>, got {probs:?}");
         assert!(probs[1] < 0.85);
     }
@@ -429,7 +391,7 @@ mod tests {
         };
         let b = NoisyBackend::new("ro", 1, model, TimingModel::ibm_like(), 0);
         let c = Circuit::new(1); // |0> always
-        let probs = b.exact_probabilities(&c).unwrap();
+        let probs = b.exact_probabilities(&c);
         assert!((probs[1] - 0.05).abs() < 1e-9);
     }
 
@@ -480,10 +442,7 @@ mod tests {
             .collect();
 
         let shared = noisy(21).run_batch_stats(&jobs);
-        let unshared = noisy(21).with_prefix_sharing(false).run_batch_stats(&jobs);
-        for (a, b) in shared.results.iter().zip(&unshared.results) {
-            assert_eq!(a.as_ref().unwrap().counts, b.as_ref().unwrap().counts);
-        }
+        // The per-job baseline: a sequential loop over `run`.
         let seq = noisy(21);
         for (job, r) in jobs.iter().zip(&shared.results) {
             let s = seq.run(job.circuit, job.shots).unwrap();
@@ -512,8 +471,9 @@ mod tests {
         ];
 
         let warm = noisy(41);
-        // Per-job evolution never touches the cache.
-        let cold = noisy(41).with_prefix_sharing(false);
+        // Per-job `run` evolves each job on its own and never touches the
+        // cache.
+        let cold = noisy(41);
         for (i, batch) in batches.iter().enumerate() {
             let jobs: Vec<JobSpec<'_>> = batch.iter().map(|c| JobSpec::new(c, 300)).collect();
             let run = warm.run_batch_stats(&jobs);
@@ -695,7 +655,7 @@ mod tests {
             proptest::prop_assert!(rho.is_hermitian(1e-12));
             proptest::prop_assert!((dm.trace() - 1.0).abs() < 1e-12);
 
-            let got = backend.exact_probabilities(&circuit).unwrap();
+            let got = backend.exact_probabilities(&circuit);
             for (g, w) in got.iter().zip(&want) {
                 proptest::prop_assert!((g - w).abs() < 1e-12, "{g} vs {w}");
             }
@@ -711,7 +671,7 @@ mod tests {
             TimingModel::instantaneous(),
             0,
         );
-        let probs = b.exact_probabilities(&bell()).unwrap();
+        let probs = b.exact_probabilities(&bell());
         let ideal = ideal_probabilities(&bell());
         assert!(tvd(&probs, &ideal) < 1e-10);
     }

@@ -31,8 +31,7 @@
 //! semantics without failover.
 
 use crate::backend::{
-    check_well_formed, Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult,
-    JobSpec,
+    Backend, BackendError, BatchRun, BatchStats, ExecutionResult, JobResult, JobSpec,
 };
 use crate::timing::TimingModel;
 use qcut_circuit::circuit::Circuit;
@@ -497,7 +496,7 @@ impl Backend for BackendPool {
         if self.feasible_members(circuit.num_qubits()).is_empty() {
             return Err(self.infeasible_error(circuit));
         }
-        check_well_formed(circuit)
+        Ok(())
     }
 
     fn as_pool(&self) -> Option<&BackendPool> {

@@ -97,8 +97,8 @@ mod tests {
         use crate::noisy::{ideal_probabilities, tvd};
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).cx(1, 2);
-        let mild = ibm_5q(0).exact_probabilities(&c).unwrap();
-        let harsh = very_noisy(0).exact_probabilities(&c).unwrap();
+        let mild = ibm_5q(0).exact_probabilities(&c);
+        let harsh = very_noisy(0).exact_probabilities(&c);
         let ideal = ideal_probabilities(&c);
         assert!(tvd(&harsh, &ideal) > tvd(&mild, &ideal));
     }

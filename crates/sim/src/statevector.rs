@@ -46,11 +46,6 @@ impl StateVector {
     }
 
     /// Runs a circuit from `|0…0>`.
-    ///
-    /// # Panics
-    /// On a malformed circuit ([`Circuit::malformed_instructions`]), as
-    /// [`apply_circuit`](Self::apply_circuit). The device layer's
-    /// `Backend::check` rejects one with `BackendError::MalformedCircuit`.
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let mut sv = Self::zero_state(circuit.num_qubits());
         sv.apply_circuit(circuit);
@@ -72,10 +67,7 @@ impl StateVector {
     /// Applies every instruction of `circuit` in order.
     ///
     /// # Panics
-    /// If `circuit` is not as wide as the state, or on a malformed circuit
-    /// ([`Circuit::malformed_instructions`]). The device layer's
-    /// `Backend::check` rejects a malformed one with
-    /// `BackendError::MalformedCircuit`.
+    /// If `circuit` is not as wide as the state.
     pub fn apply_circuit(&mut self, circuit: &Circuit) {
         assert_eq!(
             circuit.num_qubits(),

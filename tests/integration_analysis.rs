@@ -3,7 +3,6 @@
 //! sweep, and the deny-before-any-shot pipeline contract.
 
 use qcut::circuit::ansatz::MultiCutAnsatz;
-use qcut::circuit::circuit::Instruction;
 use qcut::cutting::analysis::{
     analyze, lint_graph, AnalysisConfig, Diagnostics, LintCode, Severity,
 };
@@ -43,39 +42,6 @@ fn non_real_upstream_workload() -> (Circuit, CutSpec) {
 
 fn count(diags: &Diagnostics, code: LintCode) -> usize {
     diags.iter().filter(|d| d.code == code).count()
-}
-
-// ---------------------------------------------------------------------
-// QA001 OutOfRangeOperand
-// ---------------------------------------------------------------------
-
-#[test]
-fn qa001_fires_on_malformed_instruction_stream() {
-    let circuit = Circuit::from_instructions_unchecked(
-        2,
-        vec![
-            Instruction {
-                gate: Gate::H,
-                qubits: vec![7],
-            },
-            Instruction {
-                gate: Gate::Cx,
-                qubits: vec![0, 0],
-            },
-        ],
-    );
-    let diags = analyze(&circuit, &CutSpec::single(0, 0), &default_options());
-    assert_eq!(count(&diags, LintCode::OutOfRangeOperand), 2);
-    assert!(diags.has_deny());
-    // Malformed IR stops the descent: no deeper-layer findings at all.
-    assert!(!diags.contains(LintCode::InvalidCut));
-}
-
-#[test]
-fn qa001_silent_on_validated_circuits() {
-    let (circuit, cut) = GoldenAnsatz::new(5, 11).build();
-    let diags = analyze(&circuit, &cut, &default_options());
-    assert!(!diags.contains(LintCode::OutOfRangeOperand));
 }
 
 // ---------------------------------------------------------------------

@@ -190,7 +190,8 @@ fn noisy_online_detection_outputs_are_pinned() {
 /// Runs online detection on `circuit` twice from seed 1: on `ibm_7q`,
 /// whose tier-2 cache keeps the density matrices a cut's second look
 /// evolves and serves every later look from them, and on the same preset
-/// evolving every job on its own, which never consults the cache. Checks
+/// with every job sent through `Backend::run` (`parallel: false`), which
+/// evolves each job on its own and never consults the cache. Checks
 /// that the outputs are bit-equal and that every detection job after a
 /// cut's second look resumed from a cached state.
 fn assert_detection_resumes_from_cached_states(circuit: &Circuit, cut: &CutSpec) {
@@ -202,14 +203,17 @@ fn assert_detection_resumes_from_cached_states(circuit: &Circuit, cut: &CutSpec)
         shots_per_setting: 1000,
         ..Default::default()
     };
-    let run = |backend: &NoisyBackend| {
-        CutExecutor::new(backend)
-            .run(circuit, cut, GoldenPolicy::DetectOnline(config), &options)
+    let run = |options: &ExecutionOptions| {
+        CutExecutor::new(&presets::ibm_7q(1))
+            .run(circuit, cut, GoldenPolicy::DetectOnline(config), options)
             .unwrap()
     };
     let (hot, plain) = (
-        run(&presets::ibm_7q(1)),
-        run(&presets::ibm_7q(1).with_prefix_sharing(false)),
+        run(&options),
+        run(&ExecutionOptions {
+            parallel: false,
+            ..options.clone()
+        }),
     );
     let num_cuts = cut.num_cuts();
     // Every look submits one job per setting: 3^(K-1) of them.
@@ -251,61 +255,4 @@ fn three_cut_noisy_online_detection_resumes_from_cached_states() {
     let (circuit, cut) = MultiCutAnsatz::new(3, 1).build();
     assert_eq!(cut.num_cuts(), 3);
     assert_detection_resumes_from_cached_states(&circuit, &cut);
-}
-
-#[test]
-fn malformed_circuits_are_typed_errors_on_every_backend() {
-    use qcut::circuit::circuit::Instruction;
-    use qcut::device::backend::{BackendError, JobSpec};
-
-    // A two-qubit gate on one qubit twice: the unchecked import seam lets
-    // it through, and the simulators' block kernels cannot apply it.
-    let bad = Circuit::from_instructions_unchecked(
-        3,
-        vec![Instruction {
-            gate: Gate::Cx,
-            qubits: vec![1, 1],
-        }],
-    );
-    let mut good = Circuit::new(3);
-    good.h(0).cx(0, 1);
-    let pool = BackendPool::new(PlacementPolicy::RoundRobin)
-        .with_member(Box::new(IdealBackend::new(1)))
-        .with_member(Box::new(presets::ibm_7q(1)));
-    let ideal = IdealBackend::new(1);
-    let noisy = presets::ibm_7q(1);
-    let backends: [&dyn qcut::device::backend::Backend; 3] = [&ideal, &noisy, &pool];
-    for backend in backends {
-        let name = backend.name().to_string();
-        let err = backend.run(&bad, 10).unwrap_err();
-        assert!(
-            matches!(err, BackendError::MalformedCircuit { index: 0, .. }),
-            "{name}: {err:?}"
-        );
-        assert!(
-            !err.is_transient(),
-            "{name}: a malformed circuit is permanent"
-        );
-        let jobs = [
-            JobSpec::new(&good, 10),
-            JobSpec::new(&bad, 10),
-            JobSpec::new(&good, 10),
-        ];
-        let results = backend.run_batch(&jobs);
-        assert!(results[0].is_ok() && results[2].is_ok(), "{name}");
-        assert!(
-            matches!(
-                results[1],
-                Err(BackendError::MalformedCircuit { index: 0, .. })
-            ),
-            "{name}: {:?}",
-            results[1]
-        );
-    }
-    // The noisy backend's exact distribution rejects it too.
-    assert!(matches!(
-        noisy.exact_probabilities(&bad),
-        Err(BackendError::MalformedCircuit { index: 0, .. })
-    ));
-    assert!(noisy.exact_probabilities(&good).is_ok());
 }

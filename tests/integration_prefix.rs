@@ -80,8 +80,9 @@ proptest! {
         assert_batched_equals_sequential(|| IdealBackend::new(seed ^ 0xA5), &batch);
     }
 
-    /// And the sharing ablation itself never changes counts: sharing on
-    /// equals sharing off, job by job.
+    /// And the sharing ablation itself never changes counts: the shared
+    /// batch equals the per-job baseline (`run` on an equally seeded
+    /// backend), job by job.
     #[test]
     fn ideal_sharing_ablation_is_bit_identical(
         seed in 0u64..1000,
@@ -90,7 +91,8 @@ proptest! {
         let batch = random_batch(3, 3, &family_sizes, seed);
         let jobs: Vec<JobSpec<'_>> = batch.iter().map(|c| JobSpec::new(c, 120)).collect();
         let on = IdealBackend::new(seed).run_batch(&jobs);
-        let off = IdealBackend::new(seed).with_prefix_sharing(false).run_batch(&jobs);
+        let per_job = IdealBackend::new(seed);
+        let off: Vec<_> = jobs.iter().map(|j| per_job.run(j.circuit, j.shots)).collect();
         for (a, b) in on.iter().zip(&off) {
             prop_assert_eq!(&a.as_ref().unwrap().counts, &b.as_ref().unwrap().counts);
         }
@@ -156,11 +158,16 @@ fn pipeline_report_carries_prefix_sharing_counters() {
     );
     assert!(r.prefix_sharing_ratio() > 0.0 && r.prefix_sharing_ratio() < 1.0);
 
-    // The ablation backend reports no savings and the same distribution
-    // shape guarantees (sharing only changes *how* states are computed).
-    let ablation = IdealBackend::new(8).with_prefix_sharing(false);
+    // The per-job ablation (each job through `Backend::run`) reports no
+    // savings and the same distribution (sharing only changes *how*
+    // states are computed).
+    let ablation = IdealBackend::new(8);
+    let per_job = ExecutionOptions {
+        parallel: false,
+        ..options
+    };
     let off = CutExecutor::new(&ablation)
-        .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &per_job)
         .unwrap();
     assert_eq!(off.report.gates_saved, 0);
     assert_eq!(

@@ -11,6 +11,7 @@ use qcut::circuit::random::{random_circuit_with, random_real_circuit_with, Rando
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::jobgraph::{Channel, JobGraph};
 use qcut::cutting::reconstruction::{exact_reconstruct, exact_upstream_tensor};
+use qcut::cutting::tomography::{build_downstream_circuit, build_upstream_circuit};
 use qcut::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -304,6 +305,42 @@ proptest! {
         let c = random_circuit(n, RandomCircuitConfig { depth, two_qubit_prob: 0.5 }, seed);
         let sv = StateVector::from_circuit(&c);
         prop_assert!((sv.norm_sqr() - 1.0).abs() < 1e-9);
+    }
+
+    /// Every circuit the workspace builds passes the validating import
+    /// seam unchanged: random and random-real circuits, both ansatz
+    /// families, their fragments with every tomography variant, and the
+    /// adjoints of all of these.
+    #[test]
+    fn from_instructions_round_trips_every_built_circuit(
+        n in 1usize..7,
+        depth in 1usize..6,
+        seed in 0u64..2000,
+        k in 1usize..4,
+    ) {
+        let cfg = RandomCircuitConfig { depth, two_qubit_prob: 0.5 };
+        let mut circuits = vec![random_circuit(n, cfg, seed), random_real_circuit(n, cfg, seed)];
+        let width = 5 + 2 * (seed % 3) as usize;
+        for (circuit, cut) in [
+            GoldenAnsatz::new(width, seed).build(),
+            MultiCutAnsatz::new(k, seed).build(),
+        ] {
+            let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+            let plan = BasisPlan::standard(cut.num_cuts());
+            for setting in plan.all_meas_settings() {
+                circuits.push(build_upstream_circuit(&frags.upstream, &setting));
+            }
+            for preparation in plan.all_prep_settings() {
+                circuits.push(build_downstream_circuit(&frags.downstream, &preparation));
+            }
+            circuits.extend([frags.upstream.circuit, frags.downstream.circuit, circuit]);
+        }
+        let adjoints: Vec<Circuit> = circuits.iter().map(Circuit::adjoint).collect();
+        circuits.extend(adjoints);
+        for c in circuits {
+            let rebuilt = Circuit::from_instructions(c.num_qubits(), c.instructions().to_vec());
+            prop_assert_eq!(rebuilt, Ok(c));
+        }
     }
 
     /// Appending gates never shortens a circuit's critical path: the
